@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .textfeat import WordToken, read_transcript
+from .textfeat import WordToken, read_transcript, select_window
 
 log = logging.getLogger(__name__)
 
@@ -173,11 +173,6 @@ class FrameTable:
     def n_frames(self) -> int:
         return len(self.t)
 
-    def labels_for(self, schema: PropertySchema) -> np.ndarray:
-        if schema.name == "presence":
-            return self.has_gesture[:, None]
-        return getattr(self, schema.name)
-
     def eligible(self) -> np.ndarray:
         """Frames whose +-1 s audio window lies inside the recording."""
         n = self.n_frames
@@ -190,20 +185,18 @@ def _window_extents(words: list[WordToken], t: np.ndarray) -> tuple[np.ndarray, 
 
     The audio side always spans t +- 1 s; the text side adds the onset of
     the earliest and offset of the latest word present in the 7-word window.
+    With any words at all every window holds at least one of them.
     """
-    lo = t - 1.0
-    hi = t + 1.0
+    lo = t - AUDIO_CONTEXT_FRAMES / FPS
+    hi = t + AUDIO_CONTEXT_FRAMES / FPS
     if not words:
         return lo, hi
     onsets = np.array([w.onset for w in words])
-    offsets = np.array([w.offset for w in words])
-    cur = np.searchsorted(onsets, t, side="right") - 1
-    first = np.maximum(cur - 3, 0)
-    last = np.minimum(cur + 3, len(words) - 1)
-    has_any = last >= 0                           # cur == -1 still has future words
-    lo = np.where(has_any, np.minimum(lo, onsets[np.clip(first, 0, None)]), lo)
-    hi = np.where(has_any, np.maximum(hi, offsets[np.clip(last, 0, None)]), hi)
-    return lo, hi
+    slots = select_window(onsets, t)
+    first = np.where(slots >= 0, slots, len(words)).min(axis=1)
+    last = slots.max(axis=1)
+    return (np.minimum(lo, onsets[first]),
+            np.maximum(hi, np.array([w.offset for w in words])[last]))
 
 
 def build_frame_table(rec: Recording, duration: float | None = None) -> FrameTable:
@@ -347,18 +340,6 @@ def load_manifest(path: str | Path) -> list[Recording]:
     return recs
 
 
-def apply_holdout(recordings: list[Recording],
-                  holdout_ids) -> tuple[list[Recording], list[Recording]]:
-    """Split recordings into (working, held-out) by recording id."""
-    ids = set(holdout_ids)
-    missing = ids - {r.rec_id for r in recordings}
-    if missing:
-        log.warning("holdout ids %s not present in the corpus", sorted(missing))
-    working = [r for r in recordings if r.rec_id not in ids]
-    held = [r for r in recordings if r.rec_id in ids]
-    return working, held
-
-
 # ------------------------------------------------------------------ folds
 
 @dataclass
@@ -409,17 +390,13 @@ def _train_mask_for_fold(tables, offsets, eligible, val_global) -> np.ndarray:
     return keep
 
 
-def make_folds_within(tables: list[FrameTable], k: int = 20,
-                      seed: int | None = None) -> FoldPlan:
+def make_folds_within(tables: list[FrameTable], k: int = 20) -> FoldPlan:
     """Within-speaker folds: k contiguous blocks of each speaker's frames.
 
     Each speaker's eligible frames (recordings ordered by id) split into k
     contiguous blocks, sizes differing by at most one with remainders given
     to the earliest blocks; fold j validates on block j of every speaker.
-    The seed parameter is kept for interface stability but unused: the
-    contiguous-block rule is fully deterministic.
     """
-    del seed
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
     tables = sorted(tables, key=lambda t: t.rec_id)

@@ -23,17 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (Recording, SCHEMAS, build_frame_table, read_frame_csv,
-                     write_frame_csv)
-from .net import AUDIO_FRAMES
+from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, build_frame_table,
+                     read_frame_csv, write_frame_csv)
 from .prosody import (extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
 from .textfeat import (EmbeddingTable, WINDOW_SLOTS, load_embeddings,
                        select_window)
 
 log = logging.getLogger(__name__)
-
-AUDIO_HALF = (AUDIO_FRAMES - 1) // 2      # 20 frames = 1 s of context per side
 
 ABSENT_ID = -1     # empty window slot: zero embedding, zero offset
 OOV_ID = -2        # word present but unknown: zero embedding, real offset
@@ -56,22 +53,24 @@ def _atomic(path: Path, write_fn) -> None:
     os.replace(tmp, path)
 
 
-def _text_cache(rec: Recording, n_frames: int):
-    """Per frame: 7 window slots as local-vocab ids plus onset offsets."""
-    vocab: dict[str, int] = {}
-    ids = np.full((n_frames, WINDOW_SLOTS), ABSENT_ID, dtype=np.int32)
-    offsets = np.zeros((n_frames, WINDOW_SLOTS), dtype=np.float32)
-    for f in range(n_frames):
-        t = f / 20.0
-        for s, token in enumerate(select_window(rec.words, t)):
-            if token is None:
-                continue
-            if token.word not in vocab:
-                vocab[token.word] = len(vocab)
-            ids[f, s] = vocab[token.word]
-            offsets[f, s] = token.onset - t
-    words = np.array(list(vocab), dtype=str) if vocab else np.array([], dtype="U1")
-    return ids, offsets, words
+def _text_cache(words, t: np.ndarray):
+    """Per frame time: 7 window slots as local-vocab ids plus onset offsets.
+
+    Local ids number the words in order of first appearance, frame by frame
+    and slot by slot within a frame.
+    """
+    onsets = np.array([w.onset for w in words], dtype=np.float64)
+    slots = select_window(onsets, t)
+    frame, slot = np.nonzero(slots >= 0)
+    word = slots[frame, slot]
+    offsets = np.zeros(slots.shape, dtype=np.float32)
+    offsets[frame, slot] = onsets[word] - t[frame]
+    seen = np.array([w.word for w in words], dtype=str)[word]
+    vocab, first, inverse = np.unique(seen, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    ids = np.full(slots.shape, ABSENT_ID, dtype=np.int32)
+    ids[frame, slot] = np.argsort(order)[inverse]      # rank of first appearance
+    return ids, offsets, np.array(vocab[order].tolist(), dtype=str)
 
 
 def build_features(recordings: list[Recording], feature_dir: str | Path,
@@ -100,7 +99,7 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
             failures.append((rec.rec_id,
                              f"prosody rows {len(track.rows)} != frames {table.n_frames}"))
             continue
-        ids, offsets, words = _text_cache(rec, table.n_frames)
+        ids, offsets, words = _text_cache(rec.words, table.t)
         _atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
         _atomic(paths["frames"], lambda p: write_frame_csv(table, p))
         _atomic(paths["text"], lambda p: np.savez(
@@ -268,7 +267,7 @@ class WindowProvider:
         if not self.dataset.eligible[idx].all():
             raise ValueError("audio window crosses a recording edge; "
                              "only eligible frames can be batched")
-        span = np.arange(-AUDIO_HALF, AUDIO_HALF + 1)
+        span = np.arange(-AUDIO_CONTEXT_FRAMES, AUDIO_CONTEXT_FRAMES + 1)
         windows = self.dataset.prosody[np.asarray(idx)[:, None] + span[None, :]]
         return (windows - self.norm_mean) / self.norm_std
 

@@ -110,9 +110,6 @@ class ModelParams:
     def copy(self) -> "ModelParams":
         return ModelParams({k: v.copy() for k, v in self.tensors.items()})
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams({k: v.astype(dtype) for k, v in self.tensors.items()})
-
 
 def _layer_dims(spec: ModelSpec):
     """Yield (name, shape, fan_in) for every parameter tensor in order."""
@@ -151,30 +148,26 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
     return ModelParams(tensors)
 
 
-def _encode(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
-            training: bool, rng) -> Tensor:
+def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
+               training: bool = False, rng=None) -> Tensor:
+    """Pre-readout conv activations: conv, ReLU, then dropout per layer."""
     h = x
     for i in range(enc.layers):
-        h = T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"], pt[f"{prefix}.conv{i}.b"],
-                             dilation=2 ** i)
-        h = T.relu(h)
+        h = T.relu(T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"],
+                                    pt[f"{prefix}.conv{i}.b"], dilation=2 ** i))
         h = T.dropout(h, enc.dropout, rng, training)
+    return h
+
+
+def _encode(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
+            training: bool, rng) -> Tensor:
+    h = conv_stack(prefix, enc, x, pt, training, rng)
     if enc.reduce == "center":
         e = T.select_time(h, h.shape[1] // 2)
     else:
         e = T.tmean(h, axis=1)
     e = T.relu(T.add(T.matmul(e, pt[f"{prefix}.proj.w"]), pt[f"{prefix}.proj.b"]))
     return T.dropout(e, enc.dropout, rng, training)
-
-
-def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor,
-               pt: dict[str, Tensor]) -> Tensor:
-    """Pre-readout conv activations, exposed for equivariance checks."""
-    h = x
-    for i in range(enc.layers):
-        h = T.relu(T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"],
-                                    pt[f"{prefix}.conv{i}.b"], dilation=2 ** i))
-    return h
 
 
 def forward(spec: ModelSpec, params: ModelParams,
@@ -287,52 +280,13 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
                 raise ValueError(f"{path}: truncated buffer for {entry['name']}")
             arr = np.frombuffer(buf, dtype=dt).reshape(entry["shape"])
             tensors[entry["name"]] = arr.astype(np.dtype(entry["dtype"]))
+        if fh.read(1):
+            raise ValueError(f"{path}: trailing bytes after the last buffer")
     spec = ModelSpec.from_dict(header["spec"])
+    want = {name: shape for name, shape, _ in _layer_dims(spec)}
+    bad = sorted(n for n in want.keys() | tensors.keys()
+                 if n not in tensors or tensors[n].shape != want.get(n))
+    if bad:
+        raise ValueError(f"{path}: parameters {bad} are missing, extra or "
+                         f"misshapen for the model spec")
     return spec, ModelParams(tensors), header.get("meta", {})
-
-
-# ------------------------------------------------------------------ pipeline
-
-@dataclass
-class PipelinePrediction:
-    presence_prob: float
-    properties: dict[str, np.ndarray] | None
-
-
-def predict_pipeline(exist: tuple[ModelSpec, ModelParams],
-                     property_models: dict[str, tuple[ModelSpec, ModelParams]],
-                     audio: np.ndarray | None,
-                     text: np.ndarray | None,
-                     speaker: np.ndarray | None = None,
-                     threshold: float = 0.5) -> list[PipelinePrediction]:
-    """Two-stage prediction: gesture presence gates the property models.
-
-    Frames whose presence probability falls below the threshold get
-    properties=None; the rest carry a probability vector per property.
-    """
-    e_spec, e_params = exist
-    presence = predict_probs(e_spec, e_params, audio=audio, text=text,
-                             speaker=speaker)[:, 0]
-    n = len(presence)
-    prop_probs = {}
-    active = np.flatnonzero(presence >= threshold)
-    for name, (spec, params) in property_models.items():
-        probs = np.zeros((n, spec.n_labels))
-        if len(active):
-            probs[active] = predict_probs(
-                spec, params,
-                audio=audio[active] if audio is not None else None,
-                text=text[active] if text is not None else None,
-                speaker=speaker[active] if speaker is not None else None,
-            )
-        prop_probs[name] = probs
-    out = []
-    for i in range(n):
-        if presence[i] >= threshold:
-            out.append(PipelinePrediction(
-                presence_prob=float(presence[i]),
-                properties={k: v[i] for k, v in prop_probs.items()}))
-        else:
-            out.append(PipelinePrediction(presence_prob=float(presence[i]),
-                                          properties=None))
-    return out

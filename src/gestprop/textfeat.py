@@ -5,12 +5,17 @@ current word (latest onset <= t), three words back and three ahead. Each
 present slot contributes its embedding concatenated with a timing offset,
 onset - t in seconds (negative for words that started before the target);
 absent slots are all-zero rows including the timing column.
+
+select_window is the one implementation of that window. It takes the sorted
+word onsets and an array of target times and returns, per time, the 7 slot
+indices into the word list with -1 for an absent slot; the frame table's
+window extents, the cached text features and assemble_text_window are all
+derived from it.
 """
 
 from __future__ import annotations
 
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,9 +48,6 @@ class EmbeddingTable:
 
     def __len__(self):
         return len(self.vectors)
-
-    def __contains__(self, word):
-        return word in self.vectors
 
     def to_matrix(self) -> tuple[list[str], np.ndarray]:
         """Vocabulary in insertion order plus the stacked vector matrix."""
@@ -133,20 +135,20 @@ def write_transcript(words: list[WordToken], path: str | Path) -> None:
             fh.write(f"{round(w.onset * 1000)}\t{round(w.offset * 1000)}\t{w.word}\n")
 
 
-def select_window(words: list[WordToken], t: float) -> list[WordToken | None]:
-    """The 7 window slots for target time t; None marks an absent slot.
+def select_window(onsets, t) -> np.ndarray:
+    """Word indices of the 7 window slots per target time; -1 marks an absent slot.
 
-    Slot 3 is the current word (latest onset <= t), slots 0-2 the three
-    words before it, slots 4-6 the three after. When t precedes every
-    onset there is no current word and slots 4-6 hold the first words.
+    onsets: word onsets sorted ascending. t: (N,) target times, giving an
+    (N, 7) int array (a scalar t gives (7,)). Slot 3 is the current word,
+    the latest onset <= t (a word starting exactly at t counts); slots 0-2
+    are the three words before it, slots 4-6 the three after. When t
+    precedes every onset there is no current word and slots 4-6 hold the
+    first words.
     """
-    onsets = [w.onset for w in words]
-    cur = bisect_right(onsets, t) - 1
-    slots: list[WordToken | None] = []
-    for j in range(WINDOW_SLOTS):
-        idx = cur + (j - PAST_WORDS)
-        slots.append(words[idx] if 0 <= idx < len(words) else None)
-    return slots
+    onsets = np.asarray(onsets, dtype=np.float64)
+    cur = np.searchsorted(onsets, t, side="right") - 1
+    idx = cur[..., None] + np.arange(-PAST_WORDS, FUTURE_WORDS + 1)
+    return np.where((idx >= 0) & (idx < len(onsets)), idx, -1)
 
 
 def assemble_text_window(table: EmbeddingTable, words: list[WordToken],
@@ -156,9 +158,10 @@ def assemble_text_window(table: EmbeddingTable, words: list[WordToken],
     Row = [embedding, onset - t] for present slots, zeros otherwise.
     """
     out = np.zeros((WINDOW_SLOTS, table.dim + 1))
-    for i, tok in enumerate(select_window(words, t)):
-        if tok is None:
+    for i, j in enumerate(select_window([w.onset for w in words], t)):
+        if j < 0:
             continue
+        tok = words[j]
         out[i, :table.dim] = embed_word(table, tok.word)
         out[i, table.dim] = tok.onset - t
     return out

@@ -140,15 +140,14 @@ class Adam:
 
 # ------------------------------------------------------------------ balancing
 
-def upsample(labels: np.ndarray, exclusive: bool,
-             rng: np.random.Generator) -> np.ndarray:
+def upsample(labels: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Index multiset balancing each label to half its majority side.
 
     Returns indices into `labels`: the originals in order, then seeded
     duplicates of frames positive for each deficient label. Labels with no
-    positive frame are left untouched with a warning.
+    positive frame are left untouched with a warning. Duplicating whole
+    frames keeps one-hot rows one-hot.
     """
-    del exclusive    # duplication of whole frames preserves one-hot rows
     labels = np.asarray(labels)
     n, n_labels = labels.shape
     indices = list(range(n))
@@ -185,6 +184,8 @@ class TrainConfig:
             raise ValueError("steps and batch must be positive")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 1 <= self.evals <= self.steps:
+            raise ValueError(f"evals must be in [1, steps={self.steps}], got {self.evals}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -232,7 +233,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
         raise ValueError("empty training set")
     if config.upsample:
         rows = provider.labels_at(pool)
-        pool = pool[upsample(rows, provider.exclusive, np.random.default_rng(s_up))]
+        pool = pool[upsample(rows, np.random.default_rng(s_up))]
     class_counts = provider.labels_at(pool).sum(axis=0)
 
     if score_fn is None:

@@ -8,7 +8,6 @@ from gestprop.corpus import (
     AnnotationTier,
     FrameTable,
     Recording,
-    apply_holdout,
     build_frame_table,
     encode_labels,
     make_folds_between,
@@ -220,7 +219,7 @@ def test_interlocutor_roundtrip(tmp_path):
     assert read_interlocutor(p) == [(0.5, 1.25)]
 
 
-# ------------------------------------------------------------------ holdout
+# ------------------------------------------------------------------ folds
 
 def make_table(rec_id, speaker, n_frames):
     z = np.zeros((n_frames, 5), dtype=np.uint8)
@@ -228,26 +227,6 @@ def make_table(rec_id, speaker, n_frames):
     return FrameTable(rec_id=rec_id, speaker=speaker, t=t,
                       phase=z, category=z[:, :4], semantics=z[:, :4],
                       has_gesture=z[:, 0], win_lo=t - 1.0, win_hi=t + 1.0)
-
-
-def test_apply_holdout():
-    recs = [Recording(rec_id=i, speaker=f"S{i}") for i in range(1, 26)]
-    working, held = apply_holdout(recs, [7, 8, 10])
-    assert len(working) == 22 and len(held) == 3
-    assert {r.rec_id for r in held} == {7, 8, 10}
-
-    same, none = apply_holdout(recs, [])
-    assert len(same) == 25 and none == []
-
-
-def test_apply_holdout_missing_warns(caplog):
-    recs = [Recording(rec_id=1, speaker="a")]
-    with caplog.at_level("WARNING"):
-        apply_holdout(recs, [99])
-    assert any("99" in m.message for m in caplog.records)
-
-
-# ------------------------------------------------------------------ folds
 
 def test_within_folds_partition():
     tables = [make_table(1, "A", 140), make_table(2, "B", 150)]

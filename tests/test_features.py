@@ -71,17 +71,24 @@ def test_text_cache_matches_window_oracle(built):
     _, recs, fdir, _, _ = built
     rec = recs[0]
     cache = np.load(features.feature_paths(fdir, rec.rec_id)["text"])
-    vocab = [str(w) for w in cache["vocab"]]
-    for f in (0, 57, 123, 299):
-        slots = textfeat.select_window(rec.words, f / 20.0)
-        for s, tok in enumerate(slots):
-            if tok is None:
-                assert cache["ids"][f, s] == -1
-                assert cache["offsets"][f, s] == 0.0
-            else:
-                assert vocab[cache["ids"][f, s]] == tok.word
-                assert cache["offsets"][f, s] == pytest.approx(
-                    tok.onset - f / 20.0, abs=1e-6)
+    ids, offsets = cache["ids"], cache["offsets"]
+    vocab: dict[str, int] = {}
+    for f in range(len(ids)):
+        t = f / 20.0
+        cur = -1                        # linear scan: the latest onset <= t
+        for i, w in enumerate(rec.words):
+            if w.onset <= t:
+                cur = i
+        for s in range(7):
+            i = cur - 3 + s
+            if not 0 <= i < len(rec.words):
+                assert ids[f, s] == -1 and offsets[f, s] == 0.0
+                continue
+            tok = rec.words[i]
+            # local ids number words by first appearance, frame by frame
+            assert ids[f, s] == vocab.setdefault(tok.word, len(vocab))
+            assert offsets[f, s] == np.float32(tok.onset - t)
+    assert cache["vocab"].tolist() == list(vocab)
 
 
 def test_dataset_order_matches_fold_plan(built):

@@ -1,4 +1,4 @@
-"""Model construction, forward pass, checkpoints, and the two-stage pipeline."""
+"""Model construction, forward pass and checkpoints."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,7 @@ import pytest
 from gestprop import tensor as T
 from gestprop.net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec,
                           conv_stack, forward, init_params, load_checkpoint,
-                          predict_pipeline, predict_probs, save_checkpoint)
+                          predict_probs, save_checkpoint)
 from gestprop.tensor import Tensor
 
 RNG = np.random.default_rng(8)
@@ -233,31 +233,27 @@ def test_checkpoint_rejects_garbage(tmp_path):
         load_checkpoint(tmp_path / "cut.ckpt")
 
 
-def test_pipeline_threshold_gating():
-    rng = np.random.default_rng(3)
-    e_spec = ModelSpec(head="sigmoid", n_labels=1,
-                       audio=EncoderSpec(layers=1, channels=4, out_dim=4),
-                       text=None, decoder=DecoderSpec(hidden=4, layers=0),
-                       audio_channels=5, audio_frames=41)
-    e_params = init_params(e_spec, seed=1)
-    p_spec = ModelSpec(head="softmax", n_labels=5,
-                       audio=EncoderSpec(layers=1, channels=4, out_dim=4),
-                       text=None, decoder=DecoderSpec(hidden=4, layers=0),
-                       audio_channels=5, audio_frames=41)
-    p_params = init_params(p_spec, seed=2)
-    audio = rng.normal(size=(30, 41, 5)) * 4.0
-    presence = predict_probs(e_spec, e_params, audio=audio)[:, 0]
-    thr = float(np.median(presence))     # split the batch both ways
-    preds = predict_pipeline((e_spec, e_params), {"phase": (p_spec, p_params)},
-                             audio=audio, text=None, threshold=thr)
-    assert len(preds) == 30
-    direct = predict_probs(p_spec, p_params, audio=audio)
-    n_active = 0
-    for i, pr in enumerate(preds):
-        assert pr.presence_prob == pytest.approx(presence[i])
-        if presence[i] >= thr:
-            n_active += 1
-            assert np.allclose(pr.properties["phase"], direct[i])
-        else:
-            assert pr.properties is None
-    assert 0 < n_active < 30
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    spec = small_spec()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, spec, init_params(spec, seed=0))
+    path.write_bytes(path.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="model.ckpt.*trailing bytes"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_rejects_params_that_do_not_fit_the_spec(tmp_path):
+    spec = small_spec()
+    params = init_params(spec, seed=0)
+    wide = init_params(small_spec(n_labels=5), seed=0)
+    cases = {
+        "misshapen": {**params.tensors, "head.w": wide.tensors["head.w"],
+                      "head.b": wide.tensors["head.b"]},
+        "missing": {k: v for k, v in params.tensors.items() if k != "dec.fc0.b"},
+        "extra": {**params.tensors, "dec.fc9.b": np.zeros(3, dtype=np.float32)},
+    }
+    for name, tensors in cases.items():
+        path = tmp_path / f"{name}.ckpt"
+        save_checkpoint(path, spec, ModelParams(tensors))
+        with pytest.raises(ValueError, match=f"{name}.ckpt.*misshapen for the model spec"):
+            load_checkpoint(path)

@@ -1,6 +1,9 @@
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
+from gestprop import synth
 from gestprop.textfeat import (
     EmbeddingTable,
     WordToken,
@@ -77,33 +80,59 @@ def test_embed_word():
 
 # ------------------------------------------------------------------ windows
 
+def window_words(words, t):
+    """Word of each of the 7 slots at time t, None for an absent slot."""
+    slots = select_window([w.onset for w in words], np.array([t]))
+    assert slots.shape == (1, 7)
+    return [words[i].word if i >= 0 else None for i in slots[0]]
+
+
+def bisect_window(onsets, t):
+    """Reference: one bisect per target time, then the +-3 slot offsets."""
+    cur = bisect_right(list(onsets), t) - 1
+    return [cur + j if 0 <= cur + j < len(onsets) else -1 for j in range(-3, 4)]
+
+
 def test_select_window_middle():
     words = tokens([0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5])
-    slots = select_window(words, 1.6)           # current = w3 (onset 1.5)
-    assert [s.word if s else None for s in slots] == [
+    assert window_words(words, 1.6) == [       # current = w3 (onset 1.5)
         "w0", "w1", "w2", "w3", "w4", "w5", "w6"]
 
 
 def test_select_window_before_first():
     words = tokens([1.0, 1.5, 2.0, 2.5])
-    slots = select_window(words, 0.2)
-    assert [s.word if s else None for s in slots] == [
+    assert window_words(words, 0.2) == [
         None, None, None, None, "w0", "w1", "w2"]
 
 
 def test_select_window_at_edges():
     words = tokens([0.0, 0.5, 1.0])
-    slots = select_window(words, 1.2)            # current = last word
-    assert [s.word if s else None for s in slots] == [
+    assert window_words(words, 1.2) == [       # current = last word
         None, "w0", "w1", "w2", None, None, None]
-    assert all(s is None for s in select_window([], 1.0))
+    assert window_words([], 1.0) == [None] * 7
 
 
 def test_select_window_onset_tie():
     # a word starting exactly at t counts as current
     words = tokens([0.0, 1.0])
-    slots = select_window(words, 1.0)
-    assert slots[3].word == "w1"
+    assert window_words(words, 1.0)[3] == "w1"
+
+
+def test_select_window_matches_bisect_reference(tmp_path):
+    cases = [
+        ([0.5, 1.0, 1.0, 1.0, 2.0], [0.0, 0.5, 0.99, 1.0, 1.01, 2.0, 9.0]),  # tied onsets
+        ([], [0.0, 1.0, 5.0]),                                             # no words
+        ([2.0, 2.5, 3.0], [0.0, 1.999]),                                   # before the first
+        ([0.0, 0.4, 0.8], [0.8, 0.81, 100.0]),                             # after the last
+    ]
+    spec = synth.SynthSpec(name="tiny", n_speakers=1, duration=15.0)
+    rec = synth.generate_synthetic_corpus(spec, seed=11, out_dir=tmp_path)[0]
+    cases.append(([w.onset for w in rec.words], np.arange(int(15.0 * 20)) / 20.0))
+    for onsets, times in cases:
+        got = select_window(onsets, np.asarray(times))
+        assert got.shape == (len(times), 7)
+        assert got.tolist() == [bisect_window(onsets, t) for t in times]
+        assert select_window(onsets, times[-1]).tolist() == bisect_window(onsets, times[-1])
 
 
 # ------------------------------------------------------------------ assembly
@@ -130,7 +159,7 @@ def test_assemble_timing_increases():
     words = tokens(np.cumsum(np.full(12, 0.3)) - 0.3)
     mat = assemble_text_window(table(), words, 1.7)
     offs = mat[:, 4]
-    present = np.array([s is not None for s in select_window(words, 1.7)])
+    present = select_window([w.onset for w in words], 1.7) >= 0
     vals = offs[present]
     assert np.all(np.diff(vals) > 0)
 

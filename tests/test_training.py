@@ -122,7 +122,7 @@ def test_adam_minimizes_quadratic():
 def test_upsample_reaches_half_majority():
     labels = np.zeros((100, 1))
     labels[:10, 0] = 1
-    idx = upsample(labels, False, np.random.default_rng(0))
+    idx = upsample(labels, np.random.default_rng(0))
     assert np.array_equal(idx[:100], np.arange(100))     # originals kept in order
     assert np.all(labels[idx[100:], 0] == 1)             # only positives duplicated
     assert labels[idx, 0].sum() == 45                    # ceil(90 / 2)
@@ -131,7 +131,7 @@ def test_upsample_reaches_half_majority():
 def test_upsample_balanced_input_is_identity():
     labels = np.zeros((40, 1))
     labels[:20, 0] = 1
-    idx = upsample(labels, False, np.random.default_rng(0))
+    idx = upsample(labels, np.random.default_rng(0))
     assert np.array_equal(idx, np.arange(40))
 
 
@@ -139,7 +139,7 @@ def test_upsample_skips_empty_label(caplog):
     labels = np.zeros((30, 2))
     labels[:15, 1] = 1
     with caplog.at_level("WARNING"):
-        idx = upsample(labels, False, np.random.default_rng(0))
+        idx = upsample(labels, np.random.default_rng(0))
     assert np.array_equal(idx, np.arange(30))
     assert "no positive frames" in caplog.text
 
@@ -148,9 +148,9 @@ def test_upsample_deterministic_and_label_order():
     labels = np.zeros((60, 2))
     labels[:5, 0] = 1
     labels[10:18, 1] = 1
-    a = upsample(labels, False, np.random.default_rng(7))
-    b = upsample(labels, False, np.random.default_rng(7))
-    c = upsample(labels, False, np.random.default_rng(8))
+    a = upsample(labels, np.random.default_rng(7))
+    b = upsample(labels, np.random.default_rng(7))
+    c = upsample(labels, np.random.default_rng(8))
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a[:60], np.arange(60))
@@ -170,6 +170,11 @@ def test_train_config_roundtrip():
     assert TrainConfig.from_dict(cfg.to_dict()) == cfg
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
+    # no eval point would give final_score 0.0; more evals than steps
+    # would silently give fewer curve points
+    for steps, evals in ((10, 0), (2, 4)):
+        with pytest.raises(ValueError, match="evals"):
+            TrainConfig(steps=steps, evals=evals)
 
 
 class ArrayProvider:
@@ -247,7 +252,7 @@ def test_train_rejects_empty_pool():
     provider = separable_provider(n=16)
     with pytest.raises(ValueError, match="empty"):
         train(small_model(), provider, np.array([], dtype=int), np.arange(4),
-              TrainConfig(steps=1), seed=0)
+              TrainConfig(steps=1, evals=1), seed=0)
 
 
 def test_hyperrange_sampling_bounds():
