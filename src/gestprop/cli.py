@@ -2,8 +2,9 @@
 
 Every subcommand reads the shared experiment flags, optionally seeded from
 a JSON config file (explicit flags win over the file, the file wins over
-defaults). Exit code 0 means all requested outputs were written; feature
-failures and a failing gradient check exit 1, bad configuration exits 2.
+defaults; predict's property and modality default to the checkpoint's).
+Exit code 0 means all requested outputs were written; feature failures and
+a failing gradient check exit 1, bad configuration exits 2.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .experiment import (CV_MODES, PROPERTIES, ExperimentConfig, run_baselines,
                          run_predict)
 from .features import MODALITIES
 from .gradcheck import DEFAULT_EPS, PASS_THRESHOLD
+from .net import load_checkpoint
 from .synth import PRESETS, generate_synthetic_corpus, preset
 from .training import LOSS_KINDS
 
@@ -57,10 +59,11 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--evals", type=int, help="validation curve points")
 
 
-def _config_from_args(args) -> ExperimentConfig:
-    base: dict = {}
+def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
+    """Settings from defaults, then the --config file, then explicit flags."""
+    base = dict(defaults or {})
     if args.config:
-        base = json.loads(Path(args.config).read_text())
+        base.update(json.loads(Path(args.config).read_text()))
 
     for key in CONFIG_KEYS:
         attr = "prop" if key == "property" else key
@@ -104,23 +107,13 @@ def _cmd_features(args) -> int:
     return 1 if failures else 0
 
 
-def _cmd_train(args) -> int:
-    config = _config_from_args(args)
-    report = run_cv(config, write_checkpoints=True)
-    agg = report["aggregate"]["headline"]
-    print(f"train: {report['n_folds']} folds, headline "
-          f"{agg['mean']:.3f} +- {agg['std']:.3f}; "
-          f"report.json + checkpoints under {config.out_dir}")
-    return 0
-
-
 def _cmd_eval(args) -> int:
     config = _config_from_args(args)
-    report = run_cv(config, write_checkpoints=False)
+    report = run_cv(config)
     agg = report["aggregate"]["headline"]
     print(f"eval: {report['n_folds']} folds, headline "
           f"{agg['mean']:.3f} +- {agg['std']:.3f}; "
-          f"report.json under {config.out_dir}")
+          f"report.json + checkpoints under {config.out_dir}")
     return 0
 
 
@@ -148,7 +141,9 @@ def _cmd_hpsearch(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    config = _config_from_args(args)
+    meta = load_checkpoint(args.checkpoint)[2]
+    trained = {k: meta[k] for k in ("property", "modality") if k in meta}
+    config = _config_from_args(args, defaults=trained)
     written = run_predict(config, args.checkpoint)
     print(f"predict: wrote {len(written)} trace file(s) under "
           f"{Path(config.out_dir) / 'predictions'}")
@@ -191,12 +186,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true", help="rebuild existing files")
     p.set_defaults(fn=_cmd_features)
 
-    for name, fn, blurb in (
-            ("train", _cmd_train, "cross-validated training with checkpoints"),
-            ("eval", _cmd_eval, "cross-validated evaluation report")):
-        p = sub.add_parser(name, help=blurb)
-        _add_experiment_flags(p)
-        p.set_defaults(fn=fn)
+    p = sub.add_parser("eval", help="cross-validated training: report and "
+                                    "one checkpoint per fold")
+    _add_experiment_flags(p)
+    p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("baselines", help="score the four chance systems")
     _add_experiment_flags(p)

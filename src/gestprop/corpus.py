@@ -53,7 +53,6 @@ CATEGORY = PropertySchema("category", ("deictic", "beat", "iconic", "discourse")
 SEMANTICS = PropertySchema("semantics", ("amount", "shape", "direction", "size"), False)
 PRESENCE = PropertySchema("presence", ("gesture",), False)
 
-PROPERTY_SCHEMAS = (PHASE, CATEGORY, SEMANTICS)
 SCHEMAS = {s.name: s for s in (PHASE, CATEGORY, SEMANTICS, PRESENCE)}
 
 PHASE_PRECEDENCE = ("stroke", "preparation", "pre-hold", "post-hold", "retraction")
@@ -76,7 +75,6 @@ class Recording:
     words: list[WordToken] = field(default_factory=list)
     tiers: list[AnnotationTier] = field(default_factory=list)
     interlocutor: list[tuple[float, float]] = field(default_factory=list)
-    duration: float | None = None
 
 
 def encode_labels(label: str, schema: PropertySchema) -> np.ndarray:
@@ -199,12 +197,9 @@ def _window_extents(words: list[WordToken], t: np.ndarray) -> tuple[np.ndarray, 
             np.maximum(hi, np.array([w.offset for w in words])[last]))
 
 
-def build_frame_table(rec: Recording, duration: float | None = None) -> FrameTable:
+def build_frame_table(rec: Recording, duration: float) -> FrameTable:
     """Rasterize all three schemas for a recording onto the 20 fps grid."""
-    dur = duration if duration is not None else rec.duration
-    if dur is None:
-        raise ValueError(f"recording {rec.rec_id}: duration unknown; load the audio first")
-    n = int(dur * FPS)
+    n = int(duration * FPS)
     t = np.arange(n) / FPS
     phase = rasterize(rec, PHASE, n)
     category = rasterize(rec, CATEGORY, n)
@@ -318,7 +313,7 @@ def load_manifest(path: str | Path) -> list[Recording]:
     Each entry: {"id": int, "speaker": str, "audio": path, "transcript":
     path, "annotations": path, "interlocutor": path or null}. Relative
     paths resolve against the manifest's directory. Audio is not loaded
-    here; durations stay None until the audio is read.
+    here.
     """
     path = Path(path)
     base = path.parent
@@ -346,7 +341,6 @@ def load_manifest(path: str | Path) -> list[Recording]:
 class FoldPlan:
     """Global-index fold assignments over a concatenated list of tables."""
 
-    mode: str                       # "within" | "between"
     val: list[np.ndarray]           # per fold: global frame indices
     train: list[np.ndarray]
     offsets: np.ndarray             # table i owns [offsets[i], offsets[i+1])
@@ -431,8 +425,7 @@ def make_folds_within(tables: list[FrameTable], k: int = 20) -> FoldPlan:
         np.flatnonzero(_train_mask_for_fold(tables, offsets, eligible, v))
         for v in val
     ]
-    return FoldPlan(mode="within", val=val, train=train,
-                    offsets=offsets, eligible=eligible)
+    return FoldPlan(val=val, train=train, offsets=offsets, eligible=eligible)
 
 
 def make_folds_between(tables: list[FrameTable]) -> FoldPlan:
@@ -452,5 +445,4 @@ def make_folds_between(tables: list[FrameTable]) -> FoldPlan:
         held = spk_per_frame == i
         val.append(np.flatnonzero(eligible & held))
         train.append(np.flatnonzero(eligible & ~held))
-    return FoldPlan(mode="between", val=val, train=train,
-                    offsets=offsets, eligible=eligible)
+    return FoldPlan(val=val, train=train, offsets=offsets, eligible=eligible)

@@ -42,10 +42,6 @@ class ConfusionCounts:
                    fn=int((~pred & target).sum()),
                    tn=int((~pred & ~target).sum()))
 
-    def __add__(self, other: "ConfusionCounts") -> "ConfusionCounts":
-        return ConfusionCounts(self.tp + other.tp, self.fp + other.fp,
-                               self.fn + other.fn, self.tn + other.tn)
-
 
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     precision = tp / (tp + fp) if tp + fp else 0.0

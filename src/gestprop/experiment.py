@@ -26,8 +26,8 @@ from .evaluation import (BASELINE_KINDS, aggregate_folds, baseline_predict,
                          write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
-from .net import (DecoderSpec, EncoderSpec, ModelSpec, load_checkpoint,
-                  predict_probs, save_checkpoint)
+from .net import (DecoderSpec, EncoderSpec, ModelSpec, from_fields,
+                  load_checkpoint, predict_probs, save_checkpoint)
 from .training import TrainConfig, default_space, random_search, train
 
 log = logging.getLogger(__name__)
@@ -63,7 +63,7 @@ class ExperimentConfig:
             return Path(self.features_dir)
         return Path(self.out_dir) / FEATURES_SUBDIR
 
-    def validate(self, require_files: bool = True) -> None:
+    def validate(self) -> None:
         if self.prop not in PROPERTIES:
             raise ValueError(f"unknown property {self.prop!r}; choose from {PROPERTIES}")
         if self.modality not in MODALITIES:
@@ -78,11 +78,10 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown model keys {sorted(unknown)}; "
                              f"choose from {MODEL_KEYS}")
-        if require_files:
-            for name in ("manifest", "embeddings"):
-                path = Path(getattr(self, name))
-                if not path.exists():
-                    raise FileNotFoundError(f"{name} file not found: {path}")
+        for name in ("manifest", "embeddings"):
+            path = Path(getattr(self, name))
+            if not path.exists():
+                raise FileNotFoundError(f"{name} file not found: {path}")
 
     def to_dict(self) -> dict:
         return {
@@ -109,7 +108,7 @@ class ExperimentConfig:
             d["prop"] = d.pop("property")
         if isinstance(d.get("train"), dict):
             d["train"] = TrainConfig.from_dict(d["train"])
-        return cls(**d)
+        return from_fields(cls, d)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -234,7 +233,8 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
     _, dataset = _load_corpus(config)
     plan = _make_plan(dataset, config)
     provider = WindowProvider(dataset, config.prop, config.modality,
-                              speaker_onehot=(config.cv == "within_id"))
+                              speakers=dataset.speaker_list
+                              if config.cv == "within_id" else None)
     spec = _model_spec(config, provider, dataset.emb_matrix.shape[1] + 1)
 
     out = Path(config.out_dir)
@@ -271,7 +271,7 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
             save_checkpoint(out / name, spec, params, meta={
                 "fold": fold, "seed": seed, "property": config.prop,
                 "modality": config.modality, "norm": provider.norm_state(),
-                "config": config.to_dict(),
+                "speakers": provider.speakers, "config": config.to_dict(),
             })
             entry["checkpoint"] = name
             files.append(name)
@@ -406,12 +406,20 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int,
 
 
 def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
-    """Per-frame probability traces for every recording, one CSV each."""
+    """Per-frame probability traces for every recording, one CSV each.
+
+    The config's property and modality must be those the checkpoint was
+    trained for; the check runs before any corpus data is read.
+    """
     config.validate()
     spec, params, meta = load_checkpoint(checkpoint)
+    for key, value in (("property", config.prop), ("modality", config.modality)):
+        if meta.get(key, value) != value:
+            raise ValueError(f"{checkpoint}: the model was trained for {key} "
+                             f"{meta[key]!r}, not {value!r}")
     _, dataset = _load_corpus(config)
     provider = WindowProvider(dataset, config.prop, config.modality,
-                              speaker_onehot=spec.speaker_dim > 0)
+                              speakers=meta.get("speakers") if spec.speaker_dim else None)
     if meta.get("norm"):
         provider.set_norm(meta["norm"])
     names = SCHEMAS[config.prop].labels
@@ -419,11 +427,8 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
     out = Path(config.out_dir) / "predictions"
     out.mkdir(parents=True, exist_ok=True)
     written = []
-    offsets = np.concatenate(
-        [[0], np.cumsum([t.n_frames for t in dataset.tables])])
-    for i, table in enumerate(dataset.tables):
-        idx = np.arange(offsets[i], offsets[i + 1])[
-            dataset.eligible[offsets[i]:offsets[i + 1]]]
+    for table in dataset.tables:
+        idx = np.flatnonzero(dataset.eligible & (dataset.rec_ids == table.rec_id))
         batch = provider.batch(idx)
         probs = predict_probs(spec, params, audio=batch["audio"],
                               text=batch["text"], speaker=batch["speaker"])

@@ -28,7 +28,7 @@ from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, build_frame_table
 from .prosody import (extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
 from .textfeat import (EmbeddingTable, WINDOW_SLOTS, load_embeddings,
-                       select_window)
+                       lookup_word, select_window)
 
 log = logging.getLogger(__name__)
 
@@ -110,13 +110,8 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
 
 def _map_vocab(words: np.ndarray, rows: dict[str, int]) -> np.ndarray:
     """Local vocab index -> embedding matrix row (OOV_ID when unknown)."""
-    out = np.full(len(words), OOV_ID, dtype=np.int32)
-    for i, w in enumerate(words):
-        row = rows.get(str(w))
-        if row is None:
-            row = rows.get(str(w).lower(), OOV_ID)
-        out[i] = row
-    return out
+    found = (lookup_word(rows, str(w)) for w in words)
+    return np.array([OOV_ID if row is None else row for row in found], dtype=np.int32)
 
 
 @dataclass
@@ -126,7 +121,6 @@ class FrameDataset:
     rec_ids: np.ndarray          # (N,) int
     speakers: np.ndarray         # (N,) str
     t: np.ndarray                # (N,) float
-    frame_in_rec: np.ndarray     # (N,) int
     prosody: np.ndarray          # (N, 5) float32
     phase: np.ndarray            # (N, 5) uint8
     category: np.ndarray         # (N, 4) uint8
@@ -193,7 +187,6 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
         speakers=np.concatenate([np.full(n, t.speaker, dtype=object)
                                  for t, n in zip(tables, sizes)]),
         t=np.concatenate([t.t for t in tables]),
-        frame_in_rec=np.concatenate([np.arange(n) for n in sizes]),
         prosody=np.concatenate(pros),
         phase=np.concatenate([t.phase for t in tables]),
         category=np.concatenate([t.category for t in tables]),
@@ -221,11 +214,12 @@ class WindowProvider:
 
     Indices must be eligible frames (>= 20 frames from both recording
     edges), which fold plans guarantee; audio windows are gathered straight
-    from the concatenated prosody array.
+    from the concatenated prosody array. Given a speaker list, batches also
+    carry a one-hot over it, looked up by speaker name.
     """
 
     def __init__(self, dataset: FrameDataset, prop: str, modality: str,
-                 speaker_onehot: bool = False):
+                 speakers: list[str] | None = None):
         if modality not in MODALITIES:
             raise ValueError(f"unknown modality {modality!r}; choose from {MODALITIES}")
         if prop not in SCHEMAS:
@@ -234,9 +228,12 @@ class WindowProvider:
         self.prop = prop
         self.modality = modality
         self.exclusive = SCHEMAS[prop].exclusive
-        self.speaker_onehot = speaker_onehot
-        self._speakers = dataset.speaker_list
-        self._spk_index = {s: i for i, s in enumerate(self._speakers)}
+        self.speakers = speakers
+        if speakers is not None:
+            unknown = sorted(set(dataset.speaker_list) - set(speakers))
+            if unknown:
+                raise ValueError(f"unknown speakers {unknown}; the model knows {speakers}")
+            self._spk_index = {s: i for i, s in enumerate(speakers)}
         self.norm_mean = np.zeros(5, dtype=np.float32)
         self.norm_std = np.ones(5, dtype=np.float32)
         self._labels = dataset.labels_for(prop).astype(np.float32)
@@ -247,7 +244,7 @@ class WindowProvider:
 
     @property
     def speaker_dim(self) -> int:
-        return len(self._speakers) if self.speaker_onehot else 0
+        return 0 if self.speakers is None else len(self.speakers)
 
     def fit_norm(self, train_idx: np.ndarray) -> None:
         """Standardize audio channels with statistics of the training frames."""
@@ -289,8 +286,8 @@ class WindowProvider:
         out["audio"] = self._audio(idx) if self.modality in ("audio", "both") else None
         out["text"] = self._text(idx) if self.modality in (
             "text", "text_no_timing", "both") else None
-        if self.speaker_onehot:
-            sp = np.zeros((len(idx), len(self._speakers)), dtype=np.float32)
+        if self.speakers is not None:
+            sp = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
             for j, s in enumerate(self.dataset.speakers[idx]):
                 sp[j, self._spk_index[s]] = 1.0
             out["speaker"] = sp

@@ -3,9 +3,8 @@
 Each modality gets its own encoder: a stack of length-preserving dilated
 1-D convolutions (dilation doubling per layer, ReLU + dropout after each),
 a readout that turns the (B, T, C) activation into a window embedding, and
-a linear projection. The default readout takes the activation at the center
-time step, the position being predicted; mean-pooling over time is available
-via EncoderSpec.reduce="mean". Embeddings from the active modalities (plus
+a linear projection. The readout takes the activation at the center time
+step, the position being predicted. Embeddings from the active modalities (plus
 an optional speaker one-hot) are concatenated and decoded by an MLP; the
 head is a sigmoid per label for non-exclusive properties and gesture
 presence, or a softmax across labels for the exclusive phase property.
@@ -18,7 +17,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +33,16 @@ TEXT_DIM = 301             # 300-d embedding + timing offset
 CHECKPOINT_MAGIC = b"GPROPCKPT1\n"
 
 
+def from_fields(cls, d: dict):
+    """cls(**d), with a ValueError naming the keys cls has no field for."""
+    names = {f.name for f in fields(cls)}
+    unknown = sorted(set(d) - names)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys {unknown}; "
+                         f"choose from {sorted(names)}")
+    return cls(**d)
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     layers: int = 3
@@ -41,7 +50,6 @@ class EncoderSpec:
     kernel: int = 3
     dropout: float = 0.0
     out_dim: int = 24
-    reduce: str = "center"
 
     def __post_init__(self):
         if self.layers < 1:
@@ -50,8 +58,6 @@ class EncoderSpec:
             raise ValueError(f"kernel must be odd and positive, got {self.kernel}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.reduce not in ("center", "mean"):
-            raise ValueError(f"reduce must be 'center' or 'mean', got {self.reduce!r}")
 
 
 @dataclass(frozen=True)
@@ -94,11 +100,12 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         d = dict(d)
-        for key, sub in (("audio", EncoderSpec), ("text", EncoderSpec)):
+        for key in ("audio", "text"):
             if d.get(key) is not None:
-                d[key] = sub(**d[key])
-        d["decoder"] = DecoderSpec(**d["decoder"])
-        return cls(**d)
+                d[key] = from_fields(EncoderSpec, d[key])
+        if "decoder" in d:
+            d["decoder"] = from_fields(DecoderSpec, d["decoder"])
+        return from_fields(cls, d)
 
 
 class ModelParams:
@@ -106,9 +113,6 @@ class ModelParams:
 
     def __init__(self, tensors: dict[str, np.ndarray]):
         self.tensors = tensors
-
-    def copy(self) -> "ModelParams":
-        return ModelParams({k: v.copy() for k, v in self.tensors.items()})
 
 
 def _layer_dims(spec: ModelSpec):
@@ -162,12 +166,20 @@ def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
 def _encode(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
             training: bool, rng) -> Tensor:
     h = conv_stack(prefix, enc, x, pt, training, rng)
-    if enc.reduce == "center":
-        e = T.select_time(h, h.shape[1] // 2)
-    else:
-        e = T.tmean(h, axis=1)
+    e = T.select_time(h, h.shape[1] // 2)
     e = T.relu(T.add(T.matmul(e, pt[f"{prefix}.proj.w"]), pt[f"{prefix}.proj.b"]))
     return T.dropout(e, enc.dropout, rng, training)
+
+
+def _checked(what: str, x, shape: tuple) -> np.ndarray:
+    """x as an array of shape (B, *shape), else a ValueError naming the input."""
+    dims = ", ".join(str(d) for d in ("B",) + shape)
+    if x is None:
+        raise ValueError(f"no {what} given; the model expects ({dims})")
+    x = np.asarray(x)
+    if x.shape[1:] != shape:
+        raise ValueError(f"{what} must be ({dims}), got {x.shape}")
+    return x
 
 
 def forward(spec: ModelSpec, params: ModelParams,
@@ -186,27 +198,14 @@ def forward(spec: ModelSpec, params: ModelParams,
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.tensors.items()}
     embeddings = []
     if spec.audio is not None:
-        if audio is None:
-            raise ValueError("model has an audio encoder but no audio windows given")
-        a = np.asarray(audio)
-        if a.shape[1:] != (spec.audio_frames, spec.audio_channels):
-            raise ValueError(
-                f"audio windows must be (B, {spec.audio_frames}, {spec.audio_channels}),"
-                f" got {a.shape}")
+        a = _checked("audio windows", audio, (spec.audio_frames, spec.audio_channels))
         embeddings.append(_encode("audio", spec.audio, Tensor(a), pt, training, rng))
     if spec.text is not None:
-        if text is None:
-            raise ValueError("model has a text encoder but no text windows given")
-        x = np.asarray(text)
-        if x.shape[1:] != (spec.text_slots, spec.text_dim):
-            raise ValueError(
-                f"text windows must be (B, {spec.text_slots}, {spec.text_dim}),"
-                f" got {x.shape}")
+        x = _checked("text windows", text, (spec.text_slots, spec.text_dim))
         embeddings.append(_encode("text", spec.text, Tensor(x), pt, training, rng))
     if spec.speaker_dim:
-        if speaker is None:
-            raise ValueError("model expects a speaker one-hot input")
-        embeddings.append(Tensor(np.asarray(speaker)))
+        embeddings.append(Tensor(_checked("speaker one-hots", speaker,
+                                          (spec.speaker_dim,))))
 
     h = embeddings[0] if len(embeddings) == 1 else T.concat(embeddings, axis=-1)
     for i in range(spec.decoder.layers):
@@ -282,7 +281,10 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
             tensors[entry["name"]] = arr.astype(np.dtype(entry["dtype"]))
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last buffer")
-    spec = ModelSpec.from_dict(header["spec"])
+    try:
+        spec = ModelSpec.from_dict(header["spec"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     want = {name: shape for name, shape, _ in _layer_dims(spec)}
     bad = sorted(n for n in want.keys() | tensors.keys()
                  if n not in tensors or tensors[n].shape != want.get(n))

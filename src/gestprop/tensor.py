@@ -31,10 +31,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def _accumulate(self, g):
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
@@ -63,37 +59,11 @@ class Tensor:
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
 
-    # sugar; the heavy lifting is in the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -np.asarray(other))
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
     def item(self) -> float:
         return float(self.data)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
-
-
-def _as_const(x, like: Tensor) -> np.ndarray:
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=like.data.dtype)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -247,11 +217,6 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
     out._backward = _bw
     return out
-
-
-def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:

@@ -100,14 +100,16 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
     return EmbeddingTable(vectors=vectors, dim=dim)
 
 
+def lookup_word(entries: dict, word: str):
+    """The entry for a word, else for its lowercase form, else None."""
+    found = entries.get(word)
+    return found if found is not None else entries.get(word.lower())
+
+
 def embed_word(table: EmbeddingTable, word: str) -> np.ndarray:
-    """Vector for a word; falls back to lowercase, then to a zero vector."""
-    vec = table.vectors.get(word)
-    if vec is None:
-        vec = table.vectors.get(word.lower())
-    if vec is None:
-        return np.zeros(table.dim)
-    return vec
+    """Vector for a word by lookup_word's rule; a zero vector when unknown."""
+    vec = lookup_word(table.vectors, word)
+    return np.zeros(table.dim) if vec is None else vec
 
 
 def read_transcript(path: str | Path) -> list[WordToken]:

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .net import ModelParams, ModelSpec, forward, init_params, predict_probs
+from .evaluation import headline_from_arrays
+from .net import (ModelParams, ModelSpec, forward, from_fields, init_params,
+                  predict_probs)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -193,9 +195,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
-        if "loss" in d and isinstance(d["loss"], dict):
-            d["loss"] = LossSpec(**d["loss"])
-        return cls(**d)
+        if isinstance(d.get("loss"), dict):
+            d["loss"] = from_fields(LossSpec, d["loss"])
+        return from_fields(cls, d)
 
 
 @dataclass
@@ -209,14 +211,12 @@ class RunRecord:
 
 
 def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
-          config: TrainConfig, seed: int,
-          score_fn=None) -> tuple[ModelParams, RunRecord]:
+          config: TrainConfig, seed: int) -> tuple[ModelParams, RunRecord]:
     """Train one model on one fold.
 
     provider supplies `.batch(indices)` -> dict with keys audio/text/speaker
-    (windows or None) and labels, plus `.exclusive`. score_fn(params) is
-    called at evenly spaced eval points to build the validation curve; when
-    None, a headline Macro-F1 scorer over val_idx is used via the provider.
+    (windows or None) and labels, plus `.exclusive`. At evenly spaced eval
+    points the headline Macro-F1 over val_idx extends the validation curve.
 
     Divergence (non-finite loss) aborts the run and marks it failed. The
     final-step weights are returned; there is no early stopping.
@@ -236,19 +236,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
         pool = pool[upsample(rows, np.random.default_rng(s_up))]
     class_counts = provider.labels_at(pool).sum(axis=0)
 
-    if score_fn is None:
-        from .evaluation import headline_from_arrays
-        val_batch: dict | None = None
-        def score_fn(p):
-            nonlocal val_batch
-            if val_batch is None:
-                val_batch = provider.batch(np.asarray(val_idx))
-            probs = predict_probs(spec, p, audio=val_batch.get("audio"),
-                                  text=val_batch.get("text"),
-                                  speaker=val_batch.get("speaker"))
-            return headline_from_arrays(probs, val_batch["labels"],
-                                        provider.exclusive)
-
+    val_batch: dict | None = None        # built at the first eval point
     eval_steps = sorted({
         (config.steps * (i + 1)) // config.evals for i in range(config.evals)
     })
@@ -271,7 +259,14 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
         loss.backward()
         opt.step({name: t.grad for name, t in pt.items() if t.grad is not None})
         if step in eval_steps:
-            record.curve.append((step, float(score_fn(params))))
+            if val_batch is None:
+                val_batch = provider.batch(np.asarray(val_idx))
+            val_probs = predict_probs(spec, params, audio=val_batch.get("audio"),
+                                      text=val_batch.get("text"),
+                                      speaker=val_batch.get("speaker"))
+            score = headline_from_arrays(val_probs, val_batch["labels"],
+                                         provider.exclusive)
+            record.curve.append((step, float(score)))
             record.loss_curve.append(float(np.mean(seg_losses)))
             seg_losses = []
     record.final_score = record.curve[-1][1] if record.curve else 0.0

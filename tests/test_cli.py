@@ -1,5 +1,6 @@
 """End-to-end command-line flows."""
 
+import argparse
 import json
 
 import pytest
@@ -39,7 +40,7 @@ def test_synth_and_features_outputs(pipeline):
 
 def test_train_then_predict(pipeline, capsys):
     corpus, run, base = pipeline
-    rc = cli.main(["train"] + base + FAST)
+    rc = cli.main(["eval"] + base + FAST)
     out = capsys.readouterr().out
     assert rc == 0
     assert "headline" in out
@@ -50,6 +51,56 @@ def test_train_then_predict(pipeline, capsys):
     rc = cli.main(["predict"] + base + FAST + ["--checkpoint", str(ckpt)])
     assert rc == 0
     assert (run / "predictions" / "rec_00001.csv").exists()
+
+
+def test_predict_takes_property_and_modality_from_the_checkpoint(
+        pipeline, tmp_path, capsys):
+    corpus, run, _ = pipeline
+    base = ["--manifest", str(corpus / "manifest.json"),
+            "--embeddings", str(corpus / "vectors.txt"),
+            "--out", str(tmp_path), "--features-dir", str(run / "features")]
+    assert cli.main(["eval"] + base + ["--property", "phase", "--modality", "audio",
+                                       "--folds", "2", "--steps", "10",
+                                       "--batch", "16", "--evals", "2"]) == 0
+    ckpt = str(tmp_path / "checkpoints" / "fold_00.ckpt")
+    capsys.readouterr()
+
+    assert cli.main(["predict"] + base + ["--checkpoint", ckpt]) == 0
+    rows = (tmp_path / "predictions" / "rec_00000.csv").read_text().splitlines()
+    assert {r.split(",")[1] for r in rows[1:]} == {
+        "retraction", "preparation", "pre-hold", "stroke", "post-hold"}
+
+    # a conflicting flag fails before any feature file is read
+    rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
+                   "--embeddings", str(corpus / "vectors.txt"),
+                   "--out", str(tmp_path / "other"),
+                   "--features-dir", str(tmp_path / "no_features"),
+                   "--modality", "text", "--checkpoint", ckpt])
+    assert rc == 2
+    assert "modality 'audio', not 'text'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("settings,named", [
+    ({"propery": "phase"}, "propery"),
+    ({"train": {"step": 5}}, "step"),
+])
+def test_unknown_config_keys_exit_2_naming_them(pipeline, tmp_path, capsys,
+                                                settings, named):
+    corpus, _, _ = pipeline
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "manifest": str(corpus / "manifest.json"),
+        "embeddings": str(corpus / "vectors.txt"),
+        "out_dir": str(tmp_path / "run"), **settings}))
+    assert cli.main(["eval", "--config", str(cfg_path)]) == 2
+    assert f"['{named}']" in capsys.readouterr().err
+
+
+def test_subcommands():
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert sorted(sub.choices) == ["baselines", "eval", "features", "gradcheck",
+                                   "hpsearch", "predict", "synth"]
 
 
 def test_eval_is_deterministic_and_config_file_overridable(pipeline, tmp_path):

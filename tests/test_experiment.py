@@ -78,6 +78,16 @@ def test_config_dict_roundtrip(corpus_dir, tmp_path):
     assert back == config
 
 
+def test_from_dict_names_unknown_keys(corpus_dir, tmp_path):
+    d = fast_config(corpus_dir, tmp_path).to_dict()
+    with pytest.raises(ValueError, match=r"unknown ExperimentConfig keys \['propery'\]"):
+        ExperimentConfig.from_dict({**d, "propery": "phase"})
+    with pytest.raises(ValueError, match=r"unknown TrainConfig keys \['step'\]"):
+        ExperimentConfig.from_dict({**d, "train": {"step": 5}})
+    with pytest.raises(ValueError, match=r"unknown LossSpec keys \['alpha'\]"):
+        TrainConfig.from_dict({"loss": {"alpha": 0.25}})
+
+
 def test_run_features_registers_outputs(corpus_dir, featured):
     config = fast_config(corpus_dir, featured)
     index = json.loads((featured / "index.json").read_text())
@@ -197,6 +207,36 @@ def test_run_predict(corpus_dir, featured):
     assert len(lines) == 1 + n_eligible         # one label for presence
     probs = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert np.all((probs >= 0) & (probs <= 1))
+
+
+def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
+    config = fast_config(corpus_dir, tmp_path, cv="within_id",
+                         features_dir=str(featured / "features"))
+    run_cv(config)
+    ckpt = tmp_path / "checkpoints" / "fold_00.ckpt"
+    spec, params, meta = net.load_checkpoint(ckpt)
+    assert spec.speaker_dim == 2 and meta["speakers"] == sorted(meta["speakers"])
+    assert run_predict(config, ckpt)
+
+    # the model's speakers listed in the other order: same traces, swapped rows
+    swapped = tmp_path / "swapped.ckpt"
+    tensors = dict(params.tensors)
+    w = tensors["dec.fc0.w"].copy()
+    w[-2:] = w[-2:][::-1]
+    tensors["dec.fc0.w"] = w
+    net.save_checkpoint(swapped, spec, net.ModelParams(tensors),
+                        {**meta, "speakers": meta["speakers"][::-1]})
+    trace = tmp_path / "predictions" / "rec_00000.csv"
+    first = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2)
+    run_predict(config, swapped)
+    assert np.allclose(np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2),
+                       first, atol=1e-6)
+
+    unknown = tmp_path / "unknown.ckpt"
+    net.save_checkpoint(unknown, spec, params,
+                        {**meta, "speakers": [meta["speakers"][0], "zed"]})
+    with pytest.raises(ValueError, match=f"unknown speakers \\['{meta['speakers'][1]}'\\]"):
+        run_predict(config, unknown)
 
 
 def test_run_gradcheck_writes_report(tmp_path):

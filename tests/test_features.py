@@ -103,7 +103,9 @@ def test_dataset_order_matches_fold_plan(built):
         assert ds.eligible[val].all()
         # global index g addresses frame g - offset of its recording
         rec_row = np.searchsorted(plan.offsets, val, side="right") - 1
-        assert np.array_equal(ds.frame_in_rec[val], val - plan.offsets[rec_row])
+        assert np.array_equal(ds.rec_ids[val],
+                              np.array([ds.tables[r].rec_id for r in rec_row]))
+        assert np.array_equal(ds.t[val], (val - plan.offsets[rec_row]) / 20)
 
 
 def test_labels_and_flags_per_property(built):
@@ -216,7 +218,7 @@ def test_ineligible_frame_rejected_for_audio(built):
 
 def test_speaker_onehot(built):
     _, _, _, _, ds = built
-    pr = features.WindowProvider(ds, "presence", "both", speaker_onehot=True)
+    pr = features.WindowProvider(ds, "presence", "both", speakers=ds.speaker_list)
     assert pr.speaker_dim == len(ds.speaker_list) == 2
     idx = np.where(ds.eligible)[0]
     batch = pr.batch(idx[[0, -1]])

@@ -44,7 +44,7 @@ def test_mul_broadcast_and_const():
 def test_matmul_grads_batched():
     a = RNG.normal(size=(2, 3, 5))
     w = RNG.normal(size=(5, 4))
-    check_grad(lambda x, y: weighted_sum(x @ y), a, w)
+    check_grad(lambda x, y: weighted_sum(T.matmul(x, y)), a, w)
 
 
 def test_matmul_rejects_3d_weights():
@@ -105,8 +105,6 @@ def test_reductions():
     check_grad(lambda x: T.tsum(x), a)
     check_grad(lambda x: weighted_sum(T.tsum(x, axis=1)), a)
     check_grad(lambda x: weighted_sum(T.tsum(x, axis=1, keepdims=True)), a)
-    check_grad(lambda x: weighted_sum(T.tmean(x, axis=-1)), a)
-    assert T.tmean(Tensor(a)).item() == pytest.approx(a.mean())
 
 
 def test_concat_grads():
@@ -152,14 +150,6 @@ def test_no_grad_leaves_stay_none():
     out.backward()
     assert x.grad is None
     assert np.array_equal(w.grad, np.ones((2, 2)))
-
-
-def test_sub_and_neg_sugar():
-    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-    b = Tensor(np.array([0.5, 0.5]), requires_grad=True)
-    T.tsum((-a) - b).backward()
-    assert np.array_equal(a.grad, [-1.0, -1.0])
-    assert np.array_equal(b.grad, [-1.0, -1.0])
 
 
 # ------------------------------------------------------------------ convolution
