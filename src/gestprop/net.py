@@ -1,13 +1,16 @@
 """Dual-encoder gesture-property classifier.
 
-Each modality gets its own encoder: a stack of length-preserving dilated
-1-D convolutions (dilation doubling per layer, ReLU + dropout after each),
-a readout that turns the (B, T, C) activation into a window embedding, and
-a linear projection. The readout takes the activation at the center time
-step, the position being predicted. Embeddings from the active modalities (plus
-an optional speaker one-hot) are concatenated and decoded by an MLP; the
-head is a sigmoid per label for non-exclusive properties and gesture
-presence, or a softmax across labels for the exclusive phase property.
+Each modality gets its own encoder: a stack of zero-padded dilated 1-D
+convolutions (dilation doubling per layer, ReLU + dropout after each), a
+readout of the activation at the center time step, the position being
+predicted, and a linear projection. Only the center's receptive-field tree
+is computed: layer i of L is needed at the frames center + m * 2**(i+1)
+for |m| <= (kernel // 2) * (2**(L-1-i) - 1), so each layer keeps every
+second row of the grid the layer below kept (see conv_stack). Embeddings
+from the active modalities (plus an optional speaker one-hot) are
+concatenated and decoded by an MLP; the head is a sigmoid per label for
+non-exclusive properties and gesture presence, or a softmax across labels
+for the exclusive phase property.
 
 Weights initialize uniform in [-a, a] with a = sqrt(6 / fan_in); biases
 start at zero.
@@ -154,19 +157,34 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
 
 def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
                training: bool = False, rng=None) -> Tensor:
-    """Pre-readout conv activations: conv, ReLU, then dropout per layer."""
+    """Conv, ReLU, then dropout per layer, read out at the center step.
+
+    x is (B, T, C) and the result (B, channels): the length-preserving
+    stack at dilations 1, 2, 4, ... read at row T // 2, computing only the
+    rows that reach that readout (its receptive-field tree). Layer i
+    computes the rows center + 2m of its input grid for
+    |m| <= (kernel // 2) * (2**(layers-1-i) - 1), clipped to the grid, at
+    dilation 1 on that grid; the grid it keeps is spaced 2**(i+1) frames,
+    so the next layer's dilation 1 is 2**(i+1) frames. A tap outside the
+    window falls off the grid's edge and reads zero, as the padding does.
+    The center of every grid is its row len // 2, as T // 2 is the window's:
+    clipping drops at most one row more on the right than on the left.
+    """
     h = x
+    half = enc.kernel // 2
     for i in range(enc.layers):
-        h = T.relu(T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"],
-                                    pt[f"{prefix}.conv{i}.b"], dilation=2 ** i))
+        reach = half * (2 ** (enc.layers - 1 - i) - 1)
+        n = h.shape[1]
+        rows = n // 2 + 2 * np.arange(-reach, reach + 1)
+        h = T.relu(T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"], pt[f"{prefix}.conv{i}.b"],
+                                    rows=rows[(rows >= 0) & (rows < n)]))
         h = T.dropout(h, enc.dropout, rng, training)
-    return h
+    return T.select_time(h, 0)
 
 
 def _encode(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
             training: bool, rng) -> Tensor:
-    h = conv_stack(prefix, enc, x, pt, training, rng)
-    e = T.select_time(h, h.shape[1] // 2)
+    e = conv_stack(prefix, enc, x, pt, training, rng)
     e = T.relu(T.add(T.matmul(e, pt[f"{prefix}.proj.w"]), pt[f"{prefix}.proj.b"]))
     return T.dropout(e, enc.dropout, rng, training)
 

@@ -233,15 +233,17 @@ def _refine_parabolic(nd: np.ndarray, lags: np.ndarray,
     return refined
 
 
-def _f0_track(frames: np.ndarray, sample_rate: int,
+def _f0_track(frames: np.ndarray, rms: np.ndarray, sample_rate: int,
               fmin: float = F0_MIN, fmax: float = F0_MAX,
               threshold: float = VOICING_THRESHOLD,
               chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    """F0 (Hz, 0 where unvoiced) and voicing flags for a frame stack."""
+    """F0 (Hz, 0 where unvoiced) and voicing flags for a frame stack.
+
+    rms is frame_rms(frames), which gates voicing.
+    """
     n = len(frames)
     f0 = np.zeros(n)
     voiced = np.zeros(n, dtype=bool)
-    rms = frame_rms(frames)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         nd, tau_min, tau_max = _cmndf_track(frames[lo:hi], sample_rate, fmin, fmax)
@@ -268,8 +270,8 @@ def estimate_f0(window: np.ndarray, sample_rate: int,
         F0 in Hz within [fmin, fmax], or None when the frame fails the
         voicing test (CMNDF minimum >= threshold or RMS < 1e-4).
     """
-    window = np.asarray(window, dtype=np.float64)
-    f0, voiced = _f0_track(window[None, :], sample_rate, fmin, fmax, threshold)
+    frames = np.asarray(window, dtype=np.float64)[None, :]
+    f0, voiced = _f0_track(frames, frame_rms(frames), sample_rate, fmin, fmax, threshold)
     return float(f0[0]) if voiced[0] else None
 
 
@@ -348,8 +350,8 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
     frames = frames[:n_raw]
 
-    f0, voiced = _f0_track(frames, clip.sample_rate)
     rms = frame_rms(frames)
+    f0, voiced = _f0_track(frames, rms, clip.sample_rate)
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)

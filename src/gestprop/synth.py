@@ -24,7 +24,6 @@ audio.wav, transcript.tsv, annotations.tsv, and optional interlocutor.tsv.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -318,6 +317,3 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int,
                {"spec": asdict(spec), "seed": int(seed), "recordings": coupling})
     return load_manifest(out / "manifest.json")
 
-
-def load_coupling(corpus_dir: str | Path) -> dict:
-    return json.loads((Path(corpus_dir) / "coupling.json").read_text())

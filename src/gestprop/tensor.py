@@ -260,12 +260,14 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     return mul(x, keep)
 
 
-def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor:
-    """Length-preserving dilated 1-D convolution.
+def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
+                   rows=None) -> Tensor:
+    """Dilated 1-D convolution with zero padding, at the given output rows.
 
     x: (B, T, C_in) or (T, C_in); w: (k, C_in, C_out) with odd k; b: (C_out,).
-    Zero padding of (k-1)*dilation/2 on each side keeps T fixed. Output
-    position t sees input positions t + (j - (k-1)/2) * dilation.
+    Output row t sees input positions t + (j - (k-1)/2) * dilation; those
+    outside [0, T) read zero. rows are the distinct output positions to
+    compute, in order; the default, all T of them, keeps the length.
     """
     squeeze = x.data.ndim == 2
     xd = x.data[None] if squeeze else x.data
@@ -281,28 +283,32 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1) -> Tensor
             f"conv expects {c_in} input channels, got {xd.shape[2]} (weight {w.data.shape})"
         )
     B, T, _ = xd.shape
+    rows = np.arange(T) if rows is None else np.asarray(rows)
+    R = len(rows)
     offsets = (np.arange(k) - (k - 1) // 2) * dilation
-    idx = np.arange(T)[:, None] + offsets[None, :]          # (T, k)
+    idx = rows[:, None] + offsets[None, :]                  # (R, k)
     valid = (idx >= 0) & (idx < T)
     idx_c = np.clip(idx, 0, T - 1)
 
-    cols = xd[:, idx_c, :] * valid[None, :, :, None]        # (B, T, k, C_in)
+    cols = xd[:, idx_c, :] * valid[None, :, :, None]        # (B, R, k, C_in)
     w2 = w.data.reshape(k * c_in, c_out)
-    y = cols.reshape(B, T, k * c_in) @ w2 + b.data
+    y = cols.reshape(B, R, k * c_in) @ w2 + b.data
     out = Tensor(y[0] if squeeze else y, _prev=(x, w, b))
 
     def _bw(g):
-        gd = g[None] if squeeze else g                       # (B, T, C_out)
+        gd = g[None] if squeeze else g                       # (B, R, C_out)
         if b.requires_grad:
             b._accumulate(gd.sum(axis=(0, 1)))
         if w.requires_grad:
-            cm = cols.reshape(B * T, k * c_in)
-            w._accumulate((cm.T @ gd.reshape(B * T, c_out)).reshape(k, c_in, c_out))
+            cm = cols.reshape(B * R, k * c_in)
+            w._accumulate((cm.T @ gd.reshape(B * R, c_out)).reshape(k, c_in, c_out))
         if x.requires_grad:
-            # dx is the correlation of g with the flipped, transposed kernel
-            gcols = gd[:, idx_c, :] * valid[None, :, :, None]   # (B, T, k, C_out)
-            wt = w.data[::-1].transpose(0, 2, 1).reshape(k * c_out, c_in)
-            dx = gcols.reshape(B, T, k * c_out) @ wt
+            # one scatter per tap; within a tap the input positions are
+            # distinct, so a plain indexed add cannot drop a term
+            dx = np.zeros_like(xd)
+            for j in range(k):
+                ok = valid[:, j]
+                dx[:, idx[ok, j], :] += gd[:, ok, :] @ w.data[j].T
             x._accumulate(dx[0] if squeeze else dx)
 
     out._backward = _bw

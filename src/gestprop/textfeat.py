@@ -46,9 +46,6 @@ class EmbeddingTable:
         self.dim = dim
         self.vectors = vectors
 
-    def __len__(self):
-        return len(self.vectors)
-
     def to_matrix(self) -> tuple[list[str], np.ndarray]:
         """Vocabulary in insertion order plus the stacked vector matrix."""
         words = list(self.vectors)

@@ -74,21 +74,6 @@ def _loss_weights(loss: LossSpec, n_labels: int,
     return class_balance_weights(loss, class_counts)
 
 
-def loss_frame(probs: np.ndarray, target: np.ndarray, loss: LossSpec,
-               exclusive: bool, class_counts: np.ndarray | None = None) -> float:
-    """Reference frame loss on plain arrays (the graph version must match)."""
-    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
-    y = np.asarray(target, dtype=np.float64)
-    w = _loss_weights(loss, len(p), class_counts)
-    gamma = loss.gamma if loss.kind != "cross_entropy" else 0.0
-    if exclusive:
-        ti = int(np.argmax(y))
-        pt = p[ti]
-        return float(w[ti] * (1.0 - pt) ** gamma * -np.log(pt))
-    pt = p * y + (1.0 - p) * (1.0 - y)
-    return float(np.sum(w * (1.0 - pt) ** gamma * -np.log(pt)))
-
-
 def loss_batch(probs: Tensor, targets: np.ndarray, loss: LossSpec,
                exclusive: bool, class_counts: np.ndarray | None = None) -> Tensor:
     """Differentiable batch loss: the sum of frame losses."""

@@ -1,6 +1,7 @@
 """Generator invariants: determinism, planted couplings, file formats."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from gestprop.corpus import (PHASE, SEMANTICS, build_frame_table, rasterize)
 from gestprop.prosody import read_wav
 from gestprop import synth
 from gestprop.synth import (PRESETS, SynthSpec, TRIGGER_WORDS,
-                            generate_synthetic_corpus, load_coupling, preset)
+                            generate_synthetic_corpus, preset)
 from gestprop.textfeat import embed_word, load_embeddings
 
 SMALL = SynthSpec(name="small", n_speakers=2, duration=40.0)
@@ -66,7 +67,7 @@ def test_phase_frames_one_hot_and_coverage(small_corpus):
 
 def test_text_coupling_ground_truth(small_corpus):
     out, recs = small_corpus
-    coupling = load_coupling(out)
+    coupling = json.loads((out / "coupling.json").read_text())
     assert coupling["spec"]["name"] == "small"
     for rec, truth in zip(recs, coupling["recordings"]):
         n = int(SMALL.duration * 20)
@@ -120,7 +121,7 @@ def test_decoupled_audio_is_event_independent(tmp_path):
 def test_interlocutor_only_in_gaps(tmp_path):
     spec = dataclasses.replace(SMALL, interlocutor=True, duration=80.0)
     recs = generate_synthetic_corpus(spec, seed=9, out_dir=tmp_path)
-    truth = load_coupling(tmp_path)["recordings"]
+    truth = json.loads((tmp_path / "coupling.json").read_text())["recordings"]
     found = 0
     for rec, t in zip(recs, truth):
         for lo, hi in rec.interlocutor:

@@ -214,6 +214,34 @@ def test_conv_grads_2d_input():
     check_grad(lambda a, c, e: weighted_sum(T.conv1d_dilated(a, c, e, 1)), x, w, b)
 
 
+@pytest.mark.parametrize("kernel", [3, 5])
+@pytest.mark.parametrize("dilation", [1, 2, 3])
+def test_conv_rows_match_full_conv(kernel, dilation):
+    # rows at both ends reach into the zero padding; rows need not be sorted.
+    # A matmul over fewer rows may sum its products in another order, so
+    # equal means equal to a few float64 ulps.
+    x = RNG.normal(size=(2, 11, 3))
+    w = RNG.normal(size=(kernel, 3, 4))
+    b = RNG.normal(size=(4,))
+    full = T.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), dilation).data
+    for rows in ([5], [0, 10], [1, 3, 5, 7, 9], [10, 0, 4], list(range(11))):
+        got = T.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b), dilation, rows=rows).data
+        np.testing.assert_allclose(got, full[:, rows, :], rtol=1e-13, atol=1e-13)
+        got2 = T.conv1d_dilated(Tensor(x[0]), Tensor(w), Tensor(b), dilation,
+                                rows=rows).data
+        np.testing.assert_allclose(got2, full[0, rows, :], rtol=1e-13, atol=1e-13)
+
+
+def test_conv_rows_grads():
+    x = RNG.normal(size=(2, 9, 3))
+    w = RNG.normal(size=(5, 3, 2))
+    b = RNG.normal(size=(2,))
+    check_grad(lambda a, c, e: weighted_sum(
+        T.conv1d_dilated(a, c, e, 2, rows=[0, 3, 4, 8])), x, w, b)
+    check_grad(lambda a, c, e: weighted_sum(
+        T.conv1d_dilated(a, c, e, 1, rows=[1, 6])), x[1], w, b)
+
+
 def test_conv_validation():
     with pytest.raises(ValueError, match="odd"):
         T.conv1d_dilated(Tensor(np.zeros((1, 5, 2))), Tensor(np.zeros((2, 2, 2))),

@@ -32,7 +32,7 @@ def test_load_with_header(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("2 3\nfoo 1 2 3\nbar 4 5 6\n")
     t = load_embeddings(p)
-    assert t.dim == 3 and len(t) == 2
+    assert t.dim == 3 and len(t.vectors) == 2
     assert np.array_equal(t.vectors["bar"], [4, 5, 6])
 
 
@@ -40,7 +40,7 @@ def test_load_without_header(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("foo 1 2 3\nbar 4 5 6\n")
     t = load_embeddings(p)
-    assert t.dim == 3 and len(t) == 2
+    assert t.dim == 3 and len(t.vectors) == 2
 
 
 def test_load_malformed(tmp_path):

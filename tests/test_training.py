@@ -7,12 +7,27 @@ import pytest
 
 from gestprop.net import DecoderSpec, EncoderSpec, ModelParams, ModelSpec
 from gestprop.tensor import Tensor
-from gestprop.training import (Adam, HyperRange, LossSpec, TrainConfig,
+from gestprop.training import (PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
                                class_balance_weights, default_space,
-                               loss_batch, loss_frame, random_search,
+                               loss_batch, random_search,
                                sample_hyperparams, train, upsample)
 
 RNG = np.random.default_rng(99)
+
+
+def loss_frame(probs, target, loss, exclusive, class_counts=None):
+    """Reference frame loss on plain arrays (loss_batch must match it)."""
+    p = np.clip(np.asarray(probs, dtype=np.float64), PROB_EPS, 1.0 - PROB_EPS)
+    y = np.asarray(target, dtype=np.float64)
+    w = class_balance_weights(loss, class_counts) \
+        if loss.kind == "class_balanced_focal" else np.ones(len(p))
+    gamma = loss.gamma if loss.kind != "cross_entropy" else 0.0
+    if exclusive:
+        ti = int(np.argmax(y))
+        pt = p[ti]
+        return float(w[ti] * (1.0 - pt) ** gamma * -np.log(pt))
+    pt = p * y + (1.0 - p) * (1.0 - y)
+    return float(np.sum(w * (1.0 - pt) ** gamma * -np.log(pt)))
 
 
 def test_cross_entropy_goldens():
