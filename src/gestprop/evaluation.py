@@ -112,13 +112,6 @@ def evaluate_property(pred: np.ndarray, target: np.ndarray, label_names,
     return PropertyReport(labels=scores, n_frames=len(pred), exclusive=exclusive)
 
 
-def headline_from_arrays(probs: np.ndarray, targets: np.ndarray,
-                         exclusive: bool, threshold: float = 0.5) -> float:
-    pred = binarize(probs, exclusive, threshold)
-    names = [str(i) for i in range(pred.shape[1])]
-    return evaluate_property(pred, targets, names, exclusive).headline()
-
-
 # ------------------------------------------------------------------ baselines
 
 def compute_priors(labels: np.ndarray) -> np.ndarray:

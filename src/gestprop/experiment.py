@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gradcheck as gradcheck_mod
 from .corpus import SCHEMAS, load_manifest, make_folds_between, make_folds_within
-from .evaluation import (BASELINE_KINDS, aggregate_folds, baseline_predict,
-                         binarize, compute_priors, evaluate_property,
-                         flag_predictable, write_json, write_predictions_csv,
-                         write_scores_csv)
+from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
+                         baseline_predict, binarize, compute_priors,
+                         evaluate_property, flag_predictable, write_json,
+                         write_predictions_csv, write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelSpec, from_fields,
@@ -33,10 +33,14 @@ from .training import TrainConfig, default_space, random_search, train
 log = logging.getLogger(__name__)
 
 CV_MODES = ("within", "within_id", "between")
-PROPERTIES = ("phase", "category", "semantics", "presence")
+PROPERTIES = tuple(SCHEMAS)
 
-MODEL_KEYS = ("enc_layers", "enc_channels", "kernel", "enc_dropout",
-              "enc_out", "dec_hidden", "dec_layers", "dec_dropout")
+# config.model key -> EncoderSpec / DecoderSpec field
+ENCODER_KEYS = {"enc_layers": "layers", "enc_channels": "channels",
+                "kernel": "kernel", "enc_dropout": "dropout", "enc_out": "out_dim"}
+DECODER_KEYS = {"dec_hidden": "hidden", "dec_layers": "layers",
+                "dec_dropout": "dropout"}
+MODEL_KEYS = (*ENCODER_KEYS, *DECODER_KEYS)
 
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
@@ -150,60 +154,47 @@ def _training_pool(dataset, prop: str, idx: np.ndarray) -> np.ndarray:
 
 def _model_spec(config: ExperimentConfig, provider: WindowProvider,
                 text_dim: int) -> ModelSpec:
-    m = config.model
-    def encoder():
-        return EncoderSpec(layers=m.get("enc_layers", 3),
-                           channels=m.get("enc_channels", 24),
-                           kernel=m.get("kernel", 3),
-                           dropout=m.get("enc_dropout", 0.0),
-                           out_dim=m.get("enc_out", 24))
-    uses_audio = config.modality in ("audio", "both")
-    uses_text = config.modality in ("text", "text_no_timing", "both")
+    def pick(keys: dict) -> dict:
+        return {field: config.model[key] for key, field in keys.items()
+                if key in config.model}
+    encoder = EncoderSpec(**pick(ENCODER_KEYS))
     return ModelSpec(
         head="softmax" if provider.exclusive else "sigmoid",
         n_labels=provider.n_labels,
-        audio=encoder() if uses_audio else None,
-        text=encoder() if uses_text else None,
-        decoder=DecoderSpec(hidden=m.get("dec_hidden", 48),
-                            layers=m.get("dec_layers", 1),
-                            dropout=m.get("dec_dropout", 0.0)),
+        audio=encoder if provider.uses_audio else None,
+        text=encoder if provider.uses_text else None,
+        decoder=DecoderSpec(**pick(DECODER_KEYS)),
         text_dim=text_dim,
         speaker_dim=provider.speaker_dim,
     )
 
 
-def _report_dict(report) -> dict:
-    labels = {}
-    for name, s in report.labels.items():
-        labels[name] = {
-            "precision": s.precision, "recall": s.recall,
-            "f1": s.f1, "f1_neg": s.f1_neg, "macro_f1": s.macro_f1,
-            "support": s.support,
-            "counts": {"tp": s.counts.tp, "fp": s.counts.fp,
-                       "fn": s.counts.fn, "tn": s.counts.tn},
-        }
-    return {"labels": labels, "headline": report.headline(),
-            "n_frames": report.n_frames, "exclusive": report.exclusive}
-
-
-def _evaluate_fold(dataset, provider, spec, params, val, config):
-    batch = provider.batch(val)
-    probs = predict_probs(spec, params, audio=batch["audio"],
-                          text=batch["text"], speaker=batch["speaker"])
-    decisions = binarize(probs, provider.exclusive, config.threshold)
-    all_frames = config.prop == "presence" or config.eval_on_all_frames
-    return evaluate_property(
-        decisions, provider.labels_at(val).astype(np.int64),
-        SCHEMAS[config.prop].labels, provider.exclusive,
-        has_gesture=dataset.has_gesture[val].astype(bool),
-        eval_on_all_frames=all_frames)
-
-
 def _eval_pool(dataset, config, idx: np.ndarray) -> np.ndarray:
-    """Frames the during-training score is computed on (mirrors the report)."""
+    """The one rule for which frames of a fold are scored: gesture frames,
+    or every frame for presence and with eval_on_all_frames. The validation
+    curve, the fold report and the baselines all use it."""
     if config.prop == "presence" or config.eval_on_all_frames:
         return idx
     return idx[dataset.has_gesture[idx].astype(bool)]
+
+
+def _scorer(spec: ModelSpec, provider: WindowProvider, idx: np.ndarray,
+            config: ExperimentConfig):
+    """score(params) -> PropertyReport on the frames idx, at config.threshold.
+
+    The batch is built once, so it holds audio normalized with the
+    provider's statistics at the time of the call.
+    """
+    batch = provider.batch(idx)
+    truth = batch["labels"].astype(np.int64)
+    names = SCHEMAS[config.prop].labels
+
+    def score(params) -> PropertyReport:
+        probs = predict_probs(spec, params, audio=batch["audio"],
+                              text=batch["text"], speaker=batch["speaker"])
+        return evaluate_property(binarize(probs, provider.exclusive, config.threshold),
+                                 truth, names, provider.exclusive)
+    return score
 
 
 # ------------------------------------------------------------------ commands
@@ -247,12 +238,12 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
         train_idx = plan.train[fold]
         val_idx = plan.val[fold]
         pool = _training_pool(dataset, config.prop, train_idx)
-        val_eval = _eval_pool(dataset, config, val_idx)
         provider.fit_norm(train_idx)
         seed = _fold_seed(config.seed, fold)
-        params, record = train(spec, provider, pool, val_eval, config.train,
-                               seed=seed)
-        report = _evaluate_fold(dataset, provider, spec, params, val_idx, config)
+        # the scorer's batch lives only as long as train
+        params, record = train(spec, provider, pool, config.train, seed, _scorer(
+            spec, provider, _eval_pool(dataset, config, val_idx), config))
+        report = record.report
         reports.append(report)
 
         entry = {
@@ -264,7 +255,7 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
             "loss_curve": [float(v) for v in record.loss_curve],
             "final_score": record.final_score,
             "failed": record.failed,
-            "report": _report_dict(report),
+            "report": {**asdict(report), "headline": report.headline()},
         }
         if write_checkpoints:
             name = f"{CHECKPOINT_SUBDIR}/fold_{fold:02d}.ckpt"
@@ -316,8 +307,7 @@ def run_baselines(config: ExperimentConfig) -> dict:
                 np.random.SeedSequence([int(config.seed), 11, fold, k_i]))
             pred = baseline_predict(kind, len(val_eval), len(names), exclusive,
                                     priors=priors, rng=rng)
-            per_kind[kind].append(evaluate_property(
-                pred, truth, names, exclusive, eval_on_all_frames=True))
+            per_kind[kind].append(evaluate_property(pred, truth, names, exclusive))
 
     baselines = {
         kind: aggregate_folds(reports) for kind, reports in per_kind.items()

@@ -227,6 +227,8 @@ class WindowProvider:
         self.dataset = dataset
         self.prop = prop
         self.modality = modality
+        self.uses_audio = modality in ("audio", "both")
+        self.uses_text = modality in ("text", "text_no_timing", "both")
         self.exclusive = SCHEMAS[prop].exclusive
         self.speakers = speakers
         if speakers is not None:
@@ -283,9 +285,8 @@ class WindowProvider:
     def batch(self, idx: np.ndarray) -> dict:
         idx = np.asarray(idx)
         out = {"labels": self._labels[idx]}
-        out["audio"] = self._audio(idx) if self.modality in ("audio", "both") else None
-        out["text"] = self._text(idx) if self.modality in (
-            "text", "text_no_timing", "both") else None
+        out["audio"] = self._audio(idx) if self.uses_audio else None
+        out["text"] = self._text(idx) if self.uses_text else None
         if self.speakers is not None:
             sp = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
             for j, s in enumerate(self.dataset.speakers[idx]):

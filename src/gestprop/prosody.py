@@ -37,6 +37,7 @@ HOP = 0.005
 F0_MIN = 75.0
 F0_MAX = 600.0
 VOICING_THRESHOLD = 0.15
+F0_CHUNK = 2048          # analysis frames per CMNDF batch; bounds the F0 tracker's memory
 ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
@@ -126,34 +127,29 @@ def silence_intervals(clip: AudioClip, intervals) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=clip.sample_rate)
 
 
-def frame_signal(clip: AudioClip, frame_len: float = FRAME_LEN, hop: float = HOP) -> np.ndarray:
-    """Slice a clip into overlapping analysis windows.
+def frame_signal(clip: AudioClip) -> np.ndarray:
+    """Slice a clip into overlapping analysis windows of FRAME_LEN every HOP.
 
-    Window i is centred at t = i * hop; samples outside the clip are zero.
-    Returns an (n, L) array with n = floor(duration / hop). Rates where the
-    hop is not an integral number of samples use the nearest sample count.
+    Window i is centred at t = i * HOP; samples outside the clip are zero.
+    Returns a read-only (n, L) view of one padded copy of the samples, with
+    n = floor(duration / HOP), so memory grows with the clip, not with L.
+    Rates where the hop is not an integral number of samples use the
+    nearest sample count.
     """
     sr = clip.sample_rate
-    hop_s = max(1, int(round(hop * sr)))
-    frame_s = max(1, int(round(frame_len * sr)))
+    hop_s = max(1, int(round(HOP * sr)))
+    frame_s = max(1, int(round(FRAME_LEN * sr)))
     n = len(clip.samples) // hop_s
-    if n == 0:
-        return np.zeros((0, frame_s))
-    half = frame_s // 2
-    padded = np.concatenate([
-        np.zeros(half), clip.samples, np.zeros(frame_s),
-    ])
-    starts = np.arange(n) * hop_s   # window i starts at i*hop - half in clip time
-    idx = starts[:, None] + np.arange(frame_s)[None, :]
-    return padded[idx]
+    # window i starts at i*hop - half in clip time
+    padded = np.concatenate([np.zeros(frame_s // 2), clip.samples, np.zeros(frame_s)])
+    return np.lib.stride_tricks.sliding_window_view(padded, frame_s)[::hop_s][:n]
 
 
 def frame_rms(frames: np.ndarray) -> np.ndarray:
     return np.sqrt(np.mean(frames * frames, axis=1))
 
 
-def _cmndf_track(frames: np.ndarray, sample_rate: int,
-                 fmin: float, fmax: float) -> tuple[np.ndarray, int, int]:
+def _cmndf_track(frames: np.ndarray, sample_rate: int) -> tuple[np.ndarray, int, int]:
     """CMNDF values for lags 1..tau_max for every frame.
 
     Returns (nd, tau_min, tau_max) where nd[i, t-1] is the normalized
@@ -161,11 +157,11 @@ def _cmndf_track(frames: np.ndarray, sample_rate: int,
     integration window is frame_len - tau_max samples.
     """
     n, L = frames.shape
-    tau_min = max(1, int(sample_rate / fmax))
-    tau_max = int(np.ceil(sample_rate / fmin))
+    tau_min = max(1, int(sample_rate / F0_MAX))
+    tau_max = int(np.ceil(sample_rate / F0_MIN))
     if tau_max > L // 2:
         raise ValueError(
-            f"window of {L} samples too short for fmin={fmin} Hz "
+            f"window of {L} samples too short for fmin={F0_MIN} Hz "
             f"at {sample_rate} Hz (needs >= {2 * tau_max})"
         )
     W = L - tau_max
@@ -189,8 +185,8 @@ def _cmndf_track(frames: np.ndarray, sample_rate: int,
     return nd, tau_min, tau_max
 
 
-def _pick_period(nd: np.ndarray, tau_min: int, tau_max: int,
-                 threshold: float) -> tuple[np.ndarray, np.ndarray]:
+def _pick_period(nd: np.ndarray, tau_min: int,
+                 tau_max: int) -> tuple[np.ndarray, np.ndarray]:
     """Select the period lag per frame from CMNDF values.
 
     Absolute-threshold rule: the first lag in band dipping below the
@@ -200,7 +196,7 @@ def _pick_period(nd: np.ndarray, tau_min: int, tau_max: int,
     n = len(nd)
     band = nd[:, tau_min - 1:tau_max]        # lag tau at column tau - tau_min
     width = band.shape[1]
-    below = band < threshold
+    below = band < VOICING_THRESHOLD
     has_dip = below.any(axis=1)
     first = np.where(has_dip, below.argmax(axis=1), band.argmin(axis=1))
     # local minimum at-or-after the first dip: nd[i] <= nd[i+1]
@@ -233,45 +229,43 @@ def _refine_parabolic(nd: np.ndarray, lags: np.ndarray,
     return refined
 
 
-def _f0_track(frames: np.ndarray, rms: np.ndarray, sample_rate: int,
-              fmin: float = F0_MIN, fmax: float = F0_MAX,
-              threshold: float = VOICING_THRESHOLD,
-              chunk: int = 2048) -> tuple[np.ndarray, np.ndarray]:
-    """F0 (Hz, 0 where unvoiced) and voicing flags for a frame stack.
+def _f0_track(frames: np.ndarray,
+              sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F0 (Hz, 0 where unvoiced), voicing flags and RMS for a frame stack.
 
-    rms is frame_rms(frames), which gates voicing.
+    Works through F0_CHUNK frames at a time, so only one chunk's squares
+    and spectra are in memory at once; RMS gates voicing.
     """
     n = len(frames)
     f0 = np.zeros(n)
     voiced = np.zeros(n, dtype=bool)
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        nd, tau_min, tau_max = _cmndf_track(frames[lo:hi], sample_rate, fmin, fmax)
-        lags, nd_min = _pick_period(nd, tau_min, tau_max, threshold)
+    rms = np.zeros(n)
+    for lo in range(0, n, F0_CHUNK):
+        hi = min(lo + F0_CHUNK, n)
+        rms[lo:hi] = frame_rms(frames[lo:hi])
+        nd, tau_min, tau_max = _cmndf_track(frames[lo:hi], sample_rate)
+        lags, nd_min = _pick_period(nd, tau_min, tau_max)
         period = _refine_parabolic(nd, lags, tau_min, tau_max)
         cand = sample_rate / period
-        ok = (nd_min < threshold) & (rms[lo:hi] >= ENERGY_GATE) \
-            & (cand >= fmin) & (cand <= fmax)
+        ok = (nd_min < VOICING_THRESHOLD) & (rms[lo:hi] >= ENERGY_GATE) \
+            & (cand >= F0_MIN) & (cand <= F0_MAX)
         f0[lo:hi] = np.where(ok, cand, 0.0)
         voiced[lo:hi] = ok
-    return f0, voiced
+    return f0, voiced, rms
 
 
-def estimate_f0(window: np.ndarray, sample_rate: int,
-                fmin: float = F0_MIN, fmax: float = F0_MAX,
-                threshold: float = VOICING_THRESHOLD) -> float | None:
+def estimate_f0(window: np.ndarray, sample_rate: int) -> float | None:
     """Fundamental frequency of one analysis window, or None if unvoiced.
 
     Args:
-        window: 1-D sample array, at least two periods of fmin long.
+        window: 1-D sample array, at least two periods of F0_MIN long.
         sample_rate: sampling rate in Hz.
 
     Returns:
-        F0 in Hz within [fmin, fmax], or None when the frame fails the
+        F0 in Hz within [F0_MIN, F0_MAX], or None when the frame fails the
         voicing test (CMNDF minimum >= threshold or RMS < 1e-4).
     """
-    frames = np.asarray(window, dtype=np.float64)[None, :]
-    f0, voiced = _f0_track(frames, frame_rms(frames), sample_rate, fmin, fmax, threshold)
+    f0, voiced, _ = _f0_track(np.asarray(window, dtype=np.float64)[None, :], sample_rate)
     return float(f0[0]) if voiced[0] else None
 
 
@@ -344,14 +338,10 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     grid.
     """
     frames = frame_signal(clip)
-    n_raw = len(frames)
-    n_raw -= n_raw % 10
+    n_raw = len(frames) - len(frames) % 10
     if n_raw == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
-    frames = frames[:n_raw]
-
-    rms = frame_rms(frames)
-    f0, voiced = _f0_track(frames, rms, clip.sample_rate)
+    f0, voiced, rms = _f0_track(frames[:n_raw], clip.sample_rate)
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)
@@ -375,8 +365,8 @@ def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
             fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
 
 
-def read_prosody_csv(path: str | Path, fps: int = OUT_FPS) -> ProsodyTrack:
+def read_prosody_csv(path: str | Path) -> ProsodyTrack:
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
-        return ProsodyTrack(fps=fps, rows=np.zeros((0, 5)))
-    return ProsodyTrack(fps=fps, rows=data[:, 1:6])
+        return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
+    return ProsodyTrack(fps=OUT_FPS, rows=data[:, 1:6])

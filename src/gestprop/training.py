@@ -23,14 +23,16 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from . import tensor as T
-from .evaluation import headline_from_arrays
-from .net import (ModelParams, ModelSpec, forward, from_fields, init_params,
-                  predict_probs)
+from .evaluation import PropertyReport
+from .net import ModelParams, ModelSpec, forward, from_fields, init_params
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
 
 PROB_EPS = 1e-7
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 LOSS_KINDS = ("cross_entropy", "focal", "class_balanced_focal")
 
@@ -99,30 +101,26 @@ def loss_batch(probs: Tensor, targets: np.ndarray, loss: LossSpec,
 class Adam:
     """Standard Adam with bias correction."""
 
-    def __init__(self, params: ModelParams, lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: ModelParams, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, arr in self.params.tensors.items():
             g = grads.get(name)
             if g is None:
                 continue
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m += (1.0 - ADAM_BETA1) * (g - m)
+            v += (1.0 - ADAM_BETA2) * (g * g - v)
+            arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 # ------------------------------------------------------------------ balancing
@@ -193,15 +191,19 @@ class RunRecord:
     loss_curve: list[float] = field(default_factory=list)
     final_score: float = 0.0
     failed: bool = False
+    report: PropertyReport | None = None
 
 
-def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
-          config: TrainConfig, seed: int) -> tuple[ModelParams, RunRecord]:
+def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
+          seed: int, score) -> tuple[ModelParams, RunRecord]:
     """Train one model on one fold.
 
     provider supplies `.batch(indices)` -> dict with keys audio/text/speaker
-    (windows or None) and labels, plus `.exclusive`. At evenly spaced eval
-    points the headline Macro-F1 over val_idx extends the validation curve.
+    (windows or None) and labels, plus `.exclusive` and `.labels_at`.
+    score(params) -> PropertyReport scores weights on the validation frames;
+    at evenly spaced eval points its result becomes `record.report` and its
+    headline extends the validation curve. `record.report` always describes
+    the returned weights.
 
     Divergence (non-finite loss) aborts the run and marks it failed. The
     final-step weights are returned; there is no early stopping.
@@ -221,7 +223,6 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
         pool = pool[upsample(rows, np.random.default_rng(s_up))]
     class_counts = provider.labels_at(pool).sum(axis=0)
 
-    val_batch: dict | None = None        # built at the first eval point
     eval_steps = sorted({
         (config.steps * (i + 1)) // config.evals for i in range(config.evals)
     })
@@ -239,19 +240,14 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, val_idx: np.ndarray,
         if not np.isfinite(value):
             log.warning("training diverged at step %d (loss=%r); aborting", step, value)
             record.failed = True
+            record.report = score(params)
             break
         seg_losses.append(value / len(idx))
         loss.backward()
         opt.step({name: t.grad for name, t in pt.items() if t.grad is not None})
         if step in eval_steps:
-            if val_batch is None:
-                val_batch = provider.batch(np.asarray(val_idx))
-            val_probs = predict_probs(spec, params, audio=val_batch.get("audio"),
-                                      text=val_batch.get("text"),
-                                      speaker=val_batch.get("speaker"))
-            score = headline_from_arrays(val_probs, val_batch["labels"],
-                                         provider.exclusive)
-            record.curve.append((step, float(score)))
+            record.report = score(params)
+            record.curve.append((step, record.report.headline()))
             record.loss_curve.append(float(np.mean(seg_losses)))
             seg_losses = []
     record.final_score = record.curve[-1][1] if record.curve else 0.0

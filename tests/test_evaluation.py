@@ -8,8 +8,7 @@ import pytest
 from gestprop.evaluation import (BASELINE_KINDS, ConfusionCounts, LabelScores,
                                  aggregate_folds, baseline_predict, binarize,
                                  compute_priors, evaluate_property,
-                                 f1_scores, flag_predictable,
-                                 headline_from_arrays, write_json,
+                                 f1_scores, flag_predictable, write_json,
                                  write_predictions_csv, write_scores_csv)
 
 
@@ -217,16 +216,6 @@ def test_flag_predictable_margin():
     assert flag_predictable(0.63, baselines, margin=0.10)
     assert not flag_predictable(0.61, baselines, margin=0.10)
     assert flag_predictable(0.62, baselines, margin=0.10)   # boundary inclusive
-
-
-def test_headline_from_arrays_matches_manual():
-    rng = np.random.default_rng(3)
-    probs = rng.random((50, 3))
-    targets = rng.integers(0, 2, (50, 3))
-    got = headline_from_arrays(probs, targets, exclusive=False)
-    rep = evaluate_property(binarize(probs, False), targets,
-                            ["0", "1", "2"], False)
-    assert got == pytest.approx(rep.headline())
 
 
 def test_write_json_canonical(tmp_path):

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from gestprop import corpus, net, synth
-from gestprop.experiment import (ExperimentConfig, run_baselines, run_cv,
-                                 run_features, run_gradcheck, run_hpsearch,
-                                 run_predict)
+from gestprop.experiment import (MODEL_KEYS, ExperimentConfig, _model_spec,
+                                 run_baselines, run_cv, run_features,
+                                 run_gradcheck, run_hpsearch, run_predict)
+from gestprop.features import WindowProvider, load_dataset
 from gestprop.training import HyperRange, LossSpec, TrainConfig
 
 FAST_TRAIN = TrainConfig(steps=12, batch=16, lr=2e-3, evals=2)
@@ -149,6 +150,37 @@ def test_property_runs_restrict_to_gesture_frames(corpus_dir, featured, tmp_path
         # training pool likewise shrinks to gesture frames
         tr = plan.train[entry["fold"]]
         assert entry["n_train"] == int(ds.has_gesture[tr].sum())
+
+
+def test_curve_and_report_score_at_the_threshold(corpus_dir, featured, tmp_path):
+    # the validation curve, final_score and the fold report are one scorer's
+    # results, so a threshold other than 0.5 reaches all three
+    config = fast_config(corpus_dir, tmp_path,
+                         features_dir=str(featured / "features"),
+                         prop="category", threshold=0.3)
+    report = run_cv(config, write_checkpoints=False)
+    for entry in report["folds"]:
+        assert entry["final_score"] == entry["report"]["headline"] == entry["curve"][-1][1]
+
+
+def test_model_spec_fields_come_from_the_model_keys(corpus_dir, featured):
+    config = fast_config(corpus_dir, featured, modality="both", model={})
+    ds = load_dataset(corpus.load_manifest(config.manifest),
+                      config.features_path(), config.embeddings)
+    provider = WindowProvider(ds, config.prop, config.modality)
+    spec = _model_spec(config, provider, text_dim=5)
+    assert spec.audio == spec.text == net.EncoderSpec()
+    assert spec.decoder == net.DecoderSpec()
+
+    model = {key: i + 1 for i, key in enumerate(MODEL_KEYS)}
+    model.update(kernel=5, enc_dropout=0.25, dec_dropout=0.5)
+    spec = _model_spec(fast_config(corpus_dir, featured, modality="both",
+                                   model=model), provider, text_dim=5)
+    assert spec.audio == spec.text == net.EncoderSpec(
+        layers=model["enc_layers"], channels=model["enc_channels"], kernel=5,
+        dropout=0.25, out_dim=model["enc_out"])
+    assert spec.decoder == net.DecoderSpec(hidden=model["dec_hidden"],
+                                           layers=model["dec_layers"], dropout=0.5)
 
 
 def test_run_baselines(corpus_dir, featured):

@@ -1,7 +1,10 @@
-"""The benchmark's span tracer must find every function it wraps."""
+"""The benchmark must still run on the program: the span tracer finds every
+function it wraps, and the workloads call gestprop the way it is today."""
 
+import importlib
 import importlib.util
 import sys
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ import pytest
 from gestprop import tensor
 from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def test_every_traced_name_resolves():
@@ -53,3 +57,25 @@ def test_forward_calls_the_traced_conv_once_per_layer(monkeypatch, audio_layers,
             audio=rng.normal(size=(2, spec.audio_frames, spec.audio_channels)),
             text=rng.normal(size=(2, spec.text_slots, spec.text_dim)))
     assert len(calls) == (audio_layers or 0) + (text_layers or 0)
+
+
+@pytest.mark.parametrize("workload", ["cv_combined", "features_long"])
+def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
+    # a keyword or name the workloads pass that gestprop no longer takes
+    # breaks the benchmark; run its set-up and timed loop at the tiny size
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)    # leave perfbench/ as is
+    for name in ("spans", "workloads", "worker"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    worker = importlib.import_module("worker")
+    try:
+        root = str(tmp_path / "work")
+        worker.setup(Namespace(workload=workload, root=root, size="tiny", seed=7,
+                               reps=1))
+        result = worker.measure(Namespace(workload=workload, root=root, size="tiny",
+                                          seconds=0, trace=0, spans=None))
+    finally:
+        for name in ("spans", "workloads", "worker"):
+            sys.modules.pop(name, None)
+    assert result["failed"] == 0
+    assert result["problems"] == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,7 @@ def test_frame_counts():
     clip = sine(100, 1.0, 16000)
     frames = frame_signal(clip)
     assert frames.shape == (200, 640)
+    assert not frames.flags.writeable           # a view, not a copy per window
     assert frame_signal(AudioClip(np.zeros(0), 16000)).shape[0] == 0
     # 40 ms window at 48 kHz is 1920 samples
     assert frame_signal(sine(100, 0.5, 48000)).shape == (100, 1920)
@@ -223,6 +225,23 @@ def test_extract_prosody_silence():
     assert np.all(track.rows[:, 1] == 0.0)          # pitch zero
     assert np.all(track.rows[:, 3] == 0.0)          # flat derivative
     assert np.allclose(track.rows[:, 2], transform_energy(0.0))
+
+
+def test_extract_prosody_memory_stays_flat_as_the_clip_grows():
+    # a frame matrix copied whole holds each sample 8 times (40 ms windows
+    # every 5 ms): over 100 MB more at 120 s than at 30 s
+    rng = np.random.default_rng(5)
+
+    def peak_mb(seconds):
+        clip = AudioClip(rng.normal(0, 0.1, seconds * 16000), 16000)
+        tracemalloc.start()
+        try:
+            extract_prosody(clip)
+            return tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    assert peak_mb(120) - peak_mb(30) < 25.0
 
 
 def test_extract_prosody_deterministic():

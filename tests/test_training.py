@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from gestprop.net import DecoderSpec, EncoderSpec, ModelParams, ModelSpec
+from gestprop.evaluation import binarize, evaluate_property
+from gestprop.net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec,
+                          predict_probs)
 from gestprop.tensor import Tensor
 from gestprop.training import (PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
                                class_balance_weights, default_space,
@@ -214,6 +216,16 @@ def separable_provider(n=400, seed=0):
     return ArrayProvider(audio, labels)
 
 
+def score_on(spec, provider, idx):
+    """A validation scorer over the frames idx, as run_cv builds one."""
+    batch = provider.batch(idx)
+
+    def score(params):
+        probs = predict_probs(spec, params, audio=batch["audio"])
+        return evaluate_property(binarize(probs, False), batch["labels"], ["0"], False)
+    return score
+
+
 def small_model():
     return ModelSpec(head="sigmoid", n_labels=1,
                      audio=EncoderSpec(layers=1, channels=8, kernel=3, out_dim=8),
@@ -225,7 +237,9 @@ def test_train_learns_separable_data():
     provider = separable_provider()
     idx = np.arange(400)
     cfg = TrainConfig(steps=300, batch=32, lr=1e-2, evals=5)
-    params, record = train(small_model(), provider, idx[:320], idx[320:], cfg, seed=1)
+    spec = small_model()
+    params, record = train(spec, provider, idx[:320], cfg, 1,
+                           score_on(spec, provider, idx[320:]))
     assert not record.failed
     assert len(record.curve) == 5
     assert record.curve[-1][0] == 300
@@ -236,7 +250,9 @@ def test_train_loss_decreases_early():
     provider = separable_provider()
     idx = np.arange(400)
     cfg = TrainConfig(steps=150, batch=32, lr=5e-3, evals=5)
-    _, record = train(small_model(), provider, idx[:320], idx[320:], cfg, seed=1)
+    spec = small_model()
+    _, record = train(spec, provider, idx[:320], cfg, 1,
+                      score_on(spec, provider, idx[320:]))
     # mean batch loss drops monotonically across the five early segments
     assert all(a > b for a, b in zip(record.loss_curve, record.loss_curve[1:]))
 
@@ -245,9 +261,11 @@ def test_train_deterministic_per_seed():
     provider = separable_provider()
     idx = np.arange(400)
     cfg = TrainConfig(steps=40, batch=16, lr=5e-3, evals=2)
-    p1, r1 = train(small_model(), provider, idx[:320], idx[320:], cfg, seed=3)
-    p2, r2 = train(small_model(), provider, idx[:320], idx[320:], cfg, seed=3)
-    p3, r3 = train(small_model(), provider, idx[:320], idx[320:], cfg, seed=4)
+    spec = small_model()
+    score = score_on(spec, provider, idx[320:])
+    p1, r1 = train(spec, provider, idx[:320], cfg, 3, score)
+    p2, r2 = train(spec, provider, idx[:320], cfg, 3, score)
+    p3, r3 = train(spec, provider, idx[:320], cfg, 4, score)
     assert r1.curve == r2.curve
     for k in p1.tensors:
         assert np.array_equal(p1.tensors[k], p2.tensors[k])
@@ -258,16 +276,33 @@ def test_train_flags_divergence():
     provider = separable_provider(n=64)
     idx = np.arange(64)
     cfg = TrainConfig(steps=30, batch=16, lr=1e30, evals=1)
+    spec = small_model()
     with np.errstate(over="ignore", invalid="ignore"):
-        _, record = train(small_model(), provider, idx[:48], idx[48:], cfg, seed=0)
+        _, record = train(spec, provider, idx[:48], cfg, 0,
+                          score_on(spec, provider, idx[48:]))
     assert record.failed
+
+
+def test_diverged_run_reports_the_returned_weights():
+    # diverges before the only eval point, so the report can only come
+    # from scoring the returned weights after the loop
+    provider = separable_provider(n=64)
+    idx = np.arange(64)
+    cfg = TrainConfig(steps=30, batch=16, lr=1e30, evals=1)
+    spec = small_model()
+    score = score_on(spec, provider, idx[48:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        params, record = train(spec, provider, idx[:48], cfg, 0, score)
+        assert record.failed and record.curve == []
+        assert record.report == score(params)
 
 
 def test_train_rejects_empty_pool():
     provider = separable_provider(n=16)
     with pytest.raises(ValueError, match="empty"):
-        train(small_model(), provider, np.array([], dtype=int), np.arange(4),
-              TrainConfig(steps=1, evals=1), seed=0)
+        spec = small_model()
+        train(spec, provider, np.array([], dtype=int), TrainConfig(steps=1, evals=1),
+              0, score_on(spec, provider, np.arange(4)))
 
 
 def test_hyperrange_sampling_bounds():
