@@ -65,7 +65,8 @@ def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
     # breaks the benchmark; run its set-up and timed loop at the tiny size
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)    # leave perfbench/ as is
-    for name in ("spans", "workloads", "worker"):
+    modules = ("spans", "workloads", "worker")      # perfbench's top-level names
+    for name in modules:
         monkeypatch.delitem(sys.modules, name, raising=False)
     worker = importlib.import_module("worker")
     try:
@@ -75,7 +76,7 @@ def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
         result = worker.measure(Namespace(workload=workload, root=root, size="tiny",
                                           seconds=0, trace=0, spans=None))
     finally:
-        for name in ("spans", "workloads", "worker"):
+        for name in modules:
             sys.modules.pop(name, None)
     assert result["failed"] == 0
     assert result["problems"] == []
