@@ -37,7 +37,7 @@ from .features import FrameDataset, WindowProvider, build_features, load_dataset
 from .net import DecoderSpec, EncoderSpec, ModelSpec, load_checkpoint, save_checkpoint
 from .prosody import AudioClip, ProsodyTrack, extract_prosody
 from .synth import SynthSpec, generate_synthetic_corpus, preset
-from .textfeat import EmbeddingTable, assemble_text_window, load_embeddings
+from .textfeat import EmbeddingTable, load_embeddings
 from .training import LossSpec, TrainConfig
 
 __all__ = [
@@ -61,7 +61,6 @@ __all__ = [
     "TrainConfig",
     "WindowProvider",
     "aggregate_folds",
-    "assemble_text_window",
     "baseline_predict",
     "binarize",
     "build_features",

@@ -90,9 +90,7 @@ def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
     if missing:
         raise SystemExit(f"error: missing required settings: {', '.join(missing)} "
                          f"(pass flags or --config)")
-    config = ExperimentConfig.from_dict(base)
-    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-    return config
+    return ExperimentConfig.from_dict(base)
 
 
 # ------------------------------------------------------------------ commands

@@ -223,16 +223,15 @@ FRAME_CSV_COLUMNS = (
 
 def write_frame_csv(table: FrameTable, path: str | Path) -> None:
     """One row per frame: the 13 label bits plus has_gesture and extents."""
+    n = table.n_frames
+    cells = np.column_stack([np.arange(n), table.t, table.has_gesture, table.phase,
+                             table.category, table.semantics,
+                             table.win_lo, table.win_hi]).ravel().tolist()
+    row = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 4) + ",%.9g,%.9g\n"
     with open(path, "w") as fh:
         fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")
         fh.write(",".join(FRAME_CSV_COLUMNS) + "\n")
-        for f in range(table.n_frames):
-            bits = np.concatenate([table.phase[f], table.category[f], table.semantics[f]])
-            fh.write(
-                f"{f},{table.t[f]:.9g},{int(table.has_gesture[f])},"
-                + ",".join(str(int(b)) for b in bits)
-                + f",{table.win_lo[f]:.9g},{table.win_hi[f]:.9g}\n"
-            )
+        fh.write(row * n % tuple(cells))
 
 
 def read_frame_csv(path: str | Path) -> FrameTable:

@@ -117,6 +117,14 @@ class ExperimentConfig:
 
 # ------------------------------------------------------------------ plumbing
 
+def _out_dir(path: str | Path) -> Path:
+    """A command's output directory, created before the command does any
+    work, so a missing directory never fails a finished run."""
+    out = Path(path)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
 def _register(out_dir: str | Path, command: str, paths: list[str]) -> None:
     """Track what each command wrote in the run directory's index."""
     index_path = Path(out_dir) / "index.json"
@@ -202,8 +210,8 @@ def _scorer(spec: ModelSpec, provider: WindowProvider, idx: np.ndarray,
 def run_features(config: ExperimentConfig, force: bool = False):
     """Build cached features for every recording in the manifest."""
     config.validate()
+    out = _out_dir(config.out_dir)
     recordings = load_manifest(config.manifest)
-    out = Path(config.out_dir)
     fdir = config.features_path()
     built, failures = build_features(recordings, fdir, force=force)
     failed_ids = {rid for rid, _ in failures}
@@ -221,17 +229,15 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
     with scores.csv (and one checkpoint per fold when requested).
     """
     config.validate()
+    out = _out_dir(config.out_dir)
+    if write_checkpoints:
+        (out / CHECKPOINT_SUBDIR).mkdir(exist_ok=True)
     _, dataset = _load_corpus(config)
     plan = _make_plan(dataset, config)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=dataset.speaker_list
                               if config.cv == "within_id" else None)
     spec = _model_spec(config, provider, dataset.emb_matrix.shape[1] + 1)
-
-    out = Path(config.out_dir)
-    ckpt_dir = out / CHECKPOINT_SUBDIR
-    if write_checkpoints:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
 
     folds, reports, files = [], [], []
     for fold in range(plan.n_folds):
@@ -288,6 +294,7 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
 def run_baselines(config: ExperimentConfig) -> dict:
     """Evaluate the four chance systems on the same folds as the model."""
     config.validate()
+    out = _out_dir(config.out_dir)
     _, dataset = _load_corpus(config)
     plan = _make_plan(dataset, config)
     exclusive = SCHEMAS[config.prop].exclusive
@@ -319,7 +326,7 @@ def run_baselines(config: ExperimentConfig) -> dict:
         "baselines": baselines,
     }
 
-    report_path = Path(config.out_dir) / "report.json"
+    report_path = out / "report.json"
     if report_path.exists():
         model_agg = json.loads(report_path.read_text()).get("aggregate", {})
         if model_agg.get("labels"):
@@ -331,8 +338,8 @@ def run_baselines(config: ExperimentConfig) -> dict:
                                                 base_means)
             result["predictable"] = flags
 
-    write_json(str(Path(config.out_dir) / "baselines.json"), result)
-    _register(config.out_dir, "baselines", ["baselines.json"])
+    write_json(str(out / "baselines.json"), result)
+    _register(out, "baselines", ["baselines.json"])
     return result
 
 
@@ -345,7 +352,7 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int,
     """
     config.validate()
     space = space if space is not None else default_space()
-    out = Path(config.out_dir)
+    out = _out_dir(config.out_dir)
 
     def evaluate_run(i: int, sample: dict):
         model = {k: v for k, v in sample.items() if k in MODEL_KEYS}
@@ -358,7 +365,6 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int,
                       out_dir=str(out / "runs" / f"{i:02d}"),
                       features_dir=str(config.features_path()),
                       seed=_fold_seed(config.seed, 100_000 + i))
-        Path(sub.out_dir).mkdir(parents=True, exist_ok=True)
         report = run_cv(sub, write_checkpoints=False)
         records = [
             {"fold": f["fold"], "curve": f["curve"],
@@ -407,6 +413,8 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         if meta.get(key, value) != value:
             raise ValueError(f"{checkpoint}: the model was trained for {key} "
                              f"{meta[key]!r}, not {value!r}")
+    out = _out_dir(config.out_dir)
+    (out / "predictions").mkdir(exist_ok=True)
     _, dataset = _load_corpus(config)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=meta.get("speakers") if spec.speaker_dim else None)
@@ -414,8 +422,6 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         provider.set_norm(meta["norm"])
     names = SCHEMAS[config.prop].labels
 
-    out = Path(config.out_dir) / "predictions"
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     for table in dataset.tables:
         idx = np.flatnonzero(dataset.eligible & (dataset.rec_ids == table.rec_id))
@@ -425,10 +431,10 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         decisions = binarize(probs, provider.exclusive, config.threshold)
         name = f"predictions/rec_{table.rec_id:05d}.csv"
         write_predictions_csv(
-            str(Path(config.out_dir) / name), dataset.t[idx], names, probs,
+            str(out / name), dataset.t[idx], names, probs,
             decisions, provider.labels_at(idx).astype(np.int64))
         written.append(name)
-    _register(config.out_dir, "predict", written)
+    _register(out, "predict", written)
     return written
 
 
@@ -436,7 +442,7 @@ def run_gradcheck(seed: int = 0, eps: float = gradcheck_mod.DEFAULT_EPS,
                   out_dir: str | Path | None = None) -> dict:
     result = gradcheck_mod.run_gradcheck(seed=seed, eps=eps)
     if out_dir is not None:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
-        write_json(str(Path(out_dir) / "gradcheck.json"), result)
-        _register(out_dir, "gradcheck", ["gradcheck.json"])
+        out = _out_dir(out_dir)
+        write_json(str(out / "gradcheck.json"), result)
+        _register(out, "gradcheck", ["gradcheck.json"])
     return result

@@ -145,18 +145,23 @@ def frame_signal(clip: AudioClip) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(padded, frame_s)[::hop_s][:n]
 
 
-def frame_rms(frames: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.mean(frames * frames, axis=1))
-
-
-def _cmndf_track(frames: np.ndarray, sample_rate: int) -> tuple[np.ndarray, int, int]:
+def _cmndf_track(frames: np.ndarray, energy: np.ndarray,
+                 sample_rate: int) -> tuple[np.ndarray, int, int]:
     """CMNDF values for lags 1..tau_max for every frame.
 
-    Returns (nd, tau_min, tau_max) where nd[i, t-1] is the normalized
-    difference of frame i at lag t. Uses FFT cross-correlation; the
-    integration window is frame_len - tau_max samples.
+    energy is the running sum of squares along each frame,
+    energy[i, k] = sum_{j<=k} x_ij^2. Returns (nd, tau_min, tau_max) where
+    nd[i, t-1] is the normalized difference of frame i at lag t.
+
+    The difference function over an integration window of W = L - tau_max
+    samples, d(t) = sum_{j<W} (x_j - x_{j+t})^2, expands to e0 + e_t - 2 r(t)
+    (YIN, de Cheveigne & Kawahara 2002, steps 2-3). The energies e0 and e_t
+    are differences of the running sum; r(t) = sum_{j<W} x_j x_{j+t} is a
+    circular FFT correlation of length L. It needs no zero padding: with
+    j < W and t <= tau_max, j + t <= L - 1 never wraps, so lags 0..tau_max
+    of the circular correlation equal the linear ones.
     """
-    n, L = frames.shape
+    L = frames.shape[1]
     tau_min = max(1, int(sample_rate / F0_MAX))
     tau_max = int(np.ceil(sample_rate / F0_MIN))
     if tau_max > L // 2:
@@ -165,22 +170,24 @@ def _cmndf_track(frames: np.ndarray, sample_rate: int) -> tuple[np.ndarray, int,
             f"at {sample_rate} Hz (needs >= {2 * tau_max})"
         )
     W = L - tau_max
-    nfft = 1 << int(np.ceil(np.log2(L + tau_max)))
 
-    sq = frames * frames
-    cums = np.concatenate([np.zeros((n, 1)), np.cumsum(sq, axis=1)], axis=1)
-    e0 = cums[:, W]                                   # sum_{j<W} x_j^2
-    taus = np.arange(tau_max + 1)
-    e_tau = cums[:, taus + W] - cums[:, taus]          # sum_{j=tau}^{tau+W-1} x_j^2
+    xcorr = np.fft.rfft(frames[:, :W], L)
+    np.conjugate(xcorr, out=xcorr)
+    xcorr *= np.fft.rfft(frames, L)
+    corr = np.fft.irfft(xcorr, L)[:, 1:tau_max + 1]
+    del xcorr
 
-    spec = np.fft.rfft(frames, nfft)
-    spec_w = np.fft.rfft(frames[:, :W], nfft)
-    corr = np.fft.irfft(np.conj(spec_w) * spec, nfft)[:, :tau_max + 1]
-
-    d = np.maximum(e0[:, None] + e_tau - 2.0 * corr, 0.0)
-    cum_d = np.cumsum(d[:, 1:], axis=1)
+    # lag t in column t - 1: e_t = sum_{j=t}^{t+W-1} x_j^2, e0 = sum_{j<W} x_j^2
+    d = energy[:, W:] - energy[:, :tau_max]
+    d += energy[:, W - 1:W]
+    corr *= 2.0
+    d -= corr
+    np.maximum(d, 0.0, out=d)
+    cum_d = np.cumsum(d, axis=1)
+    nd = d                       # normalized in place
+    nd *= np.arange(1, tau_max + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        nd = d[:, 1:] * taus[1:][None, :] / cum_d
+        nd /= cum_d
     nd[~np.isfinite(nd)] = 1.0     # digital silence: d == 0 everywhere
     return nd, tau_min, tau_max
 
@@ -234,16 +241,21 @@ def _f0_track(frames: np.ndarray,
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS for a frame stack.
 
     Works through F0_CHUNK frames at a time, so only one chunk's squares
-    and spectra are in memory at once; RMS gates voicing.
+    and spectra are in memory at once. Each chunk is squared once: the
+    squares give the RMS that gates voicing, then become the CMNDF's
+    running energy sum in place.
     """
     n = len(frames)
     f0 = np.zeros(n)
     voiced = np.zeros(n, dtype=bool)
     rms = np.zeros(n)
     for lo in range(0, n, F0_CHUNK):
-        hi = min(lo + F0_CHUNK, n)
-        rms[lo:hi] = frame_rms(frames[lo:hi])
-        nd, tau_min, tau_max = _cmndf_track(frames[lo:hi], sample_rate)
+        chunk = frames[lo:lo + F0_CHUNK]
+        hi = lo + len(chunk)
+        energy = chunk * chunk
+        rms[lo:hi] = np.sqrt(np.mean(energy, axis=1))
+        np.cumsum(energy, axis=1, out=energy)
+        nd, tau_min, tau_max = _cmndf_track(chunk, energy, sample_rate)
         lags, nd_min = _pick_period(nd, tau_min, tau_max)
         period = _refine_parabolic(nd, lags, tau_min, tau_max)
         cand = sample_rate / period
@@ -359,10 +371,11 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
 
 def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
     """Write `frame,vuv,pitch,energy,d_pitch,d_energy` with 9 significant digits."""
+    n = track.n_frames
+    cells = np.column_stack([np.arange(n), track.rows]).ravel().tolist()
     with open(path, "w") as fh:
         fh.write("frame," + ",".join(PROSODY_COLUMNS) + "\n")
-        for i, row in enumerate(track.rows):
-            fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+        fh.write(("%d" + ",%.9g" * len(PROSODY_COLUMNS) + "\n") * n % tuple(cells))
 
 
 def read_prosody_csv(path: str | Path) -> ProsodyTrack:

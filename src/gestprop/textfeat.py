@@ -9,8 +9,7 @@ absent slots are all-zero rows including the timing column.
 select_window is the one implementation of that window. It takes the sorted
 word onsets and an array of target times and returns, per time, the 7 slot
 indices into the word list with -1 for an absent slot; the frame table's
-window extents, the cached text features and assemble_text_window are all
-derived from it.
+window extents and the cached text features are both derived from it.
 """
 
 from __future__ import annotations
@@ -103,12 +102,6 @@ def lookup_word(entries: dict, word: str):
     return found if found is not None else entries.get(word.lower())
 
 
-def embed_word(table: EmbeddingTable, word: str) -> np.ndarray:
-    """Vector for a word by lookup_word's rule; a zero vector when unknown."""
-    vec = lookup_word(table.vectors, word)
-    return np.zeros(table.dim) if vec is None else vec
-
-
 def read_transcript(path: str | Path) -> list[WordToken]:
     """Read `onset_ms<TAB>offset_ms<TAB>word` rows sorted by onset."""
     words = []
@@ -148,19 +141,3 @@ def select_window(onsets, t) -> np.ndarray:
     cur = np.searchsorted(onsets, t, side="right") - 1
     idx = cur[..., None] + np.arange(-PAST_WORDS, FUTURE_WORDS + 1)
     return np.where((idx >= 0) & (idx < len(onsets)), idx, -1)
-
-
-def assemble_text_window(table: EmbeddingTable, words: list[WordToken],
-                         t: float) -> np.ndarray:
-    """(7, dim+1) feature matrix for target time t.
-
-    Row = [embedding, onset - t] for present slots, zeros otherwise.
-    """
-    out = np.zeros((WINDOW_SLOTS, table.dim + 1))
-    for i, j in enumerate(select_window([w.onset for w in words], t)):
-        if j < 0:
-            continue
-        tok = words[j]
-        out[i, :table.dim] = embed_word(table, tok.word)
-        out[i, table.dim] = tok.onset - t
-    return out

@@ -3,6 +3,7 @@ import pytest
 
 from gestprop.corpus import (
     CATEGORY,
+    FRAME_CSV_COLUMNS,
     PHASE,
     SEMANTICS,
     AnnotationTier,
@@ -193,6 +194,32 @@ def test_frame_csv_roundtrip(tmp_path):
     for name in ("phase", "category", "semantics", "has_gesture"):
         assert np.array_equal(getattr(back, name), getattr(table, name))
     assert np.allclose(back.win_lo, table.win_lo)
+
+
+def write_frame_csv_by_row(table, path):
+    """The row-by-row writer the whole-table one replaced."""
+    with open(path, "w") as fh:
+        fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")
+        fh.write(",".join(FRAME_CSV_COLUMNS) + "\n")
+        for f in range(table.n_frames):
+            bits = np.concatenate([table.phase[f], table.category[f], table.semantics[f]])
+            fh.write(
+                f"{f},{table.t[f]:.9g},{int(table.has_gesture[f])},"
+                + ",".join(str(int(b)) for b in bits)
+                + f",{table.win_lo[f]:.9g},{table.win_hi[f]:.9g}\n"
+            )
+
+
+@pytest.mark.parametrize("duration", [0.0, 3.3])
+def test_frame_csv_bytes_match_the_row_writer(tmp_path, duration):
+    r = rec([
+        AnnotationTier("R.G.Left.Phase", [(0.1, 0.4, "stroke"), (1.0, 2.5, "post-hold")]),
+        AnnotationTier("R.G.Left Semantic", [(0.2, 0.5, "shape")]),
+    ], words=[WordToken("a", 0.1, 0.3), WordToken("b", 1.37, 1.9)])
+    table = build_frame_table(r, duration=duration)
+    write_frame_csv(table, tmp_path / "table.csv")
+    write_frame_csv_by_row(table, tmp_path / "rows.csv")
+    assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 # ------------------------------------------------------------------ annotation IO

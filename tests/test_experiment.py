@@ -271,6 +271,16 @@ def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
         run_predict(config, unknown)
 
 
+@pytest.mark.parametrize("command", ["features", "baselines", "eval"])
+def test_command_creates_a_missing_out_dir(corpus_dir, featured, tmp_path, command):
+    out = tmp_path / "not" / "yet"
+    config = fast_config(corpus_dir, out, features_dir=str(featured / "features"))
+    run = {"features": run_features, "baselines": run_baselines,
+           "eval": lambda c: run_cv(c, write_checkpoints=False)}[command]
+    run(config)
+    assert list(json.loads((out / "index.json").read_text())) == [command]
+
+
 def test_run_gradcheck_writes_report(tmp_path):
     result = run_gradcheck(seed=0, out_dir=tmp_path)
     assert result["passed"] is True

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gestprop import corpus, features, prosody, synth, textfeat
+from text_reference import assemble_text_window
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ def test_text_batch_matches_assemble_oracle(built):
     rec0 = next(r for r in recs if r.rec_id == ds.tables[0].rec_id)
     for f in (25, 80, 150):
         got = pr.batch(np.array([f]))["text"][0]
-        want = textfeat.assemble_text_window(emb, rec0.words, f / 20.0)
+        want = assemble_text_window(emb, rec0.words, f / 20.0)
         assert np.allclose(got, want, atol=1e-5)
 
 

@@ -5,8 +5,14 @@ import numpy as np
 import pytest
 
 from gestprop.prosody import (
+    F0_CHUNK,
+    F0_MAX,
+    F0_MIN,
+    PROSODY_COLUMNS,
     AudioClip,
     ProsodyTrack,
+    _cmndf_track,
+    _f0_track,
     downsample_by_mean,
     estimate_f0,
     extract_prosody,
@@ -85,6 +91,55 @@ def test_estimate_f0_silence_and_noise():
 def test_estimate_f0_window_too_short():
     with pytest.raises(ValueError):
         estimate_f0(np.zeros(100), 16000)
+
+
+def cmndf_reference(frame, tau_max):
+    """YIN steps 2-3 in the time domain: d(t) = sum_{j<W} (x_j - x_{j+t})^2
+    over W = L - tau_max samples, then d(t) * t / sum_{s<=t} d(s), with 1
+    where that sum is zero."""
+    W = len(frame) - tau_max
+    d = np.array([np.sum((frame[:W] - frame[t:t + W]) ** 2)
+                  for t in range(1, tau_max + 1)])
+    cum = np.cumsum(d)
+    nd = np.ones(tau_max)
+    live = cum > 0
+    nd[live] = d[live] * np.arange(1, tau_max + 1)[live] / cum[live]
+    return nd
+
+
+@pytest.mark.parametrize("sr", [16000, 22050])
+def test_cmndf_matches_time_domain_reference(sr):
+    L = int(round(0.040 * sr))
+    tau_max = int(np.ceil(sr / F0_MIN))
+    t = np.arange(L) / sr
+    rng = np.random.default_rng(9)
+    tail_only = np.zeros(L)
+    tail_only[-tau_max:] = rng.normal(size=tau_max)    # the lags a short transform wraps
+    frames = np.stack([
+        *rng.normal(size=(4, L)),
+        np.sin(2 * np.pi * F0_MIN * t),
+        0.3 * np.sin(2 * np.pi * F0_MAX * t),
+        tail_only,
+        np.zeros(L),
+    ])
+    nd, _, got_tau_max = _cmndf_track(frames, np.cumsum(frames * frames, axis=1), sr)
+    assert got_tau_max == tau_max and nd.shape == (len(frames), tau_max)
+    want = np.stack([cmndf_reference(f, tau_max) for f in frames])
+    assert np.max(np.abs(nd - want)) < 1e-9
+    assert np.all(nd[-1] == 1.0)                        # digital silence
+
+
+def test_f0_track_peak_memory_on_one_chunk():
+    # one chunk of 2048 x 640 frames peaked at 91.8 MB with the correlation
+    # padded to 1024 points, and at 31.6 MB with it at the frame length
+    frames = np.random.default_rng(2).normal(0, 0.1, (F0_CHUNK, 640))
+    tracemalloc.start()
+    try:
+        _f0_track(frames, 16000)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 40.0
 
 
 # ---------------------------------------------------------------- transforms
@@ -276,6 +331,25 @@ def test_wav_pcm16_and_stereo(tmp_path):
     wavfile.write(p2, sr, stereo)
     clip2 = read_wav(p2)
     assert abs(np.max(np.abs(clip2.samples)) - 0.25) < 1e-3
+
+
+def write_prosody_csv_by_cell(track, path):
+    """The cell-by-cell writer the column-at-once one replaced."""
+    with open(path, "w") as fh:
+        fh.write("frame," + ",".join(PROSODY_COLUMNS) + "\n")
+        for i, row in enumerate(track.rows):
+            fh.write(f"{i}," + ",".join(f"{v:.9g}" for v in row) + "\n")
+
+
+def test_prosody_csv_bytes_match_the_cell_writer(tmp_path):
+    rng = np.random.default_rng(6)
+    rows = rng.normal(size=(300, 5)) * 10.0 ** rng.integers(-12, 12, size=(300, 5))
+    rows[:, 0] = rng.integers(0, 2, size=300)
+    rows[:3] = [[0.0, -0.0, 1.0, 1e-300, -123456789.123]]
+    track = ProsodyTrack(fps=20, rows=rows)
+    write_prosody_csv(track, tmp_path / "columns.csv")
+    write_prosody_csv_by_cell(track, tmp_path / "cells.csv")
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
 
 
 def test_prosody_csv_roundtrip(tmp_path):

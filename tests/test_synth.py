@@ -11,7 +11,8 @@ from gestprop.prosody import read_wav
 from gestprop import synth
 from gestprop.synth import (PRESETS, SynthSpec, TRIGGER_WORDS,
                             generate_synthetic_corpus, preset)
-from gestprop.textfeat import embed_word, load_embeddings
+from gestprop.textfeat import load_embeddings
+from text_reference import embed_word
 
 SMALL = SynthSpec(name="small", n_speakers=2, duration=40.0)
 

@@ -7,13 +7,12 @@ from gestprop import synth
 from gestprop.textfeat import (
     EmbeddingTable,
     WordToken,
-    assemble_text_window,
-    embed_word,
     load_embeddings,
     read_transcript,
     select_window,
     write_transcript,
 )
+from text_reference import assemble_text_window, embed_word
 
 
 def table(dim=4, words=("ein", "kreis", "Gross")):
