@@ -227,6 +227,7 @@ def write_frame_csv(table: FrameTable, path: str | Path) -> None:
     cells = np.column_stack([np.arange(n), table.t, table.has_gesture, table.phase,
                              table.category, table.semantics,
                              table.win_lo, table.win_hi]).ravel().tolist()
+    # frame and t, then has_gesture and the label bits as ints, then the extents
     row = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 4) + ",%.9g,%.9g\n"
     with open(path, "w") as fh:
         fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")

@@ -114,7 +114,7 @@ def test_cmndf_matches_time_domain_reference(sr):
     t = np.arange(L) / sr
     rng = np.random.default_rng(9)
     tail_only = np.zeros(L)
-    tail_only[-tau_max:] = rng.normal(size=tau_max)    # the lags a short transform wraps
+    tail_only[-tau_max:] = rng.normal(size=tau_max)    # past the window: a short transform wraps here
     frames = np.stack([
         *rng.normal(size=(4, L)),
         np.sin(2 * np.pi * F0_MIN * t),

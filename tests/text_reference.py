@@ -7,7 +7,8 @@ one target time at a time, so tests can compare the two.
 
 import numpy as np
 
-from gestprop.textfeat import WINDOW_SLOTS, EmbeddingTable, WordToken, lookup_word, select_window
+from gestprop.textfeat import (WINDOW_SLOTS, EmbeddingTable, WordToken, lookup_word,
+                               select_window)
 
 
 def embed_word(table: EmbeddingTable, word: str) -> np.ndarray:
