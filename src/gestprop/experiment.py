@@ -44,6 +44,7 @@ MODEL_KEYS = (*ENCODER_KEYS, *DECODER_KEYS)
 
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
+PREDICT_CHUNK = 1024     # frames per inference batch, whatever the recording length
 
 
 @dataclass(frozen=True)
@@ -186,20 +187,29 @@ def _eval_pool(dataset, config, idx: np.ndarray) -> np.ndarray:
     return idx[dataset.has_gesture[idx].astype(bool)]
 
 
+def _predict(spec: ModelSpec, params, provider: WindowProvider,
+             idx: np.ndarray) -> np.ndarray:
+    """Inference-mode probabilities at the frames idx, PREDICT_CHUNK at a time.
+
+    A chunk's windows are built only when it runs, with the provider's
+    normalization at that moment, so memory does not grow with len(idx).
+    """
+    outs = []
+    for lo in range(0, len(idx), PREDICT_CHUNK):
+        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK])
+        outs.append(predict_probs(spec, params, audio=batch["audio"],
+                                  text=batch["text"], speaker=batch["speaker"]))
+    return np.concatenate(outs) if outs else np.zeros((0, spec.n_labels))
+
+
 def _scorer(spec: ModelSpec, provider: WindowProvider, idx: np.ndarray,
             config: ExperimentConfig):
-    """score(params) -> PropertyReport on the frames idx, at config.threshold.
-
-    The batch is built once, so it holds audio normalized with the
-    provider's statistics at the time of the call.
-    """
-    batch = provider.batch(idx)
-    truth = batch["labels"].astype(np.int64)
+    """score(params) -> PropertyReport on the frames idx, at config.threshold."""
+    truth = provider.labels_at(idx).astype(np.int64)
     names = SCHEMAS[config.prop].labels
 
     def score(params) -> PropertyReport:
-        probs = predict_probs(spec, params, audio=batch["audio"],
-                              text=batch["text"], speaker=batch["speaker"])
+        probs = _predict(spec, params, provider, idx)
         return evaluate_property(binarize(probs, provider.exclusive, config.threshold),
                                  truth, names, provider.exclusive)
     return score
@@ -246,7 +256,6 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
         pool = _training_pool(dataset, config.prop, train_idx)
         provider.fit_norm(train_idx)
         seed = _fold_seed(config.seed, fold)
-        # the scorer's batch lives only as long as train
         params, record = train(spec, provider, pool, config.train, seed, _scorer(
             spec, provider, _eval_pool(dataset, config, val_idx), config))
         report = record.report
@@ -425,9 +434,7 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
     written = []
     for table in dataset.tables:
         idx = np.flatnonzero(dataset.eligible & (dataset.rec_ids == table.rec_id))
-        batch = provider.batch(idx)
-        probs = predict_probs(spec, params, audio=batch["audio"],
-                              text=batch["text"], speaker=batch["speaker"])
+        probs = _predict(spec, params, provider, idx)
         decisions = binarize(probs, provider.exclusive, config.threshold)
         name = f"predictions/rec_{table.rec_id:05d}.csv"
         write_predictions_csv(

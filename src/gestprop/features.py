@@ -25,7 +25,7 @@ import numpy as np
 
 from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, build_frame_table,
                      read_frame_csv, write_frame_csv)
-from .prosody import (extract_prosody, read_prosody_csv, read_wav,
+from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
 from .textfeat import (EmbeddingTable, WINDOW_SLOTS, load_embeddings,
                        lookup_word, select_window)
@@ -236,8 +236,8 @@ class WindowProvider:
             if unknown:
                 raise ValueError(f"unknown speakers {unknown}; the model knows {speakers}")
             self._spk_index = {s: i for i, s in enumerate(speakers)}
-        self.norm_mean = np.zeros(5, dtype=np.float32)
-        self.norm_std = np.ones(5, dtype=np.float32)
+        self.norm_mean = np.zeros(len(PROSODY_COLUMNS), dtype=np.float32)
+        self.norm_std = np.ones(len(PROSODY_COLUMNS), dtype=np.float32)
         self._labels = dataset.labels_for(prop).astype(np.float32)
 
     @property

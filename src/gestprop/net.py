@@ -26,11 +26,11 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
+from .corpus import AUDIO_CONTEXT_FRAMES
+from .prosody import PROSODY_COLUMNS
 from .tensor import Tensor
+from .textfeat import WINDOW_SLOTS
 
-AUDIO_CHANNELS = 5
-AUDIO_FRAMES = 41          # +-20 frames = +-1 s at 20 fps
-TEXT_SLOTS = 7
 TEXT_DIM = 301             # 300-d embedding + timing offset
 
 CHECKPOINT_MAGIC = b"GPROPCKPT1\n"
@@ -83,10 +83,10 @@ class ModelSpec:
     audio: EncoderSpec | None = field(default_factory=EncoderSpec)
     text: EncoderSpec | None = field(default_factory=EncoderSpec)
     decoder: DecoderSpec = field(default_factory=DecoderSpec)
-    audio_channels: int = AUDIO_CHANNELS
-    audio_frames: int = AUDIO_FRAMES
+    audio_channels: int = len(PROSODY_COLUMNS)
+    audio_frames: int = 2 * AUDIO_CONTEXT_FRAMES + 1     # +-1 s at 20 fps
     text_dim: int = TEXT_DIM
-    text_slots: int = TEXT_SLOTS
+    text_slots: int = WINDOW_SLOTS
     speaker_dim: int = 0
 
     def __post_init__(self):
@@ -237,22 +237,9 @@ def forward(spec: ModelSpec, params: ModelParams,
 def predict_probs(spec: ModelSpec, params: ModelParams,
                   audio: np.ndarray | None = None,
                   text: np.ndarray | None = None,
-                  speaker: np.ndarray | None = None,
-                  chunk: int = 1024) -> np.ndarray:
-    """Inference-mode probabilities, computed in chunks."""
-    n = len(audio) if audio is not None else len(text)
-    outs = []
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        probs, _ = forward(
-            spec, params,
-            audio=audio[lo:hi] if audio is not None else None,
-            text=text[lo:hi] if text is not None else None,
-            speaker=speaker[lo:hi] if speaker is not None else None,
-            training=False,
-        )
-        outs.append(probs.data)
-    return np.concatenate(outs) if outs else np.zeros((0, spec.n_labels))
+                  speaker: np.ndarray | None = None) -> np.ndarray:
+    """Inference-mode probabilities of one batch of windows, as an array."""
+    return forward(spec, params, audio=audio, text=text, speaker=speaker)[0].data
 
 
 # ------------------------------------------------------------------ checkpoints
@@ -286,22 +273,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint (bad magic {magic!r})")
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(blob_len).decode("utf-8"))
+        try:
+            (blob_len,) = struct.unpack("<Q", fh.read(8))
+            header = json.loads(fh.read(blob_len).decode("utf-8"))
+            spec_dict = header["spec"]
+            entries = [(e["name"], e["shape"], np.dtype(e["dtype"]))
+                       for e in header["params"]]
+        except (struct.error, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: truncated or corrupt header "
+                             f"({type(exc).__name__}: {exc})") from None
         tensors = {}
-        for entry in header["params"]:
-            dt = np.dtype(entry["dtype"]).newbyteorder("<")
-            count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        for name, shape, dtype in entries:
+            dt = dtype.newbyteorder("<")
+            count = int(np.prod(shape)) if shape else 1
             buf = fh.read(count * dt.itemsize)
             if len(buf) != count * dt.itemsize:
-                raise ValueError(f"{path}: truncated buffer for {entry['name']}")
-            arr = np.frombuffer(buf, dtype=dt).reshape(entry["shape"])
-            tensors[entry["name"]] = arr.astype(np.dtype(entry["dtype"]))
+                raise ValueError(f"{path}: truncated buffer for {name}")
+            tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape).astype(dtype)
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last buffer")
     try:
-        spec = ModelSpec.from_dict(header["spec"])
-    except ValueError as exc:
+        spec = ModelSpec.from_dict(spec_dict)
+    except (ValueError, TypeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     want = {name: shape for name, shape, _ in _layer_dims(spec)}
     bad = sorted(n for n in want.keys() | tensors.keys()

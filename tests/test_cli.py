@@ -79,6 +79,17 @@ def test_predict_takes_property_and_modality_from_the_checkpoint(
     assert rc == 2
     assert "modality 'audio', not 'text'" in capsys.readouterr().err
 
+    # so does a checkpoint cut inside its header
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes((tmp_path / "checkpoints" / "fold_00.ckpt").read_bytes()[:30])
+    rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
+                   "--embeddings", str(corpus / "vectors.txt"),
+                   "--out", str(tmp_path / "other"),
+                   "--features-dir", str(tmp_path / "no_features"),
+                   "--checkpoint", str(cut)])
+    assert rc == 2
+    assert "cut.ckpt: truncated or corrupt header" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("settings,named", [
     ({"propery": "phase"}, "propery"),

@@ -1,12 +1,14 @@
 """Experiment runner: config handling, CV reports, baselines, search."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gestprop import corpus, net, synth
-from gestprop.experiment import (MODEL_KEYS, ExperimentConfig, _model_spec,
+from gestprop import corpus, experiment, net, synth
+from gestprop.experiment import (MODEL_KEYS, ExperimentConfig, _model_spec, _predict,
                                  run_baselines, run_cv, run_features,
                                  run_gradcheck, run_hpsearch, run_predict)
 from gestprop.features import WindowProvider, load_dataset
@@ -239,6 +241,55 @@ def test_run_predict(corpus_dir, featured):
     assert len(lines) == 1 + n_eligible         # one label for presence
     probs = np.array([float(l.split(",")[2]) for l in lines[1:]])
     assert np.all((probs >= 0) & (probs <= 1))
+
+
+def test_predict_chunking_matches(corpus_dir, featured, monkeypatch):
+    # BLAS sums a matmul's products in an order that depends on the number
+    # of rows, so a window can score differently in its last bits when it
+    # lands in another chunk (up to 5.6e-17 seen); 1e-15 is a few float64
+    # ulps of a probability
+    config = fast_config(corpus_dir, featured, prop="semantics", modality="both")
+    recs = corpus.load_manifest(config.manifest)
+    ds = load_dataset(recs, config.features_path(), config.embeddings)
+    provider = WindowProvider(ds, "semantics", "both")
+    spec = _model_spec(config, provider, ds.emb_matrix.shape[1] + 1)
+    idx = np.flatnonzero(ds.eligible)
+    params = [net.init_params(spec, seed=s) for s in range(5)]
+    full = [_predict(spec, p, provider, idx) for p in params]
+    monkeypatch.setattr(experiment, "PREDICT_CHUNK", 7)
+    for p, want in zip(params, full):
+        small = _predict(spec, p, provider, idx)
+        assert small.shape == (len(idx), provider.n_labels)
+        np.testing.assert_allclose(small, want, rtol=0, atol=1e-15)
+
+
+def test_predict_memory_is_flat_in_recording_length(tmp_path):
+    # predict builds each chunk's windows only when the chunk runs; building
+    # a recording's whole batch first peaked ~150 MB higher at 600 s than at
+    # 120 s on one recording
+    enc = net.EncoderSpec(layers=2, channels=32, out_dim=32)
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
+                         decoder=net.DecoderSpec(hidden=48))
+    ckpt = tmp_path / "model.ckpt"
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0),
+                        meta={"property": "presence", "modality": "both"})
+    peaks = []
+    for seconds in (120.0, 600.0):
+        root = tmp_path / f"s{seconds:.0f}"
+        synth.generate_synthetic_corpus(
+            replace(synth.preset("combined"), n_speakers=1, duration=seconds),
+            seed=3, out_dir=root)
+        config = ExperimentConfig(manifest=str(root / "manifest.json"),
+                                  embeddings=str(root / "vectors.txt"),
+                                  out_dir=str(root / "run"))
+        run_features(config)
+        tracemalloc.start()
+        try:
+            run_predict(config, ckpt)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 15e6, [p / 1e6 for p in peaks]
 
 
 def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):

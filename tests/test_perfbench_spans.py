@@ -75,8 +75,19 @@ def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
                                reps=1))
         result = worker.measure(Namespace(workload=workload, root=root, size="tiny",
                                           seconds=0, trace=0, spans=None))
+        if workload == "cv_combined":
+            traced = worker.measure(Namespace(workload=workload, root=root, size="tiny",
+                                              seconds=0, trace=1,
+                                              spans=str(tmp_path / "spans.json")))
     finally:
         for name in modules:
             sys.modules.pop(name, None)
     assert result["failed"] == 0
     assert result["problems"] == []
+    if workload == "cv_combined":
+        # the tracer counts the frames net.predict_probs scores from its
+        # audio=/text= keywords, and files a call under train as validation
+        # scoring; every fold's report comes from that scorer
+        assert traced["failed"] == 0
+        assert traced["layers"]["net.predict_probs.score_frames"] > 0
+        assert traced["layers"]["net.predict_probs.report_s"] == 0
