@@ -422,13 +422,18 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         if meta.get(key, value) != value:
             raise ValueError(f"{checkpoint}: the model was trained for {key} "
                              f"{meta[key]!r}, not {value!r}")
+    if spec.audio is not None and "norm" not in meta:
+        raise ValueError(f"{checkpoint}: an audio model needs a norm in its meta")
     out = _out_dir(config.out_dir)
     (out / "predictions").mkdir(exist_ok=True)
     _, dataset = _load_corpus(config)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=meta.get("speakers") if spec.speaker_dim else None)
-    if meta.get("norm"):
-        provider.set_norm(meta["norm"])
+    if spec.audio is not None:
+        try:
+            provider.set_norm(meta["norm"])
+        except ValueError as exc:
+            raise ValueError(f"{checkpoint}: {exc}") from None
     names = SCHEMAS[config.prop].labels
 
     written = []

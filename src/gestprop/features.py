@@ -256,8 +256,15 @@ class WindowProvider:
         return {"mean": self.norm_mean.tolist(), "std": self.norm_std.tolist()}
 
     def set_norm(self, state: dict) -> None:
-        self.norm_mean = np.asarray(state["mean"], dtype=np.float32)
-        self.norm_std = np.asarray(state["std"], dtype=np.float32)
+        """Use saved statistics: finite, one per channel, every std > 0."""
+        mean = np.asarray(state.get("mean"), dtype=np.float32)
+        std = np.asarray(state.get("std"), dtype=np.float32)
+        n = len(PROSODY_COLUMNS)
+        if not (mean.shape == std.shape == (n,) and np.isfinite(mean).all()
+                and (np.isfinite(std) & (std > 0)).all()):
+            raise ValueError(f"norm needs {n} finite means and {n} finite stds > 0, "
+                             f"got mean {mean.tolist()} and std {std.tolist()}")
+        self.norm_mean, self.norm_std = mean, std
 
     def labels_at(self, idx: np.ndarray) -> np.ndarray:
         return self._labels[np.asarray(idx)]

@@ -19,6 +19,7 @@ start at zero.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -111,13 +112,6 @@ class ModelSpec:
         return from_fields(cls, d)
 
 
-class ModelParams:
-    """Named parameter buffers; plain ndarrays between training steps."""
-
-    def __init__(self, tensors: dict[str, np.ndarray]):
-        self.tensors = tensors
-
-
 def _layer_dims(spec: ModelSpec):
     """Yield (name, shape, fan_in) for every parameter tensor in order."""
     dec_in = 0
@@ -142,17 +136,35 @@ def _layer_dims(spec: ModelSpec):
     yield "head.b", (spec.n_labels,), None
 
 
+def _n_params(spec: ModelSpec) -> int:
+    return sum(math.prod(shape) for _, shape, _ in _layer_dims(spec))
+
+
+class ModelParams:
+    """Every parameter in one vector, in _layer_dims order; .tensors are
+    named views into it, so an update of .flat updates them all."""
+
+    def __init__(self, spec: ModelSpec, flat: np.ndarray):
+        if flat.shape != (_n_params(spec),):
+            raise ValueError(f"the model has {_n_params(spec)} parameters, "
+                             f"got a vector of shape {flat.shape}")
+        self.flat = flat
+        self.tensors = {}
+        end = 0
+        for name, shape, _ in _layer_dims(spec):
+            start, end = end, end + math.prod(shape)
+            self.tensors[name] = flat[start:end].reshape(shape)
+
+
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
     """Uniform(-a, a) weights with a = sqrt(6 / fan_in); zero biases."""
     rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    tensors = {}
+    params = ModelParams(spec, np.zeros(_n_params(spec), dtype=dtype))
     for name, shape, fan_in in _layer_dims(spec):
-        if fan_in is None:
-            tensors[name] = np.zeros(shape, dtype=dtype)
-        else:
+        if fan_in is not None:
             a = np.sqrt(6.0 / fan_in)
-            tensors[name] = rng.uniform(-a, a, size=shape).astype(dtype)
-    return ModelParams(tensors)
+            params.tensors[name][...] = rng.uniform(-a, a, size=shape)
+    return params
 
 
 def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
@@ -234,6 +246,11 @@ def forward(spec: ModelSpec, params: ModelParams,
     return probs, pt
 
 
+def flat_grad(pt: dict[str, Tensor]) -> np.ndarray:
+    """The gradients forward's param_tensors hold, laid out like params.flat."""
+    return np.concatenate([t.grad.ravel() for t in pt.values()])
+
+
 def predict_probs(spec: ModelSpec, params: ModelParams,
                   audio: np.ndarray | None = None,
                   text: np.ndarray | None = None,
@@ -246,7 +263,8 @@ def predict_probs(spec: ModelSpec, params: ModelParams,
 
 def save_checkpoint(path: str | Path, spec: ModelSpec, params: ModelParams,
                     meta: dict | None = None) -> None:
-    """Versioned binary checkpoint: JSON header + named little-endian buffers."""
+    """Versioned binary checkpoint: a JSON header listing each parameter's
+    name, shape and dtype, then params.flat as one little-endian buffer."""
     entries = [
         {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
         for name, arr in params.tensors.items()
@@ -257,18 +275,20 @@ def save_checkpoint(path: str | Path, spec: ModelSpec, params: ModelParams,
         "params": entries,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    flat = params.flat
     path = Path(path)
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        for name, arr in params.tensors.items():
-            fh.write(np.ascontiguousarray(arr).astype(arr.dtype.newbyteorder("<")).tobytes())
+        fh.write(flat.astype(flat.dtype.newbyteorder("<")).tobytes())
     tmp.replace(path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
+    """The spec, parameters and meta; the header must list the spec's
+    parameters in order, with their shapes and one dtype."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
@@ -277,29 +297,28 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
             (blob_len,) = struct.unpack("<Q", fh.read(8))
             header = json.loads(fh.read(blob_len).decode("utf-8"))
             spec_dict = header["spec"]
-            entries = [(e["name"], e["shape"], np.dtype(e["dtype"]))
-                       for e in header["params"]]
+            listed = [(e["name"], tuple(e["shape"])) for e in header["params"]]
+            dtypes = sorted({str(np.dtype(e["dtype"])) for e in header["params"]})
         except (struct.error, ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"{path}: truncated or corrupt header "
                              f"({type(exc).__name__}: {exc})") from None
-        tensors = {}
-        for name, shape, dtype in entries:
-            dt = dtype.newbyteorder("<")
-            count = int(np.prod(shape)) if shape else 1
-            buf = fh.read(count * dt.itemsize)
-            if len(buf) != count * dt.itemsize:
-                raise ValueError(f"{path}: truncated buffer for {name}")
-            tensors[name] = np.frombuffer(buf, dtype=dt).reshape(shape).astype(dtype)
+        try:
+            spec = ModelSpec.from_dict(spec_dict)
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        want = [(name, shape) for name, shape, _ in _layer_dims(spec)]
+        if listed != want:
+            bad = sorted({name for name, _ in set(listed) ^ set(want)})
+            why = f"{bad} are missing, extra or misshapen" if bad else "are out of order"
+            raise ValueError(f"{path}: parameters {why} for the model spec")
+        if len(dtypes) != 1:
+            raise ValueError(f"{path}: parameters of mixed dtypes {dtypes}")
+        dtype = np.dtype(dtypes[0])
+        size = _n_params(spec) * dtype.itemsize
+        buf = fh.read(size)
+        if len(buf) != size:
+            raise ValueError(f"{path}: truncated parameter buffer")
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after the last buffer")
-    try:
-        spec = ModelSpec.from_dict(spec_dict)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    want = {name: shape for name, shape, _ in _layer_dims(spec)}
-    bad = sorted(n for n in want.keys() | tensors.keys()
-                 if n not in tensors or tensors[n].shape != want.get(n))
-    if bad:
-        raise ValueError(f"{path}: parameters {bad} are missing, extra or "
-                         f"misshapen for the model spec")
-    return spec, ModelParams(tensors), header.get("meta", {})
+    flat = np.frombuffer(buf, dtype=dtype.newbyteorder("<")).astype(dtype)
+    return spec, ModelParams(spec, flat), header.get("meta", {})

@@ -5,8 +5,9 @@ backward closure that routes the output gradient to those parents.
 Tensor.backward() topologically sorts the graph and runs the closures in
 reverse. Only the operations the gesture models need are implemented:
 broadcasting add/mul, matmul against 2-D weights, dilated 1-D convolution,
-ReLU, sigmoid, softmax, log, constant power, clip, reductions, slicing along
-time, concatenation, and inverted-scale dropout.
+ReLU, sigmoid, softmax, slicing along time, concatenation, inverted-scale
+dropout, and a full sum. The training loss is one node of its own, built in
+training.loss_batch.
 
 Gradients are only computed for branches that contain a requires_grad leaf;
 inputs default to requires_grad=False, parameters to True.
@@ -32,9 +33,10 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        if self.grad is None:      # a copy: g may be a view (add, concat)
+            self.grad = np.array(g, dtype=self.data.dtype)
+        else:
+            self.grad += g
 
     def backward(self):
         if self.data.size != 1:
@@ -167,53 +169,12 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def tlog(x: Tensor) -> Tensor:
-    out = Tensor(np.log(x.data), _prev=(x,))
+def tsum(x: Tensor) -> Tensor:
+    out = Tensor(x.data.sum(), _prev=(x,))
 
     def _bw(g):
         if x.requires_grad:
-            x._accumulate(g / x.data)
-
-    out._backward = _bw
-    return out
-
-
-def tpow(x: Tensor, p: float) -> Tensor:
-    """x ** p for a constant exponent."""
-    out = Tensor(x.data ** p, _prev=(x,))
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g * p * x.data ** (p - 1.0))
-
-    out._backward = _bw
-    return out
-
-
-def clip(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp values; gradient flows only through the unclamped interior."""
-    out = Tensor(np.clip(x.data, lo, hi), _prev=(x,))
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(g * ((x.data > lo) & (x.data < hi)))
-
-    out._backward = _bw
-    return out
-
-
-def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), _prev=(x,))
-
-    def _bw(g):
-        if not x.requires_grad:
-            return
-        if axis is None:
-            x._accumulate(np.broadcast_to(g, x.data.shape).copy()
-                          if np.ndim(g) else np.full_like(x.data, g))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            x._accumulate(np.broadcast_to(gg, x.data.shape).copy())
+            x._accumulate(np.full_like(x.data, g))
 
     out._backward = _bw
     return out

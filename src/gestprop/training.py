@@ -9,10 +9,12 @@ to the true outcome (the target class under a softmax head; per label, p or
     class_balanced_focal:   (1-beta)/(1-beta^n_l) * focal, n_l = training
                             count of label l
 
-Probabilities are clamped to [1e-7, 1 - 1e-7] before the log; a batch loss
-is the sum of its frame losses. Optimization is Adam. Optional balancing
-duplicates frames positive for an underrepresented label (with replacement,
-seeded) until that label's positive count reaches half its majority side.
+Probabilities are clamped to [1e-7, 1 - 1e-7] before the log, with no
+gradient at or beyond the clamp. A batch loss, the sum of its frame losses,
+is one graph node with a hand-written backward. Adam updates the one flat
+parameter vector. Optional balancing duplicates frames positive for an
+underrepresented label (with replacement, seeded) until that label's
+positive count reaches half its majority side.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import tensor as T
 from .evaluation import PropertyReport
-from .net import ModelParams, ModelSpec, forward, from_fields, init_params
+from .net import ModelParams, ModelSpec, flat_grad, forward, from_fields, init_params
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -78,49 +79,60 @@ def _loss_weights(loss: LossSpec, n_labels: int,
 
 def loss_batch(probs: Tensor, targets: np.ndarray, loss: LossSpec,
                exclusive: bool, class_counts: np.ndarray | None = None) -> Tensor:
-    """Differentiable batch loss: the sum of frame losses."""
-    y = np.asarray(targets, dtype=probs.data.dtype)
-    w = _loss_weights(loss, probs.shape[-1], class_counts).astype(probs.data.dtype)
+    """Differentiable batch loss, the sum of frame losses, as one graph node.
+
+    The backward takes the forward's steps in reverse, each with the same
+    array operations in the same dtype. Under cross-entropy gamma is 0, so
+    the focal factor is exactly 1 and its gradient term exactly 0.
+    """
+    x = probs.data
+    y = np.asarray(targets, dtype=x.dtype)
+    w = _loss_weights(loss, x.shape[-1], class_counts).astype(x.dtype)
     gamma = loss.gamma if loss.kind != "cross_entropy" else 0.0
-    p = T.clip(probs, PROB_EPS, 1.0 - PROB_EPS)
+    p = np.clip(x, PROB_EPS, 1.0 - PROB_EPS)
     if exclusive:
-        pt = T.tsum(T.mul(p, y), axis=-1)                    # (B,)
-        row_w = (y @ w).astype(probs.data.dtype)
-        term = T.mul(T.mul(T.tlog(pt), -1.0), row_w)
+        pt = (p * y).sum(axis=-1)                            # (B,)
+        w = (y @ w).astype(x.dtype)
     else:
-        pt = T.add(T.mul(p, y), T.mul(T.add(T.mul(p, -1.0), 1.0), 1.0 - y))
-        term = T.mul(T.mul(T.tlog(pt), -1.0), w)
-    if gamma > 0.0:
-        one_minus = T.add(T.mul(pt, -1.0), 1.0)
-        term = T.mul(term, T.tpow(one_minus, gamma))
-    return T.tsum(term)
+        pt = p * y + (1.0 - p) * (1.0 - y)
+    nll = -np.log(pt) * w
+    one_minus = 1.0 - pt
+    focus = one_minus ** gamma                               # 1 at gamma = 0
+    term = nll * focus
+    out = Tensor(term.sum(), _prev=(probs,))
+
+    def _bw(g):
+        d_term = np.full_like(term, g)
+        d_pt = (-(d_term * focus * w) / pt
+                - d_term * nll * gamma * one_minus ** (gamma - 1.0))
+        d_p = d_pt[:, None] * y if exclusive else d_pt * y - d_pt * (1.0 - y)
+        if probs.requires_grad:
+            probs._accumulate(d_p * ((x > PROB_EPS) & (x < 1.0 - PROB_EPS)))
+
+    out._backward = _bw
+    return out
 
 
 # ------------------------------------------------------------------ optimizer
 
 class Adam:
-    """Standard Adam with bias correction."""
+    """Standard Adam with bias correction, over one flat parameter vector."""
 
-    def __init__(self, params: ModelParams, lr: float):
-        self.params = params
+    def __init__(self, flat: np.ndarray, lr: float):
+        self.flat = flat
         self.lr = lr
         self.t = 0
-        self.m = {k: np.zeros_like(v) for k, v in params.tensors.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.tensors.items()}
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
 
-    def step(self, grads: dict[str, np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
+        """Update flat in place from grad, laid out like it."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        for name, arr in self.params.tensors.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            m = self.m[name]
-            v = self.v[name]
-            m += (1.0 - ADAM_BETA1) * (g - m)
-            v += (1.0 - ADAM_BETA2) * (g * g - v)
-            arr -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
+        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 # ------------------------------------------------------------------ balancing
@@ -211,7 +223,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     ss = np.random.SeedSequence([int(seed)])
     s_init, s_batch, s_drop, s_up = (int(c.generate_state(1)[0]) for c in ss.spawn(4))
     params = init_params(spec, seed=s_init)
-    opt = Adam(params, lr=config.lr)
+    opt = Adam(params.flat, lr=config.lr)
     rng_batch = np.random.default_rng(s_batch)
     rng_drop = np.random.default_rng(s_drop)
 
@@ -244,7 +256,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
             break
         seg_losses.append(value / len(idx))
         loss.backward()
-        opt.step({name: t.grad for name, t in pt.items() if t.grad is not None})
+        opt.step(flat_grad(pt))
         if step in eval_steps:
             record.report = score(params)
             record.curve.append((step, record.report.headline()))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gestprop import cli
+from gestprop import cli, net
 
 
 @pytest.fixture(scope="module")
@@ -89,6 +89,32 @@ def test_predict_takes_property_and_modality_from_the_checkpoint(
                    "--checkpoint", str(cut)])
     assert rc == 2
     assert "cut.ckpt: truncated or corrupt header" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("norm,why", [
+    (None, "an audio model needs a norm"),
+    ({"mean": [0.5], "std": [2.0]}, "got mean [0.5] and std [2.0]"),
+    ({"mean": [0.0] * 5, "std": [1.0, 1.0, 0.0, 1.0, 1.0]}, "stds > 0"),
+    ({"mean": [0.0, float("nan"), 0.0, 0.0, 0.0], "std": [1.0] * 5}, "got mean [0.0, nan"),
+])
+def test_predict_rejects_a_norm_it_cannot_apply(pipeline, tmp_path, capsys, norm, why):
+    # one mean would broadcast over all five channels and a zero std gives
+    # inf windows; neither may reach the model
+    corpus, run, _ = pipeline
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, text=None)
+    meta = {"property": "presence", "modality": "audio"}
+    if norm is not None:
+        meta["norm"] = norm
+    ckpt = tmp_path / "bad_norm.ckpt"
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0), meta)
+    rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
+                   "--embeddings", str(corpus / "vectors.txt"),
+                   "--out", str(tmp_path), "--features-dir", str(run / "features"),
+                   "--checkpoint", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "bad_norm.ckpt: " in err and why in err
+    assert not (tmp_path / "predictions" / "rec_00000.csv").exists()
 
 
 @pytest.mark.parametrize("settings,named", [

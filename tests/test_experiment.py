@@ -272,7 +272,8 @@ def test_predict_memory_is_flat_in_recording_length(tmp_path):
                          decoder=net.DecoderSpec(hidden=48))
     ckpt = tmp_path / "model.ckpt"
     net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0),
-                        meta={"property": "presence", "modality": "both"})
+                        meta={"property": "presence", "modality": "both",
+                              "norm": {"mean": [0.0] * 5, "std": [1.0] * 5}})
     peaks = []
     for seconds in (120.0, 600.0):
         root = tmp_path / f"s{seconds:.0f}"
@@ -301,13 +302,12 @@ def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
     assert spec.speaker_dim == 2 and meta["speakers"] == sorted(meta["speakers"])
     assert run_predict(config, ckpt)
 
-    # the model's speakers listed in the other order: same traces, swapped rows
+    # the model's speakers listed in the other order: same traces, swapped
+    # rows, edited in place in the one parameter buffer
     swapped = tmp_path / "swapped.ckpt"
-    tensors = dict(params.tensors)
-    w = tensors["dec.fc0.w"].copy()
-    w[-2:] = w[-2:][::-1]
-    tensors["dec.fc0.w"] = w
-    net.save_checkpoint(swapped, spec, net.ModelParams(tensors),
+    w = params.tensors["dec.fc0.w"]
+    w[-2:] = w[-2:][::-1].copy()
+    net.save_checkpoint(swapped, spec, params,
                         {**meta, "speakers": meta["speakers"][::-1]})
     trace = tmp_path / "predictions" / "rec_00000.csv"
     first = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2)

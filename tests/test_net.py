@@ -8,8 +8,8 @@ import pytest
 
 from gestprop import tensor as T
 from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParams,
-                          ModelSpec, conv_stack, forward, init_params, load_checkpoint,
-                          predict_probs, save_checkpoint)
+                          ModelSpec, _layer_dims, conv_stack, forward, init_params,
+                          load_checkpoint, predict_probs, save_checkpoint)
 from gestprop.tensor import Tensor
 
 RNG = np.random.default_rng(8)
@@ -310,18 +310,82 @@ def test_checkpoint_with_unknown_spec_keys_names_the_file(tmp_path):
         load_checkpoint(path)
 
 
+def frame(header: dict, body: bytes = b"") -> bytes:
+    """Checkpoint bytes: magic, header length, the JSON header, then the buffer."""
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return CHECKPOINT_MAGIC + struct.pack("<Q", len(text)) + text + body
+
+
+def entries_of(params, dtype="float32"):
+    return [{"name": name, "shape": list(arr.shape), "dtype": dtype}
+            for name, arr in params.tensors.items()]
+
+
+def test_params_are_named_views_of_one_vector():
+    spec = small_spec(speaker_dim=2)
+    params = init_params(spec, seed=3)
+    assert list(params.tensors) == [name for name, _, _ in _layer_dims(spec)]
+    assert np.array_equal(np.concatenate([a.ravel() for a in params.tensors.values()]),
+                          params.flat)
+    params.flat[:] = 2.0
+    assert all(np.all(a == 2.0) for a in params.tensors.values())
+    with pytest.raises(ValueError, match=f"has {params.flat.size} parameters"):
+        ModelParams(spec, params.flat[:-1])
+
+
+def test_checkpoint_format_is_a_header_then_each_parameter_in_turn(tmp_path):
+    # the layout checkpoints had when every parameter was its own array: the
+    # header lists name, shape and dtype in _layer_dims order, then each
+    # parameter's little-endian bytes follow in that order
+    spec = small_spec("softmax", speaker_dim=2)
+    rng = np.random.default_rng(4)
+    tensors = {name: rng.normal(size=shape).astype(np.float32)
+               for name, shape, _ in _layer_dims(spec)}
+    header = {"spec": spec.to_dict(), "meta": {"fold": 1},
+              "params": [{"name": name, "shape": list(arr.shape), "dtype": "float32"}
+                         for name, arr in tensors.items()]}
+    data = frame(header, b"".join(arr.astype("<f4").tobytes() for arr in tensors.values()))
+    path = tmp_path / "per_tensor.ckpt"
+    path.write_bytes(data)
+    spec2, params, meta = load_checkpoint(path)
+    assert spec2 == spec and meta == {"fold": 1}
+    assert list(params.tensors) == list(tensors)
+    for name, arr in tensors.items():
+        assert params.tensors[name].dtype == np.float32
+        assert np.array_equal(params.tensors[name], arr)
+    save_checkpoint(tmp_path / "again.ckpt", spec2, params, meta)
+    assert (tmp_path / "again.ckpt").read_bytes() == data
+
+
 def test_checkpoint_rejects_params_that_do_not_fit_the_spec(tmp_path):
     spec = small_spec()
     params = init_params(spec, seed=0)
-    wide = init_params(small_spec(n_labels=5), seed=0)
+    entries = entries_of(params)
+    body = params.flat.astype("<f4").tobytes()
+    wide = {"name": "head.w", "shape": [10, 5], "dtype": "float32"}
     cases = {
-        "misshapen": {**params.tensors, "head.w": wide.tensors["head.w"],
-                      "head.b": wide.tensors["head.b"]},
-        "missing": {k: v for k, v in params.tensors.items() if k != "dec.fc0.b"},
-        "extra": {**params.tensors, "dec.fc9.b": np.zeros(3, dtype=np.float32)},
+        "misshapen": [wide if e["name"] == "head.w" else e for e in entries],
+        "missing": [e for e in entries if e["name"] != "dec.fc0.b"],
+        "extra": entries + [{"name": "dec.fc9.b", "shape": [3], "dtype": "float32"}],
     }
-    for name, tensors in cases.items():
+    for name, listed in cases.items():
         path = tmp_path / f"{name}.ckpt"
-        save_checkpoint(path, spec, ModelParams(tensors))
+        path.write_bytes(frame({"spec": spec.to_dict(), "meta": {}, "params": listed},
+                               body))
         with pytest.raises(ValueError, match=f"{name}.ckpt.*misshapen for the model spec"):
             load_checkpoint(path)
+
+    swapped = entries[1::-1] + entries[2:]
+    path = tmp_path / "swapped.ckpt"
+    path.write_bytes(frame({"spec": spec.to_dict(), "meta": {}, "params": swapped}, body))
+    with pytest.raises(ValueError, match="swapped.ckpt: parameters are out of order"):
+        load_checkpoint(path)
+
+    # one float64 entry among float32 ones: nothing writes it, and one
+    # buffer cannot hold it
+    mixed = [{**e, "dtype": "float64"} if e["name"] == "head.b" else e for e in entries]
+    path = tmp_path / "mixed.ckpt"
+    path.write_bytes(frame({"spec": spec.to_dict(), "meta": {}, "params": mixed},
+                           body + bytes(4 * spec.n_labels)))
+    with pytest.raises(ValueError, match=r"mixed.ckpt: .*mixed dtypes \['float32', 'float64'\]"):
+        load_checkpoint(path)

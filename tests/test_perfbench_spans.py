@@ -88,6 +88,12 @@ def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
         # the tracer counts the frames net.predict_probs scores from its
         # audio=/text= keywords, and files a call under train as validation
         # scoring; every fold's report comes from that scorer
+        layers = traced["layers"]
         assert traced["failed"] == 0
-        assert traced["layers"]["net.predict_probs.score_frames"] > 0
-        assert traced["layers"]["net.predict_probs.report_s"] == 0
+        assert layers["net.predict_probs.score_frames"] > 0
+        assert layers["net.predict_probs.report_s"] == 0
+        # the tracer counts a step per Adam.step call and times the loss and
+        # the update there: 2 folds of 30 steps, one backward each
+        assert layers["training.steps"] == 2 * 30
+        assert layers["tensor.Tensor.backward.calls"] == layers["training.steps"]
+        assert layers["training.loss_batch.s"] > 0 and layers["training.Adam.step.s"] > 0

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gestprop.evaluation import binarize, evaluate_property
-from gestprop.net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec,
-                          predict_probs)
+from gestprop.gradcheck import numeric_grad, relative_error
+from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, init_params, predict_probs
 from gestprop.tensor import Tensor
-from gestprop.training import (PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
+from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
                                class_balance_weights, default_space,
                                loss_batch, random_search,
                                sample_hyperparams, train, upsample)
@@ -102,6 +102,40 @@ def test_batch_loss_matches_frame_sum(kind, exclusive):
     assert got == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("exclusive", [False, True])
+@pytest.mark.parametrize("kind", ["cross_entropy", "focal", "class_balanced_focal"])
+def test_batch_loss_gradient_matches_central_differences(kind, exclusive):
+    rng = np.random.default_rng([LOSS_KINDS.index(kind), exclusive])
+    n, L = 6, 4
+    if exclusive:
+        probs = rng.dirichlet(np.full(L, 4.0), size=n)
+        targets = np.eye(L)[rng.integers(0, L, n)]
+    else:
+        probs = rng.uniform(0.05, 0.95, size=(n, L))
+        targets = rng.integers(0, 2, size=(n, L)).astype(float)
+    # the loss is flat at or beyond the clamp: rows 0-3 hold 0, PROB_EPS,
+    # 1 - PROB_EPS and 1 at the target class (softmax) or on the diagonal
+    # (sigmoid), and a sigmoid row 0 holds all four
+    for i, value in enumerate((0.0, PROB_EPS, 1.0 - PROB_EPS, 1.0)):
+        probs[i, np.argmax(targets[i]) if exclusive else i] = value
+    if not exclusive:
+        probs[0] = (0.0, PROB_EPS, 1.0 - PROB_EPS, 1.0)
+    clamped = (probs <= PROB_EPS) | (probs >= 1.0 - PROB_EPS)
+    counts = targets.sum(axis=0) + 1
+    loss = LossSpec(kind, gamma=2.0, beta=0.99)
+    x = Tensor(probs, requires_grad=True)
+    loss_batch(x, targets, loss, exclusive, counts).backward()
+    assert x.grad.dtype == np.float64
+    assert np.all(x.grad[clamped] == 0.0)
+
+    def value():
+        return sum(loss_frame(probs[i], targets[i], loss, exclusive, counts)
+                   for i in range(n))
+
+    numeric = numeric_grad(value, probs)
+    assert relative_error(x.grad[~clamped], numeric[~clamped]) < 1e-7
+
+
 def test_batch_loss_gradient_is_finite():
     probs = Tensor(RNG.uniform(0.05, 0.95, size=(6, 3)), requires_grad=True)
     targets = RNG.integers(0, 2, size=(6, 3)).astype(float)
@@ -121,19 +155,28 @@ def test_loss_spec_validation():
 
 def test_adam_first_step_size_is_lr():
     for scale in (1.0, 1e3):
-        params = ModelParams({"w": np.zeros(1)})
-        opt = Adam(params, lr=0.01)
-        opt.step({"w": np.full(1, scale)})
-        assert params.tensors["w"][0] == pytest.approx(-0.01, rel=1e-3)
+        w = np.zeros(3)
+        Adam(w, lr=0.01).step(np.array([scale, -scale, 0.0]))
+        assert w == pytest.approx([-0.01, 0.01, 0.0], rel=1e-3)
 
 
 def test_adam_minimizes_quadratic():
-    params = ModelParams({"w": np.array([10.0])})
-    opt = Adam(params, lr=0.3)
+    w = np.array([10.0, -4.0])
+    opt = Adam(w, lr=0.3)
     for _ in range(300):
-        w = params.tensors["w"]
-        opt.step({"w": 2 * (w - 3.0)})
-    assert params.tensors["w"][0] == pytest.approx(3.0, abs=1e-3)
+        opt.step(2 * (w - 3.0))
+    assert w == pytest.approx([3.0, 3.0], abs=1e-3)
+
+
+def test_adam_updates_the_params_views():
+    spec = ModelSpec(head="sigmoid", n_labels=2, audio=None,
+                     text=EncoderSpec(layers=1, channels=3, out_dim=3),
+                     decoder=DecoderSpec(hidden=3), text_dim=4)
+    params = init_params(spec, seed=0)
+    before = {name: arr.copy() for name, arr in params.tensors.items()}
+    Adam(params.flat, lr=0.1).step(np.ones_like(params.flat))
+    for name, arr in params.tensors.items():
+        np.testing.assert_allclose(arr, before[name] - 0.1, rtol=0, atol=1e-6)
 
 
 def test_upsample_reaches_half_majority():
