@@ -285,7 +285,7 @@ def write_annotations(tiers: list[AnnotationTier], path: str | Path) -> None:
 
 
 def read_interlocutor(path: str | Path) -> list[tuple[float, float]]:
-    """Read `start_ms<TAB>end_ms` rows."""
+    """Read `start_ms<TAB>end_ms` rows; each must end after it starts."""
     out = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -295,7 +295,11 @@ def read_interlocutor(path: str | Path) -> list[tuple[float, float]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 2 tab-separated fields")
-            out.append((float(parts[0]) / 1000.0, float(parts[1]) / 1000.0))
+            start, end = float(parts[0]) / 1000.0, float(parts[1]) / 1000.0
+            if end <= start:
+                raise ValueError(f"{path}: line {lineno}: empty or inverted interval "
+                                 f"({start}, {end})")
+            out.append((start, end))
     return out
 
 

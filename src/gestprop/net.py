@@ -197,7 +197,7 @@ def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
 def _encode(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
             training: bool, rng) -> Tensor:
     e = conv_stack(prefix, enc, x, pt, training, rng)
-    e = T.relu(T.add(T.matmul(e, pt[f"{prefix}.proj.w"]), pt[f"{prefix}.proj.b"]))
+    e = T.relu(T.linear(e, pt[f"{prefix}.proj.w"], pt[f"{prefix}.proj.b"]))
     return T.dropout(e, enc.dropout, rng, training)
 
 
@@ -237,12 +237,12 @@ def forward(spec: ModelSpec, params: ModelParams,
         embeddings.append(Tensor(_checked("speaker one-hots", speaker,
                                           (spec.speaker_dim,))))
 
-    h = embeddings[0] if len(embeddings) == 1 else T.concat(embeddings, axis=-1)
+    h = embeddings[0] if len(embeddings) == 1 else T.concat(embeddings)
     for i in range(spec.decoder.layers):
-        h = T.relu(T.add(T.matmul(h, pt[f"dec.fc{i}.w"]), pt[f"dec.fc{i}.b"]))
+        h = T.relu(T.linear(h, pt[f"dec.fc{i}.w"], pt[f"dec.fc{i}.b"]))
         h = T.dropout(h, spec.decoder.dropout, rng, training)
-    logits = T.add(T.matmul(h, pt["head.w"]), pt["head.b"])
-    probs = T.sigmoid(logits) if spec.head == "sigmoid" else T.softmax(logits, axis=-1)
+    logits = T.linear(h, pt["head.w"], pt["head.b"])
+    probs = T.sigmoid(logits) if spec.head == "sigmoid" else T.softmax(logits)
     return probs, pt
 
 

@@ -3,10 +3,11 @@
 Each Tensor wraps an ndarray value, the tensors it was computed from, and a
 backward closure that routes the output gradient to those parents.
 Tensor.backward() topologically sorts the graph and runs the closures in
-reverse. Only the operations the gesture models need are implemented:
-broadcasting add/mul, matmul against 2-D weights, dilated 1-D convolution,
-ReLU, sigmoid, softmax, slicing along time, concatenation, inverted-scale
-dropout, and a full sum. The training loss is one node of its own, built in
+reverse. Only the layers the gesture models run are implemented, each as one
+node: dilated 1-D convolution over (B, T, C), picking one time step, the
+dense layer x @ w + b, ReLU, sigmoid, softmax and concatenation along the
+last axis, and inverted-scale dropout; there is no general elementwise
+arithmetic. The training loss is one node of its own, built in
 training.loss_batch.
 
 Gradients are only computed for branches that contain a requires_grad leaf;
@@ -33,7 +34,7 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g):
-        if self.grad is None:      # a copy: g may be a view (add, concat)
+        if self.grad is None:      # a copy: g may be a view (concat)
             self.grad = np.array(g, dtype=self.data.dtype)
         else:
             self.grad += g
@@ -64,66 +65,18 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, grad={'set' if self.grad is not None else 'none'})"
 
-
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to the parent's shape."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
-
-
-def add(a: Tensor, b) -> Tensor:
-    bt = b if isinstance(b, Tensor) else None
-    bdata = b.data if bt is not None else np.asarray(b, dtype=a.data.dtype)
-    out = Tensor(a.data + bdata, _prev=(a, bt) if bt is not None else (a,))
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Dense layer x (B, k) @ w (k, n) + b (n,), as one node."""
+    out = Tensor(x.data @ w.data + b.data, _prev=(x, w, b))
 
     def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(g, bt.data.shape))
-
-    out._backward = _bw
-    return out
-
-
-def mul(a: Tensor, b) -> Tensor:
-    bt = b if isinstance(b, Tensor) else None
-    bdata = bt.data if bt is not None else np.asarray(b, dtype=a.data.dtype)
-    out = Tensor(a.data * bdata, _prev=(a, bt) if bt is not None else (a,))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * bdata, a.data.shape))
-        if bt is not None and bt.requires_grad:
-            bt._accumulate(_unbroadcast(g * a.data, bt.data.shape))
-
-    out._backward = _bw
-    return out
-
-
-def matmul(a: Tensor, w: Tensor) -> Tensor:
-    """a (..., m, k) @ w (k, n); weights are always 2-D here."""
-    if w.data.ndim != 2:
-        raise ValueError(f"matmul weight must be 2-D, got shape {w.data.shape}")
-    out = Tensor(a.data @ w.data, _prev=(a, w))
-
-    def _bw(g):
-        if a.requires_grad:
-            a._accumulate(g @ w.data.T)
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
         if w.requires_grad:
-            k = a.data.shape[-1]
-            n = g.shape[-1]
-            w._accumulate(a.data.reshape(-1, k).T @ g.reshape(-1, n))
+            w._accumulate(x.data.T @ g)
+        if b.requires_grad:
+            b._accumulate(g.sum(axis=0))
 
     out._backward = _bw
     return out
@@ -154,40 +107,30 @@ def sigmoid(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    z = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, _prev=(x,))
 
     def _bw(g):
         if x.requires_grad:
-            inner = (g * y).sum(axis=axis, keepdims=True)
+            inner = (g * y).sum(axis=-1, keepdims=True)
             x._accumulate(y * (g - inner))
 
     out._backward = _bw
     return out
 
 
-def tsum(x: Tensor) -> Tensor:
-    out = Tensor(x.data.sum(), _prev=(x,))
-
-    def _bw(g):
-        if x.requires_grad:
-            x._accumulate(np.full_like(x.data, g))
-
-    out._backward = _bw
-    return out
-
-
-def concat(tensors: list[Tensor], axis: int = -1) -> Tensor:
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+def concat(tensors: list[Tensor]) -> Tensor:
+    """Concatenation along the last axis."""
+    out = Tensor(np.concatenate([t.data for t in tensors], axis=-1),
                  _prev=tuple(tensors))
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
+    splits = np.cumsum([t.data.shape[-1] for t in tensors])[:-1]
 
     def _bw(g):
-        parts = np.split(g, splits, axis=axis)
+        parts = np.split(g, splits, axis=-1)
         for t, p in zip(tensors, parts):
             if t.requires_grad:
                 t._accumulate(p)
@@ -218,22 +161,28 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     if rng is None:
         raise ValueError("dropout in training mode needs an rng")
     keep = (rng.random(x.data.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, keep)
+    out = Tensor(x.data * keep, _prev=(x,))
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accumulate(g * keep)
+
+    out._backward = _bw
+    return out
 
 
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
                    rows=None) -> Tensor:
     """Dilated 1-D convolution with zero padding, at the given output rows.
 
-    x: (B, T, C_in) or (T, C_in); w: (k, C_in, C_out) with odd k; b: (C_out,).
+    x: (B, T, C_in); w: (k, C_in, C_out) with odd k; b: (C_out,).
     Output row t sees input positions t + (j - (k-1)/2) * dilation; those
     outside [0, T) read zero. rows are the distinct output positions to
     compute, in order; the default, all T of them, keeps the length.
     """
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
+    xd = x.data
     if xd.ndim != 3:
-        raise ValueError(f"conv input must be (B, T, C) or (T, C), got {x.data.shape}")
+        raise ValueError(f"conv input must be (B, T, C), got {xd.shape}")
     k, c_in, c_out = w.data.shape
     if k % 2 == 0:
         raise ValueError(f"kernel size must be odd, got {k}")
@@ -254,23 +203,22 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
     cols = xd[:, idx_c, :] * valid[None, :, :, None]        # (B, R, k, C_in)
     w2 = w.data.reshape(k * c_in, c_out)
     y = cols.reshape(B, R, k * c_in) @ w2 + b.data
-    out = Tensor(y[0] if squeeze else y, _prev=(x, w, b))
+    out = Tensor(y, _prev=(x, w, b))
 
-    def _bw(g):
-        gd = g[None] if squeeze else g                       # (B, R, C_out)
+    def _bw(g):                                             # (B, R, C_out)
         if b.requires_grad:
-            b._accumulate(gd.sum(axis=(0, 1)))
+            b._accumulate(g.sum(axis=(0, 1)))
         if w.requires_grad:
             cm = cols.reshape(B * R, k * c_in)
-            w._accumulate((cm.T @ gd.reshape(B * R, c_out)).reshape(k, c_in, c_out))
+            w._accumulate((cm.T @ g.reshape(B * R, c_out)).reshape(k, c_in, c_out))
         if x.requires_grad:
             # one scatter per tap; within a tap the input positions are
             # distinct, so a plain indexed add cannot drop a term
             dx = np.zeros_like(xd)
             for j in range(k):
                 ok = valid[:, j]
-                dx[:, idx[ok, j], :] += gd[:, ok, :] @ w.data[j].T
-            x._accumulate(dx[0] if squeeze else dx)
+                dx[:, idx[ok, j], :] += g[:, ok, :] @ w.data[j].T
+            x._accumulate(dx)
 
     out._backward = _bw
     return out

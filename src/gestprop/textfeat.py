@@ -114,9 +114,11 @@ def read_transcript(path: str | Path) -> list[WordToken]:
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
             onset_ms, offset_ms, word = parts
-            words.append(WordToken(word=word,
-                                   onset=float(onset_ms) / 1000.0,
-                                   offset=float(offset_ms) / 1000.0))
+            onset, offset = float(onset_ms) / 1000.0, float(offset_ms) / 1000.0
+            try:
+                words.append(WordToken(word=word, onset=onset, offset=offset))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     words.sort(key=lambda w: (w.onset, w.offset))
     return words
 

@@ -59,9 +59,6 @@ def class_balance_weights(loss: LossSpec, class_counts: np.ndarray) -> np.ndarra
     weights = np.ones_like(counts)
     pos = counts > 0
     weights[pos] = (1.0 - loss.beta) / (1.0 - loss.beta ** counts[pos])
-    if (~pos).any():
-        log.warning("class-balanced weights: %d label(s) have zero positives; using 1.0",
-                    int((~pos).sum()))
     return weights
 
 
@@ -234,6 +231,9 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
         rows = provider.labels_at(pool)
         pool = pool[upsample(rows, np.random.default_rng(s_up))]
     class_counts = provider.labels_at(pool).sum(axis=0)
+    if config.loss.kind == "class_balanced_focal" and (class_counts == 0).any():
+        log.warning("class-balanced weights: %d label(s) have zero positives; using 1.0",
+                    int((class_counts == 0).sum()))
 
     eval_steps = sorted({
         (config.steps * (i + 1)) // config.evals for i in range(config.evals)

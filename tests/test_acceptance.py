@@ -46,6 +46,7 @@ from gestprop.prosody import (
 )
 from gestprop.tensor import Tensor
 from gestprop.training import LossSpec, TrainConfig, loss_batch
+from autodiff_reference import weighted_sum
 
 SCHEMA_CYCLE = (PHASE, CATEGORY, SEMANTICS, PRESENCE)
 
@@ -193,8 +194,7 @@ def test_criterion_04_gradient_checks():
     errors = {}
 
     def wsum(y, seed=7):
-        w = np.random.default_rng(seed).normal(size=y.data.shape)
-        return T.tsum(T.mul(y, w))
+        return weighted_sum(y, np.random.default_rng(seed).normal(size=y.data.shape))
 
     def fd_case(name, build, *arrays):
         tensors = [Tensor(a, requires_grad=True) for a in arrays]
@@ -216,7 +216,7 @@ def test_criterion_04_gradient_checks():
     xd = rng.normal(size=(4, 6))
     wd = rng.normal(size=(6, 5))
     bd = rng.normal(size=5)
-    fd_case("dense", lambda x, w, b: wsum(T.add(T.matmul(x, w), b)), xd, wd, bd)
+    fd_case("dense", lambda x, w, b: wsum(T.linear(x, w, b)), xd, wd, bd)
 
     act = rng.normal(size=(5, 7))
     act[np.abs(act) < 0.05] = 0.3    # keep finite differences off the relu kink

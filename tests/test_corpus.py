@@ -244,6 +244,14 @@ def test_interlocutor_roundtrip(tmp_path):
     assert read_interlocutor(p) == [(0.5, 1.25)]
 
 
+@pytest.mark.parametrize("row", ["1000\t1000", "1000\t500"])
+def test_interlocutor_rejects_empty_or_inverted_rows(tmp_path, row):
+    p = tmp_path / "il.tsv"
+    p.write_text(f"0\t500\n{row}\n")
+    with pytest.raises(ValueError, match=r"il\.tsv: line 2: empty or inverted interval"):
+        read_interlocutor(p)
+
+
 # ------------------------------------------------------------------ folds
 
 def make_table(rec_id, speaker, n_frames):

@@ -1,0 +1,35 @@
+"""Design guards over the source tree of src/gestprop."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "gestprop"
+
+# criterion 8's golden calls prosody.estimate_f0 directly
+TEST_ONLY = ["prosody.estimate_f0"]
+
+
+def test_every_public_name_has_a_caller_in_src():
+    # a public module-level function or class must be mentioned somewhere in
+    # src besides its own definition; an import in __init__.py counts
+    defs = {}
+    mentions = {}        # name -> the top-level statements that mention it
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    and not top.name.startswith("_"):
+                defs[f"{path.stem}.{top.name}"] = top
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                mentions.setdefault(name, set()).add(top)
+    unused = sorted(key for key, top in defs.items()
+                    if not mentions.get(top.name, set()) - {top})
+    assert unused == TEST_ONLY

@@ -192,6 +192,14 @@ def test_transcript_malformed(tmp_path):
         read_transcript(p)
 
 
+def test_transcript_rejects_offset_before_onset(tmp_path):
+    p = tmp_path / "t.tsv"
+    p.write_text("0\t50\tein\n100\t50\thello\n")
+    with pytest.raises(ValueError,
+                       match=r"t\.tsv: line 2: word 'hello': offset 0\.05 < onset 0\.1"):
+        read_transcript(p)
+
+
 def test_word_token_validation():
     with pytest.raises(ValueError):
         WordToken("x", 1.0, 0.5)

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from gestprop.evaluation import binarize, evaluate_property
+from gestprop.evaluation import PropertyReport, binarize, evaluate_property
 from gestprop.gradcheck import numeric_grad, relative_error
-from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, init_params, predict_probs
+from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, forward, init_params,
+                          predict_probs)
 from gestprop.tensor import Tensor
 from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
                                class_balance_weights, default_space,
@@ -75,12 +76,10 @@ def test_class_balance_weights():
     assert w[0] > w[1]    # rarer label weighs more
 
 
-def test_class_balance_zero_count_clamps_to_one(caplog):
+def test_class_balance_zero_count_clamps_to_one():
     loss = LossSpec("class_balanced_focal", beta=0.99)
-    with caplog.at_level("WARNING"):
-        w = class_balance_weights(loss, np.array([0, 50]))
+    w = class_balance_weights(loss, np.array([0, 50]))
     assert w[0] == 1.0
-    assert "zero positives" in caplog.text
 
 
 @pytest.mark.parametrize("exclusive", [False, True])
@@ -338,6 +337,46 @@ def test_diverged_run_reports_the_returned_weights():
         params, record = train(spec, provider, idx[:48], cfg, 0, score)
         assert record.failed and record.curve == []
         assert record.report == score(params)
+
+
+@pytest.mark.parametrize("kind,warnings", [("class_balanced_focal", 1), ("cross_entropy", 0)])
+def test_zero_positive_labels_warn_once_per_train(kind, warnings, caplog):
+    # the counts are fixed per fold, so one warning covers every step
+    rng = np.random.default_rng(0)
+    audio = rng.normal(size=(40, 41, 5)).astype(np.float32)
+    labels = np.zeros((40, 2))
+    labels[:10, 1] = 1.0                 # label 0 has no positive frame
+    provider = ArrayProvider(audio, labels)
+    spec = ModelSpec(head="sigmoid", n_labels=2,
+                     audio=EncoderSpec(layers=1, channels=4, out_dim=4), text=None,
+                     decoder=DecoderSpec(hidden=4), audio_channels=5, audio_frames=41)
+    cfg = TrainConfig(steps=5, batch=8, evals=1, loss=LossSpec(kind))
+    with caplog.at_level("WARNING", logger="gestprop.training"):
+        train(spec, provider, np.arange(40), cfg, 0, lambda params: PropertyReport({}, 0, False))
+    hits = [r for r in caplog.records if "zero positives" in r.getMessage()]
+    assert len(hits) == warnings
+
+
+def test_training_step_builds_20_op_nodes():
+    # criterion 7's model: both encoders at 2 conv layers, one decoder layer
+    # and the presence head. Each layer is one node, and so is the loss.
+    enc = EncoderSpec(layers=2, channels=32, out_dim=32)
+    spec = ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
+                     decoder=DecoderSpec(hidden=48))
+    rng = np.random.default_rng(0)
+    probs, _ = forward(spec, init_params(spec, seed=0),
+                       audio=rng.normal(size=(4, spec.audio_frames, spec.audio_channels)),
+                       text=rng.normal(size=(4, spec.text_slots, spec.text_dim)),
+                       training=True, rng=rng)
+    loss = loss_batch(probs, np.ones((4, 1)), LossSpec(), exclusive=False)
+    seen, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node._prev)
+    assert sum(1 for node in seen.values() if node._prev) == 20
+    assert len(seen) == 38             # plus 2 inputs and 16 parameter tensors
 
 
 def test_train_rejects_empty_pool():
