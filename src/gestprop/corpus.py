@@ -272,8 +272,12 @@ def read_annotations(path: str | Path) -> list[AnnotationTier]:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields")
             name, start_ms, end_ms, label = parts
+            start, end = float(start_ms) / 1000.0, float(end_ms) / 1000.0
+            if end <= start:
+                raise ValueError(f"{path}: line {lineno}: empty or inverted interval "
+                                 f"({start}, {end})")
             tier = tiers.setdefault(name, AnnotationTier(name=name, intervals=[]))
-            tier.intervals.append((float(start_ms) / 1000.0, float(end_ms) / 1000.0, label))
+            tier.intervals.append((start, end, label))
     return list(tiers.values())
 
 

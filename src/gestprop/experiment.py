@@ -26,8 +26,8 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
                          write_predictions_csv, write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
-from .net import (DecoderSpec, EncoderSpec, ModelSpec, from_fields,
-                  load_checkpoint, predict_probs, save_checkpoint)
+from .net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, from_fields,
+                  load_checkpoint, predict_probs, receptive_field, save_checkpoint)
 from .training import TrainConfig, default_space, random_search, train
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,7 @@ def _predict(spec: ModelSpec, params, provider: WindowProvider,
     """
     outs = []
     for lo in range(0, len(idx), PREDICT_CHUNK):
-        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK])
+        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], audio_width(spec))
         outs.append(predict_probs(spec, params, audio=batch["audio"],
                                   text=batch["text"], speaker=batch["speaker"]))
     return np.concatenate(outs) if outs else np.zeros((0, spec.n_labels))
@@ -290,6 +290,7 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
         "config": config.to_dict(),
         "seed": config.seed,
         "model_spec": spec.to_dict(),
+        "receptive_field": receptive_field(spec),
         "n_folds": plan.n_folds,
         "folds": folds,
         "aggregate": aggregate_folds(reports),

@@ -8,10 +8,10 @@ idempotent: existing files are left alone unless force is set.
 
 load_dataset concatenates those artifacts (recordings ordered by id, the
 same order fold plans use) into one FrameDataset. WindowProvider then
-serves training batches: standardized audio windows of 41 frames, text
-windows of 7 x 301 (embedding plus onset offset; the offset column zeroed
-for the no-timing condition), an optional speaker one-hot, and the label
-matrix of the property being trained.
+serves training batches: standardized audio windows of the frames the
+model reads (at most 41, +-1 s), text windows of 7 x 301 (embedding plus
+onset offset; the offset column zeroed for the no-timing condition), an
+optional speaker one-hot, and the label matrix of the property being trained.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, build_frame_table
                      read_frame_csv, write_frame_csv)
 from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
-from .textfeat import (EmbeddingTable, WINDOW_SLOTS, load_embeddings,
-                       lookup_word, select_window)
+from .textfeat import EmbeddingTable, load_embeddings, lookup_word, select_window
 
 log = logging.getLogger(__name__)
 
@@ -239,6 +238,8 @@ class WindowProvider:
         self.norm_mean = np.zeros(len(PROSODY_COLUMNS), dtype=np.float32)
         self.norm_std = np.ones(len(PROSODY_COLUMNS), dtype=np.float32)
         self._labels = dataset.labels_for(prop).astype(np.float32)
+        if self.uses_text:   # embeddings with a zero timing column, then a zero row
+            self._text_table = np.pad(dataset.emb_matrix, ((0, 1), (0, 1))).astype(np.float32)
 
     @property
     def n_labels(self) -> int:
@@ -269,30 +270,27 @@ class WindowProvider:
     def labels_at(self, idx: np.ndarray) -> np.ndarray:
         return self._labels[np.asarray(idx)]
 
-    def _audio(self, idx: np.ndarray) -> np.ndarray:
+    def _audio(self, idx: np.ndarray, frames: int) -> np.ndarray:
         if not self.dataset.eligible[idx].all():
             raise ValueError("audio window crosses a recording edge; "
                              "only eligible frames can be batched")
-        span = np.arange(-AUDIO_CONTEXT_FRAMES, AUDIO_CONTEXT_FRAMES + 1)
+        span = np.arange(-(frames // 2), frames // 2 + 1)
         windows = self.dataset.prosody[np.asarray(idx)[:, None] + span[None, :]]
         return (windows - self.norm_mean) / self.norm_std
 
     def _text(self, idx: np.ndarray) -> np.ndarray:
         ids = self.dataset.word_ids[idx]                  # (B, 7)
-        off = self.dataset.word_offsets[idx]
-        B = len(ids)
-        dim = self.dataset.emb_matrix.shape[1]
-        out = np.zeros((B, WINDOW_SLOTS, dim + 1), dtype=np.float32)
-        present = ids >= 0
-        out[:, :, :dim][present] = self.dataset.emb_matrix[ids[present]]
+        rows = np.where(ids >= 0, ids, len(self._text_table) - 1)    # absent, OOV: zero row
+        out = np.take(self._text_table, rows, axis=0)
         if self.modality != "text_no_timing":
-            out[:, :, dim] = np.where(ids != ABSENT_ID, off, 0.0)
+            out[:, :, -1] = np.where(ids != ABSENT_ID, self.dataset.word_offsets[idx], 0.0)
         return out
 
-    def batch(self, idx: np.ndarray) -> dict:
+    def batch(self, idx: np.ndarray, audio_frames: int = 2 * AUDIO_CONTEXT_FRAMES + 1) -> dict:
+        """Windows at frames idx; audio ones span audio_frames (net.audio_width)."""
         idx = np.asarray(idx)
         out = {"labels": self._labels[idx]}
-        out["audio"] = self._audio(idx) if self.uses_audio else None
+        out["audio"] = self._audio(idx, audio_frames) if self.uses_audio else None
         out["text"] = self._text(idx) if self.uses_text else None
         if self.speakers is not None:
             sp = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)

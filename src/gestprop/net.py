@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .corpus import AUDIO_CONTEXT_FRAMES
+from .corpus import AUDIO_CONTEXT_FRAMES, FPS
 from .prosody import PROSODY_COLUMNS
 from .tensor import Tensor
 from .textfeat import WINDOW_SLOTS
@@ -167,6 +167,25 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
     return params
 
 
+def field_width(enc: EncoderSpec, steps: int) -> int:
+    """Steps of a centered odd-length window that enc's readout reads: its receptive
+    field, 2 * (kernel // 2) * (2**layers - 1) + 1, clipped to the window."""
+    return min(2 * (enc.kernel // 2) * (2 ** enc.layers - 1) + 1, steps)
+
+
+def audio_width(spec: ModelSpec) -> int:
+    """Audio frames the model reads, which batches gather (all without an audio encoder)."""
+    return field_width(spec.audio, spec.audio_frames) if spec.audio else spec.audio_frames
+
+
+def receptive_field(spec: ModelSpec) -> dict:
+    """Audio frames and seconds each side of the predicted frame, and text
+    slots, that the encoders read; None for an absent encoder."""
+    half = audio_width(spec) // 2 if spec.audio else None
+    return {"audio_half_frames": half, "audio_half_s": None if half is None else half / FPS,
+            "text_slots": field_width(spec.text, spec.text_slots) if spec.text else None}
+
+
 def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
                training: bool = False, rng=None) -> Tensor:
     """Conv, ReLU, then dropout per layer, read out at the center step.
@@ -220,7 +239,7 @@ def forward(spec: ModelSpec, params: ModelParams,
             rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, Tensor]]:
     """Class probabilities for a batch of windows.
 
-    audio: (B, 41, 5); text: (B, 7, 301); speaker: (B, speaker_dim) one-hot.
+    audio: (B, audio_width(spec), 5); text: (B, 7, 301); speaker: (B, speaker_dim) one-hot.
     Returns (probs, param_tensors): probs is (B, n_labels), sigmoid per
     label or a softmax row depending on the head; param_tensors carry the
     gradients after probs-derived losses call backward().
@@ -228,7 +247,7 @@ def forward(spec: ModelSpec, params: ModelParams,
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.tensors.items()}
     embeddings = []
     if spec.audio is not None:
-        a = _checked("audio windows", audio, (spec.audio_frames, spec.audio_channels))
+        a = _checked("audio windows", audio, (audio_width(spec), spec.audio_channels))
         embeddings.append(_encode("audio", spec.audio, Tensor(a), pt, training, rng))
     if spec.text is not None:
         x = _checked("text windows", text, (spec.text_slots, spec.text_dim))

@@ -198,9 +198,9 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
     offsets = (np.arange(k) - (k - 1) // 2) * dilation
     idx = rows[:, None] + offsets[None, :]                  # (R, k)
     valid = (idx >= 0) & (idx < T)
-    idx_c = np.clip(idx, 0, T - 1)
-
-    cols = xd[:, idx_c, :] * valid[None, :, :, None]        # (B, R, k, C_in)
+    cols = np.take(xd, np.clip(idx, 0, T - 1), axis=1)      # (B, R, k, C_in), C-contiguous
+    if not valid.all():
+        cols *= valid[None, :, :, None]
     w2 = w.data.reshape(k * c_in, c_out)
     y = cols.reshape(B, R, k * c_in) @ w2 + b.data
     out = Tensor(y, _prev=(x, w, b))

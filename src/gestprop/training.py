@@ -25,7 +25,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .evaluation import PropertyReport
-from .net import ModelParams, ModelSpec, flat_grad, forward, from_fields, init_params
+from .net import (ModelParams, ModelSpec, audio_width, flat_grad, forward, from_fields,
+                  init_params)
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -207,8 +208,8 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
           seed: int, score) -> tuple[ModelParams, RunRecord]:
     """Train one model on one fold.
 
-    provider supplies `.batch(indices)` -> dict with keys audio/text/speaker
-    (windows or None) and labels, plus `.exclusive` and `.labels_at`.
+    provider supplies `.batch(indices, audio_width(spec))` -> dict with keys
+    audio/text/speaker (windows or None) and labels, plus `.exclusive` and `.labels_at`.
     score(params) -> PropertyReport scores weights on the validation frames;
     at evenly spaced eval points its result becomes `record.report` and its
     headline extends the validation curve. `record.report` always describes
@@ -242,7 +243,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     seg_losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = pool[rng_batch.integers(0, len(pool), size=config.batch)]
-        batch = provider.batch(idx)
+        batch = provider.batch(idx, audio_width(spec))
         probs, pt = forward(spec, params, audio=batch.get("audio"),
                             text=batch.get("text"), speaker=batch.get("speaker"),
                             training=True, rng=rng_drop)

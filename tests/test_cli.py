@@ -2,6 +2,10 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +135,15 @@ def test_unknown_config_keys_exit_2_naming_them(pipeline, tmp_path, capsys,
         "out_dir": str(tmp_path / "run"), **settings}))
     assert cli.main(["eval", "--config", str(cfg_path)]) == 2
     assert f"['{named}']" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "gestprop", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "hpsearch" in done.stdout
 
 
 def test_subcommands():

@@ -244,6 +244,15 @@ def test_interlocutor_roundtrip(tmp_path):
     assert read_interlocutor(p) == [(0.5, 1.25)]
 
 
+@pytest.mark.parametrize("row", ["2000\t1000", "1000\t1000"])
+def test_annotations_reject_inverted_or_empty_rows(tmp_path, row):
+    # rasterize would drop such a row, and a gesture with it, without a word
+    p = tmp_path / "ann.tsv"
+    p.write_text(f"Phase\t0\t500\tstroke\nPhase\t{row}\tretraction\n")
+    with pytest.raises(ValueError, match=r"ann\.tsv: line 2: empty or inverted interval"):
+        read_annotations(p)
+
+
 @pytest.mark.parametrize("row", ["1000\t1000", "1000\t500"])
 def test_interlocutor_rejects_empty_or_inverted_rows(tmp_path, row):
     p = tmp_path / "il.tsv"

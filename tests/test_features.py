@@ -1,9 +1,12 @@
 """Feature build, cached dataset, and the window provider."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from gestprop import corpus, features, prosody, synth, textfeat
+from gestprop.net import EncoderSpec, ModelSpec, audio_width
 from text_reference import assemble_text_window
 
 
@@ -140,6 +143,50 @@ def test_audio_windows_are_centered_and_standardized(built):
     want = (ds.prosody[g - 20:g + 21] - pr.norm_mean) / pr.norm_std
     assert np.allclose(batch["audio"][0], want, atol=1e-6)
     assert batch["text"] is None and batch["speaker"] is None
+
+
+@pytest.mark.parametrize("layers,kernel,frames", [(2, 3, 7), (4, 5, 41)])
+def test_audio_batches_hold_the_frames_the_model_reads(built, layers, kernel, frames):
+    # criterion 7's model reads +-3 frames; k=5 at 4 layers reads all +-20
+    _, _, _, _, ds = built
+    enc = EncoderSpec(layers=layers, channels=32, kernel=kernel, out_dim=32)
+    spec = ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc)
+    pr = features.WindowProvider(ds, "presence", "both")
+    pr.fit_norm(np.where(ds.eligible)[0])
+    idx = np.where(ds.eligible)[0][[0, 7, -1]]
+    batch = pr.batch(idx, audio_width(spec))
+    assert batch["audio"].shape == (3, frames, 5)
+    assert batch["audio"].flags.c_contiguous
+    lo = 20 - frames // 2
+    assert np.array_equal(batch["audio"], pr.batch(idx)["audio"][:, lo:lo + frames])
+
+
+def text_zeros_and_mask(ds, idx, modality):
+    """The text windows as they were built before: zeros, then the present
+    slots' embeddings through a boolean mask, then the timing column."""
+    ids, off = ds.word_ids[idx], ds.word_offsets[idx]
+    dim = ds.emb_matrix.shape[1]
+    out = np.zeros((len(ids), 7, dim + 1), dtype=np.float32)
+    present = ids >= 0
+    out[:, :, :dim][present] = ds.emb_matrix[ids[present]]
+    if modality != "text_no_timing":
+        out[:, :, dim] = np.where(ids != features.ABSENT_ID, off, 0.0)
+    return out
+
+
+@pytest.mark.parametrize("modality", ["text", "text_no_timing"])
+def test_text_windows_are_bit_equal_to_the_masked_build(built, modality):
+    _, _, _, _, ds = built
+    ids = ds.word_ids.copy()
+    ids[::5, 2] = features.OOV_ID                    # unknown words keep their offsets
+    ds = replace(ds, word_ids=ids)
+    idx = np.arange(0, ds.n_frames, 3)
+    got = features.WindowProvider(ds, "semantics", modality).batch(idx)["text"]
+    want = text_zeros_and_mask(ds, idx, modality)
+    window = ds.word_ids[idx]
+    assert all((window == s).any() for s in (features.ABSENT_ID, features.OOV_ID))
+    assert (window >= 0).any()
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_norm_state_roundtrip_and_std_floor(built):

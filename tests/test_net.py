@@ -8,8 +8,10 @@ import pytest
 
 from gestprop import tensor as T
 from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParams,
-                          ModelSpec, _layer_dims, conv_stack, forward, init_params,
-                          load_checkpoint, predict_probs, save_checkpoint)
+                          ModelSpec, _layer_dims, audio_width, conv_stack, forward,
+                          init_params, load_checkpoint, predict_probs, receptive_field,
+                          save_checkpoint)
+from gestprop.training import default_space
 from gestprop.tensor import Tensor
 from autodiff_reference import weighted_sum
 
@@ -30,7 +32,7 @@ def small_spec(head="sigmoid", n_labels=4, speaker_dim=0):
 def batch_for(spec, n=3, rng=RNG):
     out = {}
     if spec.audio is not None:
-        out["audio"] = rng.normal(size=(n, spec.audio_frames, spec.audio_channels))
+        out["audio"] = rng.normal(size=(n, audio_width(spec), spec.audio_channels))
     if spec.text is not None:
         out["text"] = rng.normal(size=(n, spec.text_slots, spec.text_dim))
     if spec.speaker_dim:
@@ -126,8 +128,11 @@ def test_shape_errors_name_the_tensor():
     spec = small_spec()
     params = init_params(spec, seed=0)
     batch = batch_for(spec, 3)
-    with pytest.raises(ValueError, match="audio windows"):
-        forward(spec, params, audio=batch["audio"][:, :11, :], text=batch["text"])
+    assert batch["audio"].shape == (3, 7, 5)        # 2 layers of k=3 read +-3 frames
+    for frames in (11, 41):
+        with pytest.raises(ValueError, match=rf"audio windows must be \(B, 7, 5\), "
+                                             rf"got \(3, {frames}, 5\)"):
+            forward(spec, params, audio=RNG.normal(size=(3, frames, 5)), text=batch["text"])
     with pytest.raises(ValueError, match="text windows"):
         forward(spec, params, audio=batch["audio"], text=batch["text"][:, :, :5])
     with pytest.raises(ValueError, match="no audio"):
@@ -212,19 +217,53 @@ def test_conv_stack_matches_full_length_stack(frames, layers, kernel):
 
 
 def test_center_readout_sees_only_center_window():
-    # moving a far-away input frame must not change the center embedding
+    # moving a frame outside the receptive field must not change the center
+    # embedding; moving the field's edge frame must
     spec = small_spec()
-    params = init_params(spec, seed=4)
-    batch = batch_for(spec, 1)
-    probs_a, _ = forward(spec, params, **batch)
-    moved = {k: v.copy() for k, v in batch.items()}
-    moved["audio"][0, 0, :] += 10.0      # frame 0 is 20 frames from center
-    probs_b, _ = forward(spec, params, **moved)
-    assert np.allclose(probs_a.data, probs_b.data)
-    near = {k: v.copy() for k, v in batch.items()}
-    near["audio"][0, 20, :] += 10.0      # the center frame itself
-    probs_c, _ = forward(spec, params, **near)
-    assert not np.allclose(probs_a.data, probs_c.data)
+    pt = {k: Tensor(v) for k, v in init_params(spec, seed=4).tensors.items()}
+    x = RNG.normal(size=(1, 41, 5))
+
+    def embed(audio):
+        return conv_stack("audio", spec.audio, Tensor(audio), pt).data
+
+    for frame, changes in ((16, False), (17, True), (20, True), (23, True), (24, False)):
+        moved = x.copy()
+        moved[0, frame, :] += 10.0       # the field is frames 17..23 of 0..40
+        assert np.array_equal(embed(moved), embed(x)) != changes, frame
+
+
+@pytest.mark.parametrize("layers,kernel", [
+    (layers, kernel)
+    for layers in range(int(default_space()["enc_layers"].lo),
+                        int(default_space()["enc_layers"].hi) + 1)
+    for kernel in default_space()["kernel"].choices])
+def test_conv_stack_reads_the_same_on_the_cropped_window(layers, kernel):
+    # forward takes only the audio_width frames the encoder reads; on them
+    # conv_stack must give bit for bit what it gives on the full 41 frames
+    spec = ModelSpec(head="sigmoid", n_labels=1, text=None,
+                     audio=EncoderSpec(layers=layers, channels=4, kernel=kernel, out_dim=4))
+    width = audio_width(spec)
+    assert width == min(2 * (kernel // 2) * (2 ** layers - 1) + 1, 41)
+    pt = {k: Tensor(v) for k, v in init_params(spec, seed=layers).tensors.items()}
+    full = np.random.default_rng([layers, kernel]).normal(size=(8, 41, 5)).astype(np.float32)
+    lo = (41 - width) // 2
+    cropped = conv_stack("audio", spec.audio, Tensor(full[:, lo:lo + width]), pt).data
+    want = conv_stack("audio", spec.audio, Tensor(full), pt).data
+    assert np.array_equal(cropped, want)
+    assert (width < 41) == ((layers, kernel) != (4, 5))   # k=5 at 4 layers reads all 41
+
+
+@pytest.mark.parametrize("audio,text,want", [
+    (EncoderSpec(layers=2), EncoderSpec(layers=2),
+     {"audio_half_frames": 3, "audio_half_s": 0.15, "text_slots": 7}),
+    (EncoderSpec(layers=4, kernel=5), EncoderSpec(layers=1),
+     {"audio_half_frames": 20, "audio_half_s": 1.0, "text_slots": 3}),
+    (None, EncoderSpec(layers=3),
+     {"audio_half_frames": None, "audio_half_s": None, "text_slots": 7}),
+])
+def test_receptive_field_states_what_the_encoders_read(audio, text, want):
+    spec = ModelSpec(head="sigmoid", n_labels=1, audio=audio, text=text)
+    assert receptive_field(spec) == want
 
 
 def test_checkpoint_roundtrip_and_byte_identity(tmp_path):

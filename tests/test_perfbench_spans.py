@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from gestprop import tensor
-from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params
+from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
+                          init_params)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -54,7 +55,7 @@ def test_forward_calls_the_traced_conv_once_per_layer(monkeypatch, audio_layers,
                      text_dim=5)
     rng = np.random.default_rng(0)
     forward(spec, init_params(spec, seed=0),
-            audio=rng.normal(size=(2, spec.audio_frames, spec.audio_channels)),
+            audio=rng.normal(size=(2, audio_width(spec), spec.audio_channels)),
             text=rng.normal(size=(2, spec.text_slots, spec.text_dim)))
     assert len(calls) == (audio_layers or 0) + (text_layers or 0)
 

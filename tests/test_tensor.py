@@ -199,6 +199,51 @@ def test_conv_rows_grads():
         T.conv1d_dilated(a, c, e, 1, rows=[1, 6])), x[1:], w, b)
 
 
+def conv_fancy_index(x, w, b, dilation, rows):
+    """The conv as it gathered before: fancy indexing, then a mask multiply,
+    whether or not a tap falls outside; values and the (x, w, b) gradients
+    for an output gradient g."""
+    B, Tn, _ = x.shape
+    k, c_in, c_out = w.shape
+    rows = np.asarray(rows)
+    idx = rows[:, None] + ((np.arange(k) - (k - 1) // 2) * dilation)[None, :]
+    valid = (idx >= 0) & (idx < Tn)
+    cols = x[:, np.clip(idx, 0, Tn - 1), :] * valid[None, :, :, None]
+    y = cols.reshape(B, len(rows), k * c_in) @ w.reshape(k * c_in, c_out) + b
+
+    def grads(g):
+        gw = (cols.reshape(B * len(rows), k * c_in).T
+              @ g.reshape(B * len(rows), c_out)).reshape(k, c_in, c_out)
+        dx = np.zeros_like(x)
+        for j in range(k):
+            ok = valid[:, j]
+            dx[:, idx[ok, j], :] += g[:, ok, :] @ w[j].T
+        return dx, gw, g.sum(axis=(0, 1))
+    return y, grads, valid
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,dilation,rows", [
+    (3, 1, [3, 5, 7]),               # every tap inside: no mask multiply
+    (3, 2, [0, 1, 9, 10]),           # taps off both ends
+    (5, 2, list(range(11))),
+    (3, 1, [5]),
+])
+def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, rows):
+    x = RNG.normal(size=(4, 11, 3)).astype(dtype)
+    w = RNG.normal(size=(kernel, 3, 5)).astype(dtype)
+    b = RNG.normal(size=(5,)).astype(dtype)
+    g = RNG.normal(size=(4, len(rows), 5)).astype(dtype)
+    want, grads, valid = conv_fancy_index(x, w, b, dilation, rows)
+    assert valid.all() == (rows in ([3, 5, 7], [5]))     # both gathers are covered
+    xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
+    out = T.conv1d_dilated(xt, wt, bt, dilation, rows=rows)
+    weighted_sum(out, g).backward()
+    assert out.data.dtype == want.dtype and np.array_equal(out.data, want)
+    for got, ref in zip((xt.grad, wt.grad, bt.grad), grads(g)):
+        assert np.array_equal(got, ref)
+
+
 def test_conv_validation():
     with pytest.raises(ValueError, match=r"\(B, T, C\)"):
         T.conv1d_dilated(Tensor(np.zeros((5, 2))), Tensor(np.zeros((3, 2, 2))),

@@ -7,8 +7,8 @@ import pytest
 
 from gestprop.evaluation import PropertyReport, binarize, evaluate_property
 from gestprop.gradcheck import numeric_grad, relative_error
-from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, forward, init_params,
-                          predict_probs)
+from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
+                          init_params, predict_probs)
 from gestprop.tensor import Tensor
 from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
                                class_balance_weights, default_space,
@@ -237,15 +237,18 @@ def test_train_config_roundtrip():
 
 
 class ArrayProvider:
-    """Minimal in-memory provider for the training loop."""
+    """Minimal in-memory provider for the training loop: audio holds 41
+    frames of context per frame, of which batches serve the centered
+    audio_frames, as WindowProvider does."""
 
     def __init__(self, audio, labels, exclusive=False):
         self.audio = audio
         self.labels = labels
         self.exclusive = exclusive
 
-    def batch(self, idx):
-        return {"audio": self.audio[idx], "labels": self.labels[idx]}
+    def batch(self, idx, audio_frames):
+        lo = (self.audio.shape[1] - audio_frames) // 2
+        return {"audio": self.audio[idx, lo:lo + audio_frames], "labels": self.labels[idx]}
 
     def labels_at(self, idx):
         return self.labels[idx]
@@ -260,7 +263,7 @@ def separable_provider(n=400, seed=0):
 
 def score_on(spec, provider, idx):
     """A validation scorer over the frames idx, as run_cv builds one."""
-    batch = provider.batch(idx)
+    batch = provider.batch(idx, audio_width(spec))
 
     def score(params):
         probs = predict_probs(spec, params, audio=batch["audio"])
@@ -365,7 +368,7 @@ def test_training_step_builds_20_op_nodes():
                      decoder=DecoderSpec(hidden=48))
     rng = np.random.default_rng(0)
     probs, _ = forward(spec, init_params(spec, seed=0),
-                       audio=rng.normal(size=(4, spec.audio_frames, spec.audio_channels)),
+                       audio=rng.normal(size=(4, audio_width(spec), spec.audio_channels)),
                        text=rng.normal(size=(4, spec.text_slots, spec.text_dim)),
                        training=True, rng=rng)
     loss = loss_batch(probs, np.ones((4, 1)), LossSpec(), exclusive=False)
