@@ -31,6 +31,8 @@ CONFIG_KEYS = ("manifest", "embeddings", "out_dir", "property", "modality",
                "cv", "folds", "seed", "threshold", "eval_on_all_frames",
                "features_dir")
 TRAIN_KEYS = ("steps", "batch", "lr", "upsample", "evals")
+# config entries that hold JSON objects, with the entries nested in those
+OBJECT_KEYS = {"train": {"loss": {}}, "model": {}}
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -59,11 +61,24 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--evals", type=int, help="validation curve points")
 
 
+def _require_objects(value, file: str, key: str = "", nested: dict = OBJECT_KEYS) -> None:
+    """ValueError naming the file and key unless value, and each entry in it
+    that OBJECT_KEYS names, is a JSON object."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{file}: {key or 'the config'} must be a JSON object, "
+                         f"got {type(value).__name__}")
+    for name, inner in nested.items():
+        if name in value:
+            _require_objects(value[name], file, f"{key}.{name}".lstrip("."), inner)
+
+
 def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
     """Settings from defaults, then the --config file, then explicit flags."""
     base = dict(defaults or {})
     if args.config:
-        base.update(json.loads(Path(args.config).read_text()))
+        settings = json.loads(Path(args.config).read_text())
+        _require_objects(settings, args.config)
+        base.update(settings)
 
     for key in CONFIG_KEYS:
         attr = "prop" if key == "property" else key

@@ -18,6 +18,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -211,19 +212,38 @@ def flag_predictable(model_mean: float, baseline_means: dict,
 
 # ------------------------------------------------------------------ reports
 
-def write_json(path: str, obj) -> None:
-    """Canonical JSON: sorted keys, 2-space indent, atomic replace."""
-    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def write_atomic(path, write_fn) -> None:
+    """Have write_fn(tmp_path) write a temporary file beside path, then move it
+    onto path: a failed write leaves the old file and no temporary behind."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               prefix=".tmp-", suffix=".json")
+                               prefix=".tmp-", suffix=os.path.splitext(path)[1])
+    os.close(fd)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)        # mkstemp's 0600 would outlive the move
+        write_fn(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json(path: str, obj) -> None:
+    """Canonical JSON: sorted keys, 2-space indent, atomic replace."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    write_atomic(path, lambda tmp: Path(tmp).write_text(text, encoding="utf-8", newline="\n"))
+
+
+def _write_csv(path: str, header, rows) -> None:
+    """Atomically write a header row, then rows (streamed from any iterable)."""
+    def write(tmp):
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+    write_atomic(path, write)
 
 
 def write_scores_csv(path: str, aggregate: dict) -> None:
@@ -235,10 +255,7 @@ def write_scores_csv(path: str, aggregate: dict) -> None:
             rows.append((name, metric,
                          f"{entry[metric]['mean']:.9g}",
                          f"{entry[metric]['std']:.9g}"))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("label", "metric", "mean", "std"))
-        writer.writerows(rows)
+    _write_csv(path, ("label", "metric", "mean", "std"), rows)
 
 
 def write_predictions_csv(path: str, t: np.ndarray, label_names,
@@ -249,10 +266,7 @@ def write_predictions_csv(path: str, t: np.ndarray, label_names,
     if probs.shape != (len(t), len(label_names)) or probs.shape != \
             np.asarray(decisions).shape or probs.shape != np.asarray(truth).shape:
         raise ValueError("t, labels, probs, decisions and truth must align")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("t", "label", "prob", "decision", "truth"))
-        for i, ti in enumerate(t):
-            for j, name in enumerate(label_names):
-                writer.writerow((f"{ti:.9g}", name, f"{probs[i, j]:.9g}",
-                                 int(decisions[i, j]), int(truth[i, j])))
+    _write_csv(path, ("t", "label", "prob", "decision", "truth"),
+               ((f"{ti:.9g}", name, f"{probs[i, j]:.9g}", int(decisions[i, j]),
+                 int(truth[i, j])) for i, ti in enumerate(t)
+                for j, name in enumerate(label_names)))

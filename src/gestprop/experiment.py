@@ -22,8 +22,8 @@ from . import gradcheck as gradcheck_mod
 from .corpus import SCHEMAS, load_manifest, make_folds_between, make_folds_within
 from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
                          baseline_predict, binarize, compute_priors,
-                         evaluate_property, flag_predictable, write_json,
-                         write_predictions_csv, write_scores_csv)
+                         evaluate_property, flag_predictable, write_atomic,
+                         write_json, write_predictions_csv, write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, from_fields,
@@ -392,7 +392,7 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int,
             for (step, score), loss in zip(rec["curve"], rec["loss_curve"]):
                 rows.append(f"{res['run']},{rec['fold']},{step},"
                             f"{score:.9g},{loss:.9g}")
-    (out / "runrecord.csv").write_text("\n".join(rows) + "\n")
+    write_atomic(out / "runrecord.csv", lambda p: Path(p).write_text("\n".join(rows) + "\n"))
 
     result = {
         "kind": "hpsearch",

@@ -1,30 +1,30 @@
 """Feature construction and the windowed dataset provider.
 
-build_features turns each recording into three cached artifacts: a prosody
-CSV at 20 fps (interlocutor spans silenced first), a frame-table CSV with
-the label bits, and a text-window cache holding the 7-slot word ids and
-timing offsets per frame. All files are written atomically and the step is
+build_features turns each recording into two cached artifacts, written
+atomically: a prosody CSV at 20 fps (interlocutor spans silenced first) and
+a frame-table CSV with the label bits and window extents. The step is
 idempotent: existing files are left alone unless force is set.
 
 load_dataset concatenates those artifacts (recordings ordered by id, the
-same order fold plans use) into one FrameDataset. WindowProvider then
-serves training batches: standardized audio windows of the frames the
-model reads (at most 41, +-1 s), text windows of 7 x 301 (embedding plus
-onset offset; the offset column zeroed for the no-timing condition), an
-optional speaker one-hot, and the label matrix of the property being trained.
+same order fold plans use) into one FrameDataset, with each frame's 7-slot
+word window built from the transcript. WindowProvider then serves training
+batches: standardized audio windows of the frames the model reads (at most
+41, +-1 s), text windows of 7 x 301 (embedding plus onset offset; the offset
+column zeroed for the no-timing condition), an optional speaker one-hot,
+and the label matrix of the property being trained.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, build_frame_table,
-                     read_frame_csv, write_frame_csv)
+from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, _window_extents,
+                     build_frame_table, read_frame_csv, write_frame_csv)
+from .evaluation import write_atomic
 from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
 from .textfeat import EmbeddingTable, load_embeddings, lookup_word, select_window
@@ -41,40 +41,12 @@ def feature_paths(feature_dir: str | Path, rec_id: int) -> dict[str, Path]:
     base = Path(feature_dir)
     stem = f"rec_{rec_id:05d}"
     return {"prosody": base / f"{stem}.prosody.csv",
-            "frames": base / f"{stem}.frames.csv",
-            "text": base / f"{stem}.text.npz"}
-
-
-def _atomic(path: Path, write_fn) -> None:
-    # keep the extension so writers that infer format from it stay happy
-    tmp = path.with_suffix(".tmp" + path.suffix)
-    write_fn(tmp)
-    os.replace(tmp, path)
-
-
-def _text_cache(words, t: np.ndarray):
-    """Per frame time: 7 window slots as local-vocab ids plus onset offsets.
-
-    Local ids number the words in order of first appearance, frame by frame
-    and slot by slot within a frame.
-    """
-    onsets = np.array([w.onset for w in words], dtype=np.float64)
-    slots = select_window(onsets, t)
-    frame, slot = np.nonzero(slots >= 0)
-    word = slots[frame, slot]
-    offsets = np.zeros(slots.shape, dtype=np.float32)
-    offsets[frame, slot] = onsets[word] - t[frame]
-    seen = np.array([w.word for w in words], dtype=str)[word]
-    vocab, first, inverse = np.unique(seen, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    ids = np.full(slots.shape, ABSENT_ID, dtype=np.int32)
-    ids[frame, slot] = np.argsort(order)[inverse]      # rank of first appearance
-    return ids, offsets, np.array(vocab[order].tolist(), dtype=str)
+            "frames": base / f"{stem}.frames.csv"}
 
 
 def build_features(recordings: list[Recording], feature_dir: str | Path,
                    force: bool = False) -> tuple[list[int], list[tuple[int, str]]]:
-    """Write per-recording feature files; returns (built ids, failures)."""
+    """Write each recording's prosody and frame-table CSVs; returns (built ids, failures)."""
     feature_dir = Path(feature_dir)
     feature_dir.mkdir(parents=True, exist_ok=True)
     built: list[int] = []
@@ -98,19 +70,22 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
             failures.append((rec.rec_id,
                              f"prosody rows {len(track.rows)} != frames {table.n_frames}"))
             continue
-        ids, offsets, words = _text_cache(rec.words, table.t)
-        _atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
-        _atomic(paths["frames"], lambda p: write_frame_csv(table, p))
-        _atomic(paths["text"], lambda p: np.savez(
-            p, ids=ids, offsets=offsets, vocab=words))
+        write_atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
+        write_atomic(paths["frames"], lambda p: write_frame_csv(table, p))
         built.append(rec.rec_id)
     return built, failures
 
 
-def _map_vocab(words: np.ndarray, rows: dict[str, int]) -> np.ndarray:
-    """Local vocab index -> embedding matrix row (OOV_ID when unknown)."""
-    found = (lookup_word(rows, str(w)) for w in words)
-    return np.array([OOV_ID if row is None else row for row in found], dtype=np.int32)
+def _word_windows(words, t: np.ndarray, emb_rows: dict[str, int]):
+    """Per frame time: 7 window slots as embedding rows (OOV_ID for a word
+    without a vector, ABSENT_ID for no word) plus onset offsets (0 if absent)."""
+    slots = select_window([w.onset for w in words], t)    # -1 picks the padding below
+    found = (lookup_word(emb_rows, w.word) for w in words)
+    rows = np.array([OOV_ID if row is None else row for row in found] + [ABSENT_ID],
+                    dtype=np.int32)
+    onsets = np.array([w.onset for w in words] + [0.0], dtype=np.float64)
+    offsets = np.where(slots >= 0, onsets[slots] - t[:, None], 0.0).astype(np.float32)
+    return rows[slots], offsets
 
 
 @dataclass
@@ -126,7 +101,7 @@ class FrameDataset:
     semantics: np.ndarray        # (N, 4) uint8
     has_gesture: np.ndarray      # (N,) uint8
     word_ids: np.ndarray         # (N, 7) int32 into emb_matrix (or sentinels)
-    word_offsets: np.ndarray     # (N, 7) float32
+    word_offsets: np.ndarray     # (N, 7) float32, 0 on absent slots
     emb_matrix: np.ndarray       # (V, dim) float32
     eligible: np.ndarray         # (N,) bool, audio window inside recording
     tables: list                 # FrameTable per recording, rec-id order
@@ -157,7 +132,7 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
 
     if not recordings:
         raise ValueError("no recordings to load")
-    tables, pros, ids, offs = [], [], [], []
+    tables, pros, windows = [], [], []
     for rec in sorted(recordings, key=lambda r: r.rec_id):
         paths = feature_paths(feature_dir, rec.rec_id)
         missing = [str(p) for p in paths.values() if not p.exists()]
@@ -167,18 +142,17 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
                 f"run the features step first")
         table = read_frame_csv(paths["frames"])
         track = read_prosody_csv(paths["prosody"])
-        cache = np.load(paths["text"], allow_pickle=False)
-        if len(track.rows) != table.n_frames or len(cache["ids"]) != table.n_frames:
+        if len(track.rows) != table.n_frames:
             raise ValueError(f"recording {rec.rec_id}: feature files disagree "
                              f"on frame count")
-        local_ids = cache["ids"]
-        remap = _map_vocab(cache["vocab"], emb_rows)
-        mapped = np.where(local_ids >= 0, remap[np.clip(local_ids, 0, None)],
-                          ABSENT_ID).astype(np.int32)
+        # the extents guard folds against leakage, so they must follow the transcript
+        extents = np.stack(_window_extents(rec.words, table.t))
+        if not np.allclose(extents, [table.win_lo, table.win_hi], rtol=0, atol=1e-6):
+            raise ValueError(f"recording {rec.rec_id}: transcript timings differ from those "
+                             f"{paths['frames']} was built from; rerun features --force")
         tables.append(table)
         pros.append(track.rows.astype(np.float32))
-        ids.append(mapped)
-        offs.append(cache["offsets"].astype(np.float32))
+        windows.append(_word_windows(rec.words, table.t, emb_rows))
 
     sizes = [t.n_frames for t in tables]
     return FrameDataset(
@@ -191,8 +165,8 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
         category=np.concatenate([t.category for t in tables]),
         semantics=np.concatenate([t.semantics for t in tables]),
         has_gesture=np.concatenate([t.has_gesture for t in tables]),
-        word_ids=np.concatenate(ids),
-        word_offsets=np.concatenate(offs),
+        word_ids=np.concatenate([ids for ids, _ in windows]),
+        word_offsets=np.concatenate([offsets for _, offsets in windows]),
         emb_matrix=emb_matrix,
         eligible=np.concatenate([t.eligible() for t in tables]),
         tables=tables,
@@ -234,7 +208,8 @@ class WindowProvider:
             unknown = sorted(set(dataset.speaker_list) - set(speakers))
             if unknown:
                 raise ValueError(f"unknown speakers {unknown}; the model knows {speakers}")
-            self._spk_index = {s: i for i, s in enumerate(speakers)}
+            names, inverse = np.unique(dataset.speakers.astype(str), return_inverse=True)
+            self._spk_col = np.array([speakers.index(n) for n in names])[inverse]
         self.norm_mean = np.zeros(len(PROSODY_COLUMNS), dtype=np.float32)
         self.norm_std = np.ones(len(PROSODY_COLUMNS), dtype=np.float32)
         self._labels = dataset.labels_for(prop).astype(np.float32)
@@ -283,7 +258,7 @@ class WindowProvider:
         rows = np.where(ids >= 0, ids, len(self._text_table) - 1)    # absent, OOV: zero row
         out = np.take(self._text_table, rows, axis=0)
         if self.modality != "text_no_timing":
-            out[:, :, -1] = np.where(ids != ABSENT_ID, self.dataset.word_offsets[idx], 0.0)
+            out[:, :, -1] = self.dataset.word_offsets[idx]
         return out
 
     def batch(self, idx: np.ndarray, audio_frames: int = 2 * AUDIO_CONTEXT_FRAMES + 1) -> dict:
@@ -292,11 +267,8 @@ class WindowProvider:
         out = {"labels": self._labels[idx]}
         out["audio"] = self._audio(idx, audio_frames) if self.uses_audio else None
         out["text"] = self._text(idx) if self.uses_text else None
+        out["speaker"] = None
         if self.speakers is not None:
-            sp = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
-            for j, s in enumerate(self.dataset.speakers[idx]):
-                sp[j, self._spk_index[s]] = 1.0
-            out["speaker"] = sp
-        else:
-            out["speaker"] = None
+            out["speaker"] = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
+            out["speaker"][np.arange(len(idx)), self._spk_col[idx]] = 1.0
         return out

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import AUDIO_CONTEXT_FRAMES, FPS
+from .evaluation import write_atomic
 from .prosody import PROSODY_COLUMNS
 from .tensor import Tensor
 from .textfeat import WINDOW_SLOTS
@@ -295,14 +296,9 @@ def save_checkpoint(path: str | Path, spec: ModelSpec, params: ModelParams,
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     flat = params.flat
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
-        fh.write(flat.astype(flat.dtype.newbyteorder("<")).tobytes())
-    tmp.replace(path)
+    data = (CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
+            + flat.astype(flat.dtype.newbyteorder("<")).tobytes())
+    write_atomic(path, lambda tmp: Path(tmp).write_bytes(data))
 
 
 def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:

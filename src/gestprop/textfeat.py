@@ -9,7 +9,7 @@ absent slots are all-zero rows including the timing column.
 select_window is the one implementation of that window. It takes the sorted
 word onsets and an array of target times and returns, per time, the 7 slot
 indices into the word list with -1 for an absent slot; the frame table's
-window extents and the cached text features are both derived from it.
+window extents and the dataset's word windows are both derived from it.
 """
 
 from __future__ import annotations

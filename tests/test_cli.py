@@ -137,6 +137,21 @@ def test_unknown_config_keys_exit_2_naming_them(pipeline, tmp_path, capsys,
     assert f"['{named}']" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("settings,named", [
+    ([1, 2], "the config"),
+    ({"train": [1]}, "train"),
+    ({"train": {"loss": 3}}, "train.loss"),
+    ({"model": None}, "model"),
+])
+def test_config_entries_that_are_not_objects_exit_2_naming_them(tmp_path, capsys,
+                                                                settings, named):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(settings))
+    assert cli.main(["eval", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg_path}: {named} must be a JSON object")
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}

@@ -1,6 +1,8 @@
 """Scores, baselines, and fold aggregation."""
 
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +10,8 @@ import pytest
 from gestprop.evaluation import (BASELINE_KINDS, ConfusionCounts, LabelScores,
                                  aggregate_folds, baseline_predict, binarize,
                                  compute_priors, evaluate_property,
-                                 f1_scores, flag_predictable, write_json,
-                                 write_predictions_csv, write_scores_csv)
+                                 f1_scores, flag_predictable, write_atomic,
+                                 write_json, write_predictions_csv, write_scores_csv)
 
 
 def test_confusion_counts():
@@ -229,6 +231,26 @@ def test_write_json_canonical(tmp_path):
     assert path.read_text() == text                     # byte identical
     with pytest.raises(ValueError):
         write_json(str(path), {"x": float("nan")})
+
+
+def test_write_atomic_failure_keeps_the_old_file(tmp_path):
+    path = tmp_path / "scores.csv"
+    path.write_text("old\n")
+
+    def fail(tmp):
+        Path(tmp).write_text("partial")
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(path, fail)
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+
+    write_atomic(path, lambda tmp: Path(tmp).write_text("new\n"))
+    assert path.read_text() == "new\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.csv"]
+    umask = os.umask(0)
+    os.umask(umask)
+    assert path.stat().st_mode & 0o777 == 0o666 & ~umask    # as open() would create it
 
 
 def test_write_scores_csv(tmp_path):

@@ -94,7 +94,7 @@ def test_from_dict_names_unknown_keys(corpus_dir, tmp_path):
 def test_run_features_registers_outputs(corpus_dir, featured):
     config = fast_config(corpus_dir, featured)
     index = json.loads((featured / "index.json").read_text())
-    assert len(index["features"]) == 6          # 3 files x 2 recordings
+    assert len(index["features"]) == 4          # 2 files x 2 recordings
     built, failures = run_features(config)     # cached now
     assert built == [] and failures == []
 

@@ -1,5 +1,6 @@
 """Feature build, cached dataset, and the window provider."""
 
+import shutil
 from dataclasses import replace
 
 import numpy as np
@@ -24,11 +25,11 @@ def built(tmp_path_factory):
     return root, recs, fdir, emb, ds
 
 
-def test_build_writes_three_files_per_recording(built):
+def test_build_writes_two_files_per_recording(built):
     _, recs, fdir, _, _ = built
     for rec in recs:
         paths = features.feature_paths(fdir, rec.rec_id)
-        assert sorted(paths) == ["frames", "prosody", "text"]
+        assert sorted(paths) == ["frames", "prosody"]
         for p in paths.values():
             assert p.exists()
     assert not list(fdir.glob("*.tmp*"))
@@ -66,18 +67,15 @@ def test_frame_counts_agree_across_artifacts(built):
         n = int(clip.duration * 20)
         assert prosody.read_prosody_csv(paths["prosody"]).n_frames == n
         assert corpus.read_frame_csv(paths["frames"]).n_frames == n
-        cache = np.load(paths["text"])
-        assert cache["ids"].shape == (n, 7)
-        assert cache["offsets"].shape == (n, 7)
 
 
-def test_text_cache_matches_window_oracle(built):
-    _, recs, fdir, _, _ = built
-    rec = recs[0]
-    cache = np.load(features.feature_paths(fdir, rec.rec_id)["text"])
-    ids, offsets = cache["ids"], cache["offsets"]
-    vocab: dict[str, int] = {}
-    for f in range(len(ids)):
+def test_word_windows_match_window_oracle(built):
+    _, recs, _, emb, ds = built
+    rec = min(recs, key=lambda r: r.rec_id)
+    n = ds.tables[0].n_frames
+    ids, offsets = ds.word_ids[:n], ds.word_offsets[:n]
+    rows = {w: i for i, w in enumerate(emb.vectors)}
+    for f in range(n):
         t = f / 20.0
         cur = -1                        # linear scan: the latest onset <= t
         for i, w in enumerate(rec.words):
@@ -89,10 +87,9 @@ def test_text_cache_matches_window_oracle(built):
                 assert ids[f, s] == -1 and offsets[f, s] == 0.0
                 continue
             tok = rec.words[i]
-            # local ids number words by first appearance, frame by frame
-            assert ids[f, s] == vocab.setdefault(tok.word, len(vocab))
+            row = textfeat.lookup_word(rows, tok.word)
+            assert ids[f, s] == (features.OOV_ID if row is None else row)
             assert offsets[f, s] == np.float32(tok.onset - t)
-    assert cache["vocab"].tolist() == list(vocab)
 
 
 def test_dataset_order_matches_fold_plan(built):
@@ -279,6 +276,45 @@ def test_speaker_onehot(built):
     plain = features.WindowProvider(ds, "presence", "both")
     assert plain.speaker_dim == 0
     assert plain.batch(idx[:2])["speaker"] is None
+
+
+def _copy_corpus(root, tmp_path):
+    """The built corpus and features under tmp_path, so tests can edit them."""
+    shutil.copytree(root, tmp_path / "c")
+    return tmp_path / "c", corpus.load_manifest(tmp_path / "c" / "manifest.json")
+
+
+def test_shifted_transcript_timings_need_a_rebuild(built, tmp_path):
+    root, _, _, emb, _ = built
+    copy, recs = _copy_corpus(root, tmp_path)
+    rec = recs[0]
+    path = copy / f"rec_{rec.rec_id:02d}" / "transcript.tsv"
+    shifted = [textfeat.WordToken(w.word, w.onset + 0.25, w.offset + 0.25)
+               for w in rec.words]
+    textfeat.write_transcript(shifted, path)
+    recs = corpus.load_manifest(copy / "manifest.json")
+    with pytest.raises(ValueError, match=f"recording {rec.rec_id}: .*features --force"):
+        features.load_dataset(recs, copy / "features", emb)
+    features.build_features(recs, copy / "features", force=True)
+    features.load_dataset(recs, copy / "features", emb)
+
+
+def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):
+    root, _, _, emb, ds = built
+    copy, recs = _copy_corpus(root, tmp_path)
+    rec = min(recs, key=lambda r: r.rec_id)
+    path = copy / f"rec_{rec.rec_id:02d}" / "transcript.tsv"
+    unknown = [textfeat.WordToken("zzunknown", w.onset, w.offset) for w in rec.words]
+    textfeat.write_transcript(unknown, path)
+    edited = features.load_dataset(corpus.load_manifest(copy / "manifest.json"),
+                                   copy / "features", emb)
+    n = ds.tables[0].n_frames
+    present = ds.word_ids[:n] != features.ABSENT_ID
+    assert present.any() and (ds.word_ids[:n][present] >= 0).all()
+    assert np.array_equal(edited.word_ids[:n],
+                          np.where(present, features.OOV_ID, features.ABSENT_ID))
+    assert np.array_equal(edited.word_ids[n:], ds.word_ids[n:])
+    assert np.array_equal(edited.word_offsets, ds.word_offsets)
 
 
 def test_load_requires_built_features(built, tmp_path):

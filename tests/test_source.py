@@ -33,3 +33,19 @@ def test_every_public_name_has_a_caller_in_src():
     unused = sorted(key for key, top in defs.items()
                     if not mentions.get(top.name, set()) - {top})
     assert unused == TEST_ONLY
+
+
+def test_one_function_moves_files_into_place():
+    # every atomic write goes through evaluation.write_atomic
+    callers = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "replace" \
+                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "os":
+                    callers.append(f"{path.stem}.{fn.name}")
+    assert callers == ["evaluation.write_atomic"]

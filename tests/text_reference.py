@@ -1,7 +1,8 @@
 """Per-word, per-time references for the lexical features.
 
-The dataset path embeds every word once (features._text_cache) and gathers
-windows with WindowProvider; these loops build the same values one word and
+The dataset path maps every word to an embedding row once, when
+features.load_dataset builds the word windows, and gathers windows with
+WindowProvider; these loops build the same values one word and
 one target time at a time, so tests can compare the two.
 """
 
