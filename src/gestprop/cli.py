@@ -76,7 +76,10 @@ def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
     """Settings from defaults, then the --config file, then explicit flags."""
     base = dict(defaults or {})
     if args.config:
-        settings = json.loads(Path(args.config).read_text())
+        try:
+            settings = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
         _require_objects(settings, args.config)
         base.update(settings)
 
@@ -103,7 +106,7 @@ def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
 
     missing = [k for k in ("manifest", "embeddings", "out_dir") if not base.get(k)]
     if missing:
-        raise SystemExit(f"error: missing required settings: {', '.join(missing)} "
+        raise ValueError(f"missing required settings: {', '.join(missing)} "
                          f"(pass flags or --config)")
     return ExperimentConfig.from_dict(base)
 

@@ -10,9 +10,11 @@ by precedence (stroke > preparation > pre-hold > post-hold > retraction).
 
 Cross-validation is within-speaker (k contiguous blocks per speaker, one
 block per fold) or between-speaker (hold one speaker out); within_id is
-within-speaker with a speaker one-hot appended to the model input. Training
-frames whose input window crosses a validation block of the same recording
-are excluded, as are frames whose audio window crosses the recording edge.
+within-speaker with a speaker one-hot appended to the model input. Folds are
+planned on the loaded FrameDataset, whose frames, eligibility and input-window
+extents are already concatenated in rec-id order. Training frames whose input
+window crosses a validation block of the same recording are excluded, as are
+frames whose audio window crosses the recording edge.
 """
 
 from __future__ import annotations
@@ -21,10 +23,14 @@ import json
 import logging
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .textfeat import WordToken, read_transcript, select_window
+from .textfeat import WordToken, read_transcript
+
+if TYPE_CHECKING:
+    from .features import FrameDataset
 
 log = logging.getLogger(__name__)
 
@@ -155,7 +161,7 @@ def rasterize(rec: Recording, schema: PropertySchema, n_frames: int) -> np.ndarr
 
 @dataclass
 class FrameTable:
-    """All 13 label bits plus presence at 20 fps, with window extents."""
+    """All 13 label bits plus presence at 20 fps."""
 
     rec_id: int
     speaker: str
@@ -164,8 +170,6 @@ class FrameTable:
     category: np.ndarray          # (n, 4) uint8
     semantics: np.ndarray         # (n, 4) uint8
     has_gesture: np.ndarray       # (n,) uint8
-    win_lo: np.ndarray            # earliest time the input window touches
-    win_hi: np.ndarray            # latest time the input window touches
 
     @property
     def n_frames(self) -> int:
@@ -178,38 +182,17 @@ class FrameTable:
         return (f >= AUDIO_CONTEXT_FRAMES) & (f <= n - 1 - AUDIO_CONTEXT_FRAMES)
 
 
-def _window_extents(words: list[WordToken], t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Combined audio+text window extent per frame.
-
-    The audio side always spans t +- 1 s; the text side adds the onset of
-    the earliest and offset of the latest word present in the 7-word window.
-    With any words at all every window holds at least one of them.
-    """
-    lo = t - AUDIO_CONTEXT_FRAMES / FPS
-    hi = t + AUDIO_CONTEXT_FRAMES / FPS
-    if not words:
-        return lo, hi
-    onsets = np.array([w.onset for w in words])
-    slots = select_window(onsets, t)
-    first = np.where(slots >= 0, slots, len(words)).min(axis=1)
-    last = slots.max(axis=1)
-    return (np.minimum(lo, onsets[first]),
-            np.maximum(hi, np.array([w.offset for w in words])[last]))
-
-
 def build_frame_table(rec: Recording, duration: float) -> FrameTable:
     """Rasterize all three schemas for a recording onto the 20 fps grid."""
     n = int(duration * FPS)
-    t = np.arange(n) / FPS
     phase = rasterize(rec, PHASE, n)
     category = rasterize(rec, CATEGORY, n)
     semantics = rasterize(rec, SEMANTICS, n)
     has_gesture = ((phase.any(axis=1)) | (category.any(axis=1))
                    | (semantics.any(axis=1))).astype(np.uint8)
-    win_lo, win_hi = _window_extents(rec.words, t)
-    return FrameTable(rec_id=rec.rec_id, speaker=rec.speaker, t=t,
+    return FrameTable(rec_id=rec.rec_id, speaker=rec.speaker, t=np.arange(n) / FPS,
                       phase=phase, category=category, semantics=semantics,
-                      has_gesture=has_gesture, win_lo=win_lo, win_hi=win_hi)
+                      has_gesture=has_gesture)
 
 
 FRAME_CSV_COLUMNS = (
@@ -217,18 +200,15 @@ FRAME_CSV_COLUMNS = (
     + [f"phase_{l}" for l in PHASE.labels]
     + [f"category_{l}" for l in CATEGORY.labels]
     + [f"semantics_{l}" for l in SEMANTICS.labels]
-    + ["win_lo", "win_hi"]
 )
 
 
 def write_frame_csv(table: FrameTable, path: str | Path) -> None:
-    """One row per frame: the 13 label bits plus has_gesture and extents."""
+    """One row per frame: its time, has_gesture and the 13 label bits."""
     n = table.n_frames
     cells = np.column_stack([np.arange(n), table.t, table.has_gesture, table.phase,
-                             table.category, table.semantics,
-                             table.win_lo, table.win_hi]).ravel().tolist()
-    # frame and t, then has_gesture and the label bits as ints, then the extents
-    row = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 4) + ",%.9g,%.9g\n"
+                             table.category, table.semantics]).ravel().tolist()
+    row = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 2) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")
         fh.write(",".join(FRAME_CSV_COLUMNS) + "\n")
@@ -243,7 +223,8 @@ def read_frame_csv(path: str | Path) -> FrameTable:
         fields = dict(part.split("=", 1) for part in meta[2:].split(" "))
         header = fh.readline().strip().split(",")
         if header != list(FRAME_CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected header")
+            raise ValueError(f"{path}: unexpected header (another version wrote it); "
+                             f"rerun features --force")
         data = np.loadtxt(fh, delimiter=",", ndmin=2)
     if data.size == 0:
         data = np.zeros((0, len(FRAME_CSV_COLUMNS)))
@@ -254,7 +235,6 @@ def read_frame_csv(path: str | Path) -> FrameTable:
         phase=data[:, 3:8].astype(np.uint8),
         category=data[:, 8:12].astype(np.uint8),
         semantics=data[:, 12:16].astype(np.uint8),
-        win_lo=data[:, 16], win_hi=data[:, 17],
     )
 
 
@@ -347,52 +327,43 @@ def load_manifest(path: str | Path) -> list[Recording]:
 
 @dataclass
 class FoldPlan:
-    """Global-index fold assignments over a concatenated list of tables."""
+    """Per fold, the dataset's frame indices to validate and to train on."""
 
-    val: list[np.ndarray]           # per fold: global frame indices
+    val: list[np.ndarray]
     train: list[np.ndarray]
-    offsets: np.ndarray             # table i owns [offsets[i], offsets[i+1])
-    eligible: np.ndarray            # global boolean mask
 
     @property
     def n_folds(self) -> int:
         return len(self.val)
 
 
-def _offsets(tables) -> np.ndarray:
-    sizes = [t.n_frames for t in tables]
-    return np.concatenate([[0], np.cumsum(sizes)])
-
-
-def _train_mask_for_fold(tables, offsets, eligible, val_global) -> np.ndarray:
+def _train_mask_for_fold(dataset: FrameDataset, val: np.ndarray) -> np.ndarray:
     """Eligible frames outside the fold, minus window-crossing frames.
 
     A frame is excluded when its input-window extent [win_lo, win_hi]
     intersects the time span of a validation run in the same recording.
     """
-    n_total = offsets[-1]
-    val_mask = np.zeros(n_total, dtype=bool)
-    val_mask[val_global] = True
-    keep = eligible & ~val_mask
-    for i, table in enumerate(tables):
-        lo, hi = offsets[i], offsets[i + 1]
-        vmask = val_mask[lo:hi]
-        if not vmask.any():
+    val_mask = np.zeros(dataset.n_frames, dtype=bool)
+    val_mask[val] = True
+    keep = dataset.eligible & ~val_mask
+    starts = np.flatnonzero(np.diff(dataset.rec_ids)) + 1     # one run per recording
+    for lo, hi in zip([0, *starts], [*starts, dataset.n_frames]):
+        idx = np.flatnonzero(val_mask[lo:hi]) + lo
+        if not len(idx):
             continue
         # contiguous validation runs -> time intervals
-        idx = np.flatnonzero(vmask)
         breaks = np.flatnonzero(np.diff(idx) > 1)
-        starts = np.concatenate([[idx[0]], idx[breaks + 1]])
-        ends = np.concatenate([idx[breaks], [idx[-1]]])
-        crossing = np.zeros(table.n_frames, dtype=bool)
-        for s, e in zip(starts, ends):
-            t_lo, t_hi = table.t[s], table.t[e]
-            crossing |= (table.win_hi >= t_lo - 1e-9) & (table.win_lo <= t_hi + 1e-9)
+        run_starts = np.concatenate([[idx[0]], idx[breaks + 1]])
+        run_ends = np.concatenate([idx[breaks], [idx[-1]]])
+        win_lo, win_hi = dataset.win_lo[lo:hi], dataset.win_hi[lo:hi]
+        crossing = np.zeros(hi - lo, dtype=bool)
+        for s, e in zip(run_starts, run_ends):
+            crossing |= (win_hi >= dataset.t[s] - 1e-9) & (win_lo <= dataset.t[e] + 1e-9)
         keep[lo:hi] &= ~crossing
     return keep
 
 
-def make_folds_within(tables: list[FrameTable], k: int = 20) -> FoldPlan:
+def make_folds_within(dataset: FrameDataset, k: int = 20) -> FoldPlan:
     """Within-speaker folds: k contiguous blocks of each speaker's frames.
 
     Each speaker's eligible frames (recordings ordered by id) split into k
@@ -401,22 +372,10 @@ def make_folds_within(tables: list[FrameTable], k: int = 20) -> FoldPlan:
     """
     if k < 2:
         raise ValueError(f"need k >= 2 folds, got {k}")
-    tables = sorted(tables, key=lambda t: t.rec_id)
-    offsets = _offsets(tables)
-    eligible = np.concatenate([t.eligible() for t in tables]) if tables \
-        else np.zeros(0, dtype=bool)
-
-    by_speaker: dict[str, list[int]] = {}
-    for i, table in enumerate(tables):
-        by_speaker.setdefault(table.speaker, []).append(i)
-
     fold_members: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for speaker in sorted(by_speaker):
-        globals_ = np.concatenate([
-            np.flatnonzero(eligible[offsets[i]:offsets[i + 1]]) + offsets[i]
-            for i in by_speaker[speaker]
-        ])
-        n = len(globals_)
+    for speaker in dataset.speaker_list:
+        frames = np.flatnonzero(dataset.eligible & (dataset.speakers == speaker))
+        n = len(frames)
         if n < k:
             raise ValueError(
                 f"speaker {speaker!r} has only {n} eligible frames for k={k} folds"
@@ -425,32 +384,22 @@ def make_folds_within(tables: list[FrameTable], k: int = 20) -> FoldPlan:
         pos = 0
         for j in range(k):
             size = base + (1 if j < rem else 0)
-            fold_members[j].append(globals_[pos:pos + size])
+            fold_members[j].append(frames[pos:pos + size])
             pos += size
 
     val = [np.sort(np.concatenate(m)) for m in fold_members]
-    train = [
-        np.flatnonzero(_train_mask_for_fold(tables, offsets, eligible, v))
-        for v in val
-    ]
-    return FoldPlan(val=val, train=train, offsets=offsets, eligible=eligible)
+    train = [np.flatnonzero(_train_mask_for_fold(dataset, v)) for v in val]
+    return FoldPlan(val=val, train=train)
 
 
-def make_folds_between(tables: list[FrameTable]) -> FoldPlan:
+def make_folds_between(dataset: FrameDataset) -> FoldPlan:
     """Between-speaker folds: hold every speaker out once."""
-    tables = sorted(tables, key=lambda t: t.rec_id)
-    offsets = _offsets(tables)
-    eligible = np.concatenate([t.eligible() for t in tables]) if tables \
-        else np.zeros(0, dtype=bool)
-    speakers = sorted({t.speaker for t in tables})
+    speakers = dataset.speaker_list
     if len(speakers) < 2:
         raise ValueError(f"between-speaker CV needs >= 2 speakers, got {len(speakers)}")
-    spk_per_frame = np.concatenate([
-        np.full(t.n_frames, speakers.index(t.speaker)) for t in tables
-    ])
     val, train = [], []
-    for i, _ in enumerate(speakers):
-        held = spk_per_frame == i
-        val.append(np.flatnonzero(eligible & held))
-        train.append(np.flatnonzero(eligible & ~held))
-    return FoldPlan(val=val, train=train, offsets=offsets, eligible=eligible)
+    for speaker in speakers:
+        held = dataset.speakers == speaker
+        val.append(np.flatnonzero(dataset.eligible & held))
+        train.append(np.flatnonzero(dataset.eligible & ~held))
+    return FoldPlan(val=val, train=train)

@@ -45,6 +45,8 @@ MODEL_KEYS = (*ENCODER_KEYS, *DECODER_KEYS)
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
 PREDICT_CHUNK = 1024     # frames per inference batch, whatever the recording length
+# config entries on which a model report and the baselines must agree to be compared
+COMPARABLE_KEYS = ("property", "cv", "folds", "manifest", "eval_on_all_frames")
 
 
 @dataclass(frozen=True)
@@ -147,8 +149,8 @@ def _load_corpus(config: ExperimentConfig):
 
 def _make_plan(dataset, config: ExperimentConfig):
     if config.cv == "between":
-        return make_folds_between(dataset.tables)
-    return make_folds_within(dataset.tables, k=config.folds)
+        return make_folds_between(dataset)
+    return make_folds_within(dataset, k=config.folds)
 
 
 def _training_pool(dataset, prop: str, idx: np.ndarray) -> np.ndarray:
@@ -338,14 +340,18 @@ def run_baselines(config: ExperimentConfig) -> dict:
 
     report_path = out / "report.json"
     if report_path.exists():
-        model_agg = json.loads(report_path.read_text()).get("aggregate", {})
-        if model_agg.get("labels"):
+        model = json.loads(report_path.read_text())
+        ours = result["config"]
+        differ = [k for k in COMPARABLE_KEYS if model.get("config", {}).get(k) != ours[k]]
+        if differ:
+            log.warning("%s differs from this run in %s; not flagging predictability",
+                        report_path, ", ".join(differ))
+        elif model.get("aggregate", {}).get("labels"):
             flags = {}
-            for label, entry in model_agg["labels"].items():
+            for label, entry in model["aggregate"]["labels"].items():
                 base_means = {k: baselines[k]["labels"][label]["macro_f1"]["mean"]
                               for k in kinds}
-                flags[label] = flag_predictable(entry["macro_f1"]["mean"],
-                                                base_means)
+                flags[label] = flag_predictable(entry["macro_f1"]["mean"], base_means)
             result["predictable"] = flags
 
     write_json(str(out / "baselines.json"), result)
@@ -438,11 +444,11 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
     names = SCHEMAS[config.prop].labels
 
     written = []
-    for table in dataset.tables:
-        idx = np.flatnonzero(dataset.eligible & (dataset.rec_ids == table.rec_id))
+    for rec_id in np.unique(dataset.rec_ids):
+        idx = np.flatnonzero(dataset.eligible & (dataset.rec_ids == rec_id))
         probs = _predict(spec, params, provider, idx)
         decisions = binarize(probs, provider.exclusive, config.threshold)
-        name = f"predictions/rec_{table.rec_id:05d}.csv"
+        name = f"predictions/rec_{rec_id:05d}.csv"
         write_predictions_csv(
             str(out / name), dataset.t[idx], names, probs,
             decisions, provider.labels_at(idx).astype(np.int64))

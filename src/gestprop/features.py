@@ -2,12 +2,13 @@
 
 build_features turns each recording into two cached artifacts, written
 atomically: a prosody CSV at 20 fps (interlocutor spans silenced first) and
-a frame-table CSV with the label bits and window extents. The step is
-idempotent: existing files are left alone unless force is set.
+a frame-table CSV with the label bits. The step is idempotent: existing files
+are left alone unless force is set.
 
-load_dataset concatenates those artifacts (recordings ordered by id, the
-same order fold plans use) into one FrameDataset, with each frame's 7-slot
-word window built from the transcript. WindowProvider then serves training
+load_dataset concatenates those artifacts (recordings ordered by id) into one
+FrameDataset. From the transcript it adds each frame's 7-slot word window and
+the extent of its input window, which fold plans read; so a transcript edit
+needs no rebuild. WindowProvider then serves training
 batches: standardized audio windows of the frames the model reads (at most
 41, +-1 s), text windows of 7 x 301 (embedding plus onset offset; the offset
 column zeroed for the no-timing condition), an optional speaker one-hot,
@@ -22,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import (AUDIO_CONTEXT_FRAMES, Recording, SCHEMAS, _window_extents,
-                     build_frame_table, read_frame_csv, write_frame_csv)
+from .corpus import (AUDIO_CONTEXT_FRAMES, FPS, Recording, SCHEMAS, build_frame_table,
+                     read_frame_csv, write_frame_csv)
 from .evaluation import write_atomic
 from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
@@ -78,14 +79,24 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
 
 def _word_windows(words, t: np.ndarray, emb_rows: dict[str, int]):
     """Per frame time: 7 window slots as embedding rows (OOV_ID for a word
-    without a vector, ABSENT_ID for no word) plus onset offsets (0 if absent)."""
-    slots = select_window([w.onset for w in words], t)    # -1 picks the padding below
+    without a vector, ABSENT_ID for no word), onset offsets (0 if absent),
+    and the earliest and latest time the frame's input window touches.
+
+    The audio side spans t +- 1 s; the text side adds the onset of the
+    earliest and the offset of the latest word present in the window.
+    """
+    # each array ends in the entry slot -1 picks: ABSENT_ID, and times no extent reaches
     found = (lookup_word(emb_rows, w.word) for w in words)
     rows = np.array([OOV_ID if row is None else row for row in found] + [ABSENT_ID],
                     dtype=np.int32)
-    onsets = np.array([w.onset for w in words] + [0.0], dtype=np.float64)
-    offsets = np.where(slots >= 0, onsets[slots] - t[:, None], 0.0).astype(np.float32)
-    return rows[slots], offsets
+    onsets = np.array([w.onset for w in words] + [np.inf])
+    ends = np.array([w.offset for w in words] + [-np.inf])
+    slots = select_window(onsets[:-1], t)
+    slot_onsets = onsets[slots]
+    offsets = np.where(slots >= 0, slot_onsets - t[:, None], 0.0).astype(np.float32)
+    win_lo = np.minimum(t - AUDIO_CONTEXT_FRAMES / FPS, slot_onsets.min(axis=1))
+    win_hi = np.maximum(t + AUDIO_CONTEXT_FRAMES / FPS, ends[slots.max(axis=1)])
+    return rows[slots], offsets, win_lo, win_hi
 
 
 @dataclass
@@ -104,7 +115,8 @@ class FrameDataset:
     word_offsets: np.ndarray     # (N, 7) float32, 0 on absent slots
     emb_matrix: np.ndarray       # (V, dim) float32
     eligible: np.ndarray         # (N,) bool, audio window inside recording
-    tables: list                 # FrameTable per recording, rec-id order
+    win_lo: np.ndarray           # (N,) float64, earliest time the input window touches
+    win_hi: np.ndarray           # (N,) float64, latest time the input window touches
 
     @property
     def n_frames(self) -> int:
@@ -145,16 +157,12 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
         if len(track.rows) != table.n_frames:
             raise ValueError(f"recording {rec.rec_id}: feature files disagree "
                              f"on frame count")
-        # the extents guard folds against leakage, so they must follow the transcript
-        extents = np.stack(_window_extents(rec.words, table.t))
-        if not np.allclose(extents, [table.win_lo, table.win_hi], rtol=0, atol=1e-6):
-            raise ValueError(f"recording {rec.rec_id}: transcript timings differ from those "
-                             f"{paths['frames']} was built from; rerun features --force")
         tables.append(table)
         pros.append(track.rows.astype(np.float32))
         windows.append(_word_windows(rec.words, table.t, emb_rows))
 
     sizes = [t.n_frames for t in tables]
+    word_ids, word_offsets, win_lo, win_hi = map(np.concatenate, zip(*windows))
     return FrameDataset(
         rec_ids=np.concatenate([np.full(n, t.rec_id) for t, n in zip(tables, sizes)]),
         speakers=np.concatenate([np.full(n, t.speaker, dtype=object)
@@ -165,11 +173,10 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
         category=np.concatenate([t.category for t in tables]),
         semantics=np.concatenate([t.semantics for t in tables]),
         has_gesture=np.concatenate([t.has_gesture for t in tables]),
-        word_ids=np.concatenate([ids for ids, _ in windows]),
-        word_offsets=np.concatenate([offsets for _, offsets in windows]),
+        word_ids=word_ids, word_offsets=word_offsets,
         emb_matrix=emb_matrix,
         eligible=np.concatenate([t.eligible() for t in tables]),
-        tables=tables,
+        win_lo=win_lo, win_hi=win_hi,
     )
 
 

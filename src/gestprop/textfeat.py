@@ -8,8 +8,9 @@ absent slots are all-zero rows including the timing column.
 
 select_window is the one implementation of that window. It takes the sorted
 word onsets and an array of target times and returns, per time, the 7 slot
-indices into the word list with -1 for an absent slot; the frame table's
-window extents and the dataset's word windows are both derived from it.
+indices into the word list with -1 for an absent slot. load_dataset derives
+both the dataset's word windows and each frame's input-window extent from one
+call per recording.
 """
 
 from __future__ import annotations

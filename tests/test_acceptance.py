@@ -21,10 +21,10 @@ from gestprop.corpus import (
     Recording,
     build_frame_table,
     encode_labels,
+    load_manifest,
     make_folds_between,
     make_folds_within,
     rasterize,
-    read_frame_csv,
 )
 from gestprop.evaluation import (
     ConfusionCounts,
@@ -34,7 +34,7 @@ from gestprop.evaluation import (
     f1_scores,
 )
 from gestprop.experiment import ExperimentConfig, run_baselines, run_cv, run_features
-from gestprop.features import feature_paths
+from gestprop.features import load_dataset
 from gestprop.prosody import (
     AudioClip,
     ProsodyTrack,
@@ -438,38 +438,40 @@ def test_criterion_10_determinism_and_fold_partitions(tmp_path):
     second = (out / "report.json").read_bytes()
     assert first == second, "same config and seed must give identical reports"
 
-    tables = [read_frame_csv(feature_paths(out / "features", rid)["frames"])
-              for rid in (0, 1)]
+    # frames, eligibility and window extents as the folds read them
+    ds = load_dataset(load_manifest(corpus / "manifest.json"), out / "features",
+                      corpus / "vectors.txt")
+    rec_ids, starts = np.unique(ds.rec_ids, return_index=True)
+    assert rec_ids.tolist() == [0, 1]
+    offsets = np.append(starts, ds.n_frames)
 
-    plan = make_folds_within(tables, k=5)
-    eligible = np.flatnonzero(plan.eligible)
+    plan = make_folds_within(ds, k=5)
+    eligible = np.flatnonzero(ds.eligible)
     assert np.array_equal(np.sort(np.concatenate(plan.val)), eligible)
     for train_idx, val_idx in zip(plan.train, plan.val):
         assert not np.intersect1d(train_idx, val_idx).size
         assert np.isin(train_idx, eligible).all()
         # training windows must never read a validation frame's time span
-        for row, table in enumerate(tables):
-            lo, hi = plan.offsets[row], plan.offsets[row + 1]
-            tr = train_idx[(train_idx >= lo) & (train_idx < hi)] - lo
-            va = val_idx[(val_idx >= lo) & (val_idx < hi)] - lo
+        for row in range(len(rec_ids)):
+            lo, hi = offsets[row], offsets[row + 1]
+            tr = train_idx[(train_idx >= lo) & (train_idx < hi)]
+            va = val_idx[(val_idx >= lo) & (val_idx < hi)]
             if not tr.size or not va.size:
                 continue
-            overlap = ((table.win_lo[tr][:, None] <= table.t[va][None, :] + 1e-9)
-                       & (table.win_hi[tr][:, None] >= table.t[va][None, :] - 1e-9))
+            overlap = ((ds.win_lo[tr][:, None] <= ds.t[va][None, :] + 1e-9)
+                       & (ds.win_hi[tr][:, None] >= ds.t[va][None, :] - 1e-9))
             assert not overlap.any()
 
-    plan_b = make_folds_between(tables)
-    speakers = np.array([t.speaker for t in tables])
+    plan_b = make_folds_between(ds)
+    speakers = ds.speakers[starts]
     for train_idx, val_idx in zip(plan_b.train, plan_b.val):
-        val_rows = np.searchsorted(plan_b.offsets, val_idx, side="right") - 1
-        train_rows = np.searchsorted(plan_b.offsets, train_idx, side="right") - 1
+        val_rows = np.searchsorted(offsets, val_idx, side="right") - 1
+        train_rows = np.searchsorted(offsets, train_idx, side="right") - 1
         held_out = set(speakers[val_rows])
         assert len(held_out) == 1
         assert held_out.isdisjoint(speakers[train_rows])
         # the held-out speaker's eligible frames appear exactly once
         speaker_mask = np.isin(
-            np.searchsorted(plan_b.offsets,
-                            np.flatnonzero(plan_b.eligible), side="right") - 1,
+            np.searchsorted(offsets, eligible, side="right") - 1,
             np.flatnonzero(speakers == next(iter(held_out))))
-        assert np.array_equal(np.sort(val_idx),
-                              np.flatnonzero(plan_b.eligible)[speaker_mask])
+        assert np.array_equal(np.sort(val_idx), eligible[speaker_mask])

@@ -247,9 +247,17 @@ def test_missing_embeddings_exits_with_named_path(pipeline, tmp_path, capsys):
     assert "no_vectors.txt" in captured.err
 
 
-def test_missing_required_settings(tmp_path):
-    with pytest.raises(SystemExit, match="manifest"):
-        cli.main(["eval", "--out", str(tmp_path)])
+def test_missing_required_settings(tmp_path, capsys):
+    assert cli.main(["eval", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: missing required settings: manifest, embeddings")
+
+
+def test_config_that_is_not_json_exits_2_naming_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text("not json")
+    assert cli.main(["eval", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {cfg_path}: not valid JSON: ")
 
 
 def test_gradcheck_command(tmp_path, capsys):

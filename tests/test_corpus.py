@@ -7,7 +7,6 @@ from gestprop.corpus import (
     PHASE,
     SEMANTICS,
     AnnotationTier,
-    FrameTable,
     Recording,
     build_frame_table,
     encode_labels,
@@ -21,6 +20,7 @@ from gestprop.corpus import (
     write_frame_csv,
     write_interlocutor,
 )
+from gestprop.features import FrameDataset, _word_windows
 from gestprop.textfeat import WordToken
 
 
@@ -164,14 +164,18 @@ def test_build_frame_table_counts():
 
 def test_window_extents():
     words = [WordToken("a", 2.0, 2.2), WordToken("b", 2.5, 2.8)]
-    table = build_frame_table(rec([], words=words), duration=5.0)
+    t = build_frame_table(rec([], words=words), duration=5.0).t
+    _, _, win_lo, win_hi = _word_windows(words, t, {})
     f = 50                       # t = 2.5: current word = b, past includes a
-    assert table.win_lo[f] == pytest.approx(1.5)    # t - 1 < onset of a
-    assert table.win_hi[f] == pytest.approx(3.5)    # t + 1 > offset of b
+    assert win_lo[f] == pytest.approx(1.5)    # t - 1 < onset of a
+    assert win_hi[f] == pytest.approx(3.5)    # t + 1 > offset of b
     # a frame late in the recording still reaches back to word offsets
     f = 80                       # t = 4.0
-    assert table.win_hi[f] == pytest.approx(5.0)
-    assert table.win_lo[f] == pytest.approx(2.0)    # onset of a (past word)
+    assert win_hi[f] == pytest.approx(5.0)
+    assert win_lo[f] == pytest.approx(2.0)    # onset of a (past word)
+    # without words the window is the audio's alone
+    _, _, win_lo, win_hi = _word_windows([], t, {})
+    assert np.array_equal(win_lo, t - 1.0) and np.array_equal(win_hi, t + 1.0)
 
 
 def test_eligible_mask():
@@ -193,7 +197,7 @@ def test_frame_csv_roundtrip(tmp_path):
     assert back.rec_id == table.rec_id and back.speaker == table.speaker
     for name in ("phase", "category", "semantics", "has_gesture"):
         assert np.array_equal(getattr(back, name), getattr(table, name))
-    assert np.allclose(back.win_lo, table.win_lo)
+    assert np.array_equal(back.t, table.t)
 
 
 def write_frame_csv_by_row(table, path):
@@ -205,8 +209,7 @@ def write_frame_csv_by_row(table, path):
             bits = np.concatenate([table.phase[f], table.category[f], table.semantics[f]])
             fh.write(
                 f"{f},{table.t[f]:.9g},{int(table.has_gesture[f])},"
-                + ",".join(str(int(b)) for b in bits)
-                + f",{table.win_lo[f]:.9g},{table.win_hi[f]:.9g}\n"
+                + ",".join(str(int(b)) for b in bits) + "\n"
             )
 
 
@@ -263,42 +266,52 @@ def test_interlocutor_rejects_empty_or_inverted_rows(tmp_path, row):
 
 # ------------------------------------------------------------------ folds
 
-def make_table(rec_id, speaker, n_frames):
-    z = np.zeros((n_frames, 5), dtype=np.uint8)
-    t = np.arange(n_frames) / 20.0
-    return FrameTable(rec_id=rec_id, speaker=speaker, t=t,
-                      phase=z, category=z[:, :4], semantics=z[:, :4],
-                      has_gesture=z[:, 0], win_lo=t - 1.0, win_hi=t + 1.0)
+def make_dataset(*recordings):
+    """A FrameDataset of (rec_id, speaker, n_frames) recordings in rec-id
+    order, no labels or words, each input window spanning t +- 1 s."""
+    sizes = [n for _, _, n in recordings]
+    f = np.concatenate([np.arange(n) for n in sizes])
+    last = np.repeat(sizes, sizes) - 1
+    t = f / 20.0
+    z = np.zeros((len(f), 7), dtype=np.uint8)
+    return FrameDataset(
+        rec_ids=np.repeat([r for r, _, _ in recordings], sizes),
+        speakers=np.repeat(np.array([s for _, s, _ in recordings], dtype=object), sizes),
+        t=t, prosody=z[:, :5].astype(np.float32), phase=z[:, :5], category=z[:, :4],
+        semantics=z[:, :4], has_gesture=z[:, 0], word_ids=z.astype(np.int32) - 1,
+        word_offsets=z.astype(np.float32), emb_matrix=np.zeros((0, 300), np.float32),
+        eligible=(f >= 20) & (f <= last - 20), win_lo=t - 1.0, win_hi=t + 1.0)
+
 
 def test_within_folds_partition():
-    tables = [make_table(1, "A", 140), make_table(2, "B", 150)]
-    plan = make_folds_within(tables, k=5)
+    ds = make_dataset((1, "A", 140), (2, "B", 150))
+    plan = make_folds_within(ds, k=5)
     assert plan.n_folds == 5
     all_val = np.concatenate(plan.val)
     # validation sets partition the eligible frames exactly
     assert len(all_val) == len(set(all_val.tolist()))
-    assert np.array_equal(np.sort(all_val), np.flatnonzero(plan.eligible))
+    assert np.array_equal(np.sort(all_val), np.flatnonzero(ds.eligible))
 
 
 def test_within_folds_five_percent_blocks():
-    tables = [make_table(i, f"S{i:02d}", 440) for i in range(1, 23)]
-    plan = make_folds_within(tables, k=20)
+    ds = make_dataset(*[(i, f"S{i:02d}", 440) for i in range(1, 23)])
+    plan = make_folds_within(ds, k=20)
     for v in plan.val:
         assert len(v) == 22 * 20          # 400 eligible per speaker / 20
 
 
 def test_within_fold_halves():
-    plan = make_folds_within([make_table(1, "A", 140)], k=2)
+    plan = make_folds_within(make_dataset((1, "A", 140)), k=2)
     assert len(plan.val[0]) == 50 and len(plan.val[1]) == 50
 
 
 def test_within_no_window_crossing():
-    tables = [make_table(1, "A", 300), make_table(2, "A", 280)]
-    plan = make_folds_within(tables, k=4)
+    ds = make_dataset((1, "A", 300), (2, "A", 280))
+    plan = make_folds_within(ds, k=4)
     for v, tr in zip(plan.val, plan.train):
         assert len(np.intersect1d(v, tr)) == 0
         # no train frame within 20 frames of a val frame of the same recording
-        for lo, hi in zip(plan.offsets[:-1], plan.offsets[1:]):
+        for lo, hi in ((0, 300), (300, 580)):
             vv = v[(v >= lo) & (v < hi)]
             tt = tr[(tr >= lo) & (tr < hi)]
             if len(vv) and len(tt):
@@ -308,22 +321,20 @@ def test_within_no_window_crossing():
 
 def test_within_requires_enough_frames():
     with pytest.raises(ValueError, match="eligible frames"):
-        make_folds_within([make_table(1, "A", 50)], k=20)
+        make_folds_within(make_dataset((1, "A", 50)), k=20)
     with pytest.raises(ValueError, match="k >= 2"):
-        make_folds_within([make_table(1, "A", 140)], k=1)
+        make_folds_within(make_dataset((1, "A", 140)), k=1)
 
 
 def test_between_folds_isolate_speaker():
-    tables = [make_table(1, "A", 140), make_table(2, "B", 140), make_table(3, "A", 100)]
-    plan = make_folds_between(tables)
+    ds = make_dataset((1, "A", 140), (2, "B", 140), (3, "A", 100))
+    plan = make_folds_between(ds)
     assert plan.n_folds == 2
-    spk = np.concatenate([np.full(t.n_frames, t.speaker) for t in
-                          sorted(tables, key=lambda x: x.rec_id)])
     for v, tr in zip(plan.val, plan.train):
-        assert len(set(spk[v])) == 1
-        assert set(spk[v]).isdisjoint(set(spk[tr]))
+        assert len(set(ds.speakers[v])) == 1
+        assert set(ds.speakers[v]).isdisjoint(set(ds.speakers[tr]))
 
 
 def test_between_needs_two_speakers():
     with pytest.raises(ValueError, match="2 speakers"):
-        make_folds_between([make_table(1, "A", 140)])
+        make_folds_between(make_dataset((1, "A", 140)))

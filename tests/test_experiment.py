@@ -143,7 +143,7 @@ def test_property_runs_restrict_to_gesture_frames(corpus_dir, featured, tmp_path
     from gestprop.features import load_dataset
     recs = corpus.load_manifest(config.manifest)
     ds = load_dataset(recs, config.features_path(), config.embeddings)
-    plan = corpus.make_folds_within(ds.tables, k=2)
+    plan = corpus.make_folds_within(ds, k=2)
     for entry, val in zip(report["folds"], plan.val):
         # evaluated frames = gesture-present frames of the fold
         n_frames = entry["report"]["n_frames"]
@@ -205,6 +205,22 @@ def test_run_baselines_exclusive_drops_constants(corpus_dir, featured, tmp_path)
     result = run_baselines(config)
     assert sorted(result["baselines"]) == ["informed_random", "uniform_random"]
     assert "predictable" not in result          # no model report in this dir
+
+
+def test_baselines_flag_predictability_only_against_a_comparable_report(
+        corpus_dir, featured, tmp_path, caplog):
+    # the verdict needs a report of the same labels and the same frames:
+    # another property, other folds or other scored frames give none
+    kw = dict(features_dir=str(featured / "features"), prop="semantics")
+    run_cv(fast_config(corpus_dir, tmp_path, **kw), write_checkpoints=False)
+    assert set(run_baselines(fast_config(corpus_dir, tmp_path, **kw))["predictable"]) \
+        == {"amount", "shape", "direction", "size"}
+    for other, named in (({"prop": "phase"}, "property"), ({"folds": 3}, "folds"),
+                         ({"eval_on_all_frames": True}, "eval_on_all_frames")):
+        caplog.clear()
+        result = run_baselines(fast_config(corpus_dir, tmp_path, **{**kw, **other}))
+        assert "predictable" not in result
+        assert f"differs from this run in {named}; not flagging" in caplog.text
 
 
 def test_run_hpsearch(corpus_dir, featured, tmp_path):

@@ -1,5 +1,6 @@
 """Feature build, cached dataset, and the window provider."""
 
+import re
 import shutil
 from dataclasses import replace
 
@@ -23,6 +24,10 @@ def built(tmp_path_factory):
     emb = textfeat.load_embeddings(root / "vectors.txt")
     ds = features.load_dataset(recs, fdir, emb)
     return root, recs, fdir, emb, ds
+
+
+def first_recording_frames(ds):
+    return int((ds.rec_ids == ds.rec_ids[0]).sum())
 
 
 def test_build_writes_two_files_per_recording(built):
@@ -72,7 +77,7 @@ def test_frame_counts_agree_across_artifacts(built):
 def test_word_windows_match_window_oracle(built):
     _, recs, _, emb, ds = built
     rec = min(recs, key=lambda r: r.rec_id)
-    n = ds.tables[0].n_frames
+    n = first_recording_frames(ds)
     ids, offsets = ds.word_ids[:n], ds.word_offsets[:n]
     rows = {w: i for i, w in enumerate(emb.vectors)}
     for f in range(n):
@@ -94,19 +99,21 @@ def test_word_windows_match_window_oracle(built):
 
 def test_dataset_order_matches_fold_plan(built):
     _, recs, fdir, _, ds = built
-    assert ds.n_frames == sum(t.n_frames for t in ds.tables)
-    assert [t.rec_id for t in ds.tables] == sorted(r.rec_id for r in recs)
-    plan = corpus.make_folds_within(ds.tables, k=5)
-    assert plan.offsets[-1] == ds.n_frames
-    assert np.array_equal(plan.eligible, ds.eligible)
+    tables = [corpus.read_frame_csv(features.feature_paths(fdir, r.rec_id)["frames"])
+              for r in sorted(recs, key=lambda r: r.rec_id)]
+    assert ds.n_frames == sum(t.n_frames for t in tables)
+    rec_ids, offsets = np.unique(ds.rec_ids, return_index=True)
+    assert rec_ids.tolist() == sorted(r.rec_id for r in recs)
+    assert np.array_equal(offsets, np.cumsum([0] + [t.n_frames for t in tables[:-1]]))
+    assert np.array_equal(ds.eligible, np.concatenate([t.eligible() for t in tables]))
+    plan = corpus.make_folds_within(ds, k=5)
     for fold in range(plan.n_folds):
         val = plan.val[fold]
         assert ds.eligible[val].all()
         # global index g addresses frame g - offset of its recording
-        rec_row = np.searchsorted(plan.offsets, val, side="right") - 1
-        assert np.array_equal(ds.rec_ids[val],
-                              np.array([ds.tables[r].rec_id for r in rec_row]))
-        assert np.array_equal(ds.t[val], (val - plan.offsets[rec_row]) / 20)
+        rec_row = np.searchsorted(offsets, val, side="right") - 1
+        assert np.array_equal(ds.rec_ids[val], rec_ids[rec_row])
+        assert np.array_equal(ds.t[val], (val - offsets[rec_row]) / 20)
 
 
 def test_labels_and_flags_per_property(built):
@@ -206,7 +213,7 @@ def test_norm_state_roundtrip_and_std_floor(built):
 def test_text_batch_matches_assemble_oracle(built):
     _, recs, _, emb, ds = built
     pr = features.WindowProvider(ds, "semantics", "text")
-    rec0 = next(r for r in recs if r.rec_id == ds.tables[0].rec_id)
+    rec0 = next(r for r in recs if r.rec_id == ds.rec_ids[0])
     for f in (25, 80, 150):
         got = pr.batch(np.array([f]))["text"][0]
         want = assemble_text_window(emb, rec0.words, f / 20.0)
@@ -284,19 +291,44 @@ def _copy_corpus(root, tmp_path):
     return tmp_path / "c", corpus.load_manifest(tmp_path / "c" / "manifest.json")
 
 
-def test_shifted_transcript_timings_need_a_rebuild(built, tmp_path):
-    root, _, _, emb, _ = built
+def test_shifted_transcript_timings_need_no_rebuild(built, tmp_path):
+    root, _, _, emb, ds = built
     copy, recs = _copy_corpus(root, tmp_path)
-    rec = recs[0]
+    rec = min(recs, key=lambda r: r.rec_id)
     path = copy / f"rec_{rec.rec_id:02d}" / "transcript.tsv"
     shifted = [textfeat.WordToken(w.word, w.onset + 0.25, w.offset + 0.25)
                for w in rec.words]
     textfeat.write_transcript(shifted, path)
     recs = corpus.load_manifest(copy / "manifest.json")
-    with pytest.raises(ValueError, match=f"recording {rec.rec_id}: .*features --force"):
+    moved = features.load_dataset(recs, copy / "features", emb)
+    words = min(recs, key=lambda r: r.rec_id).words
+    n = first_recording_frames(ds)
+    for f in range(n):
+        # the extents follow the shifted words: a linear scan for the
+        # current word, then the first present slot's onset and the last's offset
+        t = f / 20.0
+        cur = sum(w.onset <= t for w in words) - 1
+        present = [words[i] for i in range(cur - 3, cur + 4) if 0 <= i < len(words)]
+        assert moved.win_lo[f] == min(t - 1.0, present[0].onset)
+        assert moved.win_hi[f] == max(t + 1.0, present[-1].offset)
+    assert not np.array_equal(moved.win_lo[:n], ds.win_lo[:n])
+    assert np.array_equal(moved.win_lo[n:], ds.win_lo[n:])
+    assert np.array_equal(moved.win_hi[n:], ds.win_hi[n:])
+    assert not np.array_equal(moved.word_offsets[:n], ds.word_offsets[:n])
+
+
+def test_frame_csv_from_an_older_version_names_the_rebuild(built, tmp_path):
+    # frames.csv once ended in two extent columns; build_features skips a
+    # recording whose files exist, so such a file reaches the loader
+    root, _, _, emb, _ = built
+    copy, recs = _copy_corpus(root, tmp_path)
+    frames = features.feature_paths(copy / "features", recs[0].rec_id)["frames"]
+    meta, header, *rows = frames.read_text().splitlines()
+    frames.write_text("\n".join([meta, header + ",win_lo,win_hi"]
+                                + [row + ",0,0" for row in rows]) + "\n")
+    assert features.build_features(recs, copy / "features") == ([], [])
+    with pytest.raises(ValueError, match=re.escape(f"{frames}: unexpected header") + ".*features --force"):
         features.load_dataset(recs, copy / "features", emb)
-    features.build_features(recs, copy / "features", force=True)
-    features.load_dataset(recs, copy / "features", emb)
 
 
 def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):
@@ -308,7 +340,7 @@ def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):
     textfeat.write_transcript(unknown, path)
     edited = features.load_dataset(corpus.load_manifest(copy / "manifest.json"),
                                    copy / "features", emb)
-    n = ds.tables[0].n_frames
+    n = first_recording_frames(ds)
     present = ds.word_ids[:n] != features.ABSENT_ID
     assert present.any() and (ds.word_ids[:n][present] >= 0).all()
     assert np.array_equal(edited.word_ids[:n],

@@ -35,17 +35,29 @@ def test_every_public_name_has_a_caller_in_src():
     assert unused == TEST_ONLY
 
 
-def test_one_function_moves_files_into_place():
-    # every atomic write goes through evaluation.write_atomic
-    callers = []
+def callers(is_call) -> list[str]:
+    """module.function for each call in src that is_call(node) accepts."""
+    found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                        and node.func.attr == "replace" \
-                        and isinstance(node.func.value, ast.Name) and node.func.value.id == "os":
-                    callers.append(f"{path.stem}.{fn.name}")
-    assert callers == ["evaluation.write_atomic"]
+                if isinstance(node, ast.Call) and is_call(node.func):
+                    found.append(f"{path.stem}.{fn.name}")
+    return found
+
+
+def test_one_function_moves_files_into_place():
+    # every atomic write goes through evaluation.write_atomic
+    assert callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "replace"
+                   and isinstance(f.value, ast.Name) and f.value.id == "os") \
+        == ["evaluation.write_atomic"]
+
+
+def test_one_function_selects_word_windows():
+    # the word windows and the fold plans' window extents come from one
+    # select_window result per recording
+    assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                   == "select_window") == ["features._word_windows"]
