@@ -7,6 +7,10 @@ semantics (non-exclusive: amount, shape, direction, size). A frame carries a
 gesture when any of the thirteen bits is set. Left- and right-hand tiers are
 merged with a per-frame logical OR; phase conflicts after the merge resolve
 by precedence (stroke > preparation > pre-hold > post-hold > retraction).
+The manifest is the one source of each recording's speaker and tiers:
+build_frame_table rasterizes them whenever a dataset loads, and
+write_frame_csv writes the same table for people to read; nothing reads it
+back.
 
 Cross-validation is within-speaker (k contiguous blocks per speaker, one
 block per fold) or between-speaker (hold one speaker out); within_id is
@@ -147,13 +151,10 @@ def rasterize(rec: Recording, schema: PropertySchema, n_frames: int) -> np.ndarr
     if schema.exclusive:
         conflicts = np.flatnonzero(out.sum(axis=1) > 1)
         if len(conflicts):
-            order = [schema.index(p) for p in PHASE_PRECEDENCE]
-            for f in conflicts:
-                winner = order[int(np.argmax(out[f, order]))]
-                log.debug("phase conflict at frame %d resolved to %r",
-                          f, schema.labels[winner])
-                out[f] = 0
-                out[f, winner] = 1
+            order = np.array([schema.index(p) for p in PHASE_PRECEDENCE])
+            winners = order[np.argmax(out[conflicts][:, order], axis=1)]
+            out[conflicts] = 0
+            out[conflicts, winners] = 1
             log.warning("resolved %d phase conflicts by precedence (rec %s)",
                         len(conflicts), rec.rec_id)
     return out
@@ -213,29 +214,6 @@ def write_frame_csv(table: FrameTable, path: str | Path) -> None:
         fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")
         fh.write(",".join(FRAME_CSV_COLUMNS) + "\n")
         fh.write(row * n % tuple(cells))
-
-
-def read_frame_csv(path: str | Path) -> FrameTable:
-    with open(path) as fh:
-        meta = fh.readline().strip()
-        if not meta.startswith("# rec_id="):
-            raise ValueError(f"{path}: missing metadata line")
-        fields = dict(part.split("=", 1) for part in meta[2:].split(" "))
-        header = fh.readline().strip().split(",")
-        if header != list(FRAME_CSV_COLUMNS):
-            raise ValueError(f"{path}: unexpected header (another version wrote it); "
-                             f"rerun features --force")
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    if data.size == 0:
-        data = np.zeros((0, len(FRAME_CSV_COLUMNS)))
-    return FrameTable(
-        rec_id=int(fields["rec_id"]), speaker=fields["speaker"],
-        t=data[:, 1],
-        has_gesture=data[:, 2].astype(np.uint8),
-        phase=data[:, 3:8].astype(np.uint8),
-        category=data[:, 8:12].astype(np.uint8),
-        semantics=data[:, 12:16].astype(np.uint8),
-    )
 
 
 # ------------------------------------------------------------------ annotation IO
@@ -301,18 +279,35 @@ def load_manifest(path: str | Path) -> list[Recording]:
     Each entry: {"id": int, "speaker": str, "audio": path, "transcript":
     path, "annotations": path, "interlocutor": path or null}. Relative
     paths resolve against the manifest's directory. Audio is not loaded
-    here.
+    here. An entry that is not an object, lacks a key other than
+    interlocutor, has a non-integer id or an empty speaker, or repeats an
+    earlier id is a ValueError naming the file and the entry's index.
     """
     path = Path(path)
     base = path.parent
     entries = json.loads(path.read_text())
     if not isinstance(entries, list):
         raise ValueError(f"{path}: manifest must be a JSON array")
-    recs = []
-    for e in entries:
+    recs, first = [], {}         # first: rec id -> index of the entry that has it
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{path}: entry {i} must be a JSON object, "
+                             f"got {type(e).__name__}")
+        missing = [k for k in ("id", "speaker", "audio", "transcript", "annotations")
+                   if k not in e]
+        if missing:
+            raise ValueError(f"{path}: entry {i} lacks {', '.join(missing)}")
+        rec_id, speaker = e["id"], e["speaker"]
+        if type(rec_id) is not int or not isinstance(speaker, str) or not speaker:
+            raise ValueError(f"{path}: entry {i} needs an integer id and a nonempty "
+                             f"speaker string, got {rec_id!r} and {speaker!r}")
+        if rec_id in first:
+            raise ValueError(f"{path}: entry {i} repeats id {rec_id} "
+                             f"of entry {first[rec_id]}")
+        first[rec_id] = i
         rec = Recording(
-            rec_id=int(e["id"]),
-            speaker=str(e["speaker"]),
+            rec_id=rec_id,
+            speaker=speaker,
             audio_path=base / e["audio"],
             words=read_transcript(base / e["transcript"]),
             tiers=read_annotations(base / e["annotations"]),

@@ -1,18 +1,20 @@
 """Feature construction and the windowed dataset provider.
 
-build_features turns each recording into two cached artifacts, written
-atomically: a prosody CSV at 20 fps (interlocutor spans silenced first) and
-a frame-table CSV with the label bits. The step is idempotent: existing files
-are left alone unless force is set.
+build_features caches each recording's prosody as a CSV at 20 fps
+(interlocutor spans silenced first), written atomically, and beside it a
+frame-label CSV for people to read; nothing reads that one back. The step is
+idempotent: existing files are left alone unless force is set, so audio and
+interlocutor edits need a forced rebuild.
 
-load_dataset concatenates those artifacts (recordings ordered by id) into one
-FrameDataset. From the transcript it adds each frame's 7-slot word window and
-the extent of its input window, which fold plans read; so a transcript edit
-needs no rebuild. WindowProvider then serves training
-batches: standardized audio windows of the frames the model reads (at most
-41, +-1 s), text windows of 7 x 301 (embedding plus onset offset; the offset
-column zeroed for the no-timing condition), an optional speaker one-hot,
-and the label matrix of the property being trained.
+load_dataset reads the prosody CSVs and builds everything else from the
+recordings (ordered by id) into one FrameDataset: the speaker and label bits
+from the manifest and its annotations, each frame's 7-slot word window and
+the extent of its input window from the transcript, which fold plans read.
+So annotation, speaker and transcript edits need no rebuild. WindowProvider
+then serves training batches: standardized audio windows of the frames the
+model reads (at most 41, +-1 s), text windows of 7 x 301 (embedding plus
+onset offset; the offset column zeroed for the no-timing condition), an
+optional speaker one-hot, and the label matrix of the property being trained.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import (AUDIO_CONTEXT_FRAMES, FPS, Recording, SCHEMAS, build_frame_table,
-                     read_frame_csv, write_frame_csv)
+                     write_frame_csv)
 from .evaluation import write_atomic
 from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
                       silence_intervals, write_prosody_csv)
@@ -47,7 +49,8 @@ def feature_paths(feature_dir: str | Path, rec_id: int) -> dict[str, Path]:
 
 def build_features(recordings: list[Recording], feature_dir: str | Path,
                    force: bool = False) -> tuple[list[int], list[tuple[int, str]]]:
-    """Write each recording's prosody and frame-table CSVs; returns (built ids, failures)."""
+    """Write each recording's prosody CSV and its frame-label CSV, which only
+    people read; returns (built ids, failures)."""
     feature_dir = Path(feature_dir)
     feature_dir.mkdir(parents=True, exist_ok=True)
     built: list[int] = []
@@ -146,17 +149,12 @@ def load_dataset(recordings: list[Recording], feature_dir: str | Path,
         raise ValueError("no recordings to load")
     tables, pros, windows = [], [], []
     for rec in sorted(recordings, key=lambda r: r.rec_id):
-        paths = feature_paths(feature_dir, rec.rec_id)
-        missing = [str(p) for p in paths.values() if not p.exists()]
-        if missing:
-            raise FileNotFoundError(
-                f"recording {rec.rec_id}: missing feature files {missing}; "
-                f"run the features step first")
-        table = read_frame_csv(paths["frames"])
-        track = read_prosody_csv(paths["prosody"])
-        if len(track.rows) != table.n_frames:
-            raise ValueError(f"recording {rec.rec_id}: feature files disagree "
-                             f"on frame count")
+        path = feature_paths(feature_dir, rec.rec_id)["prosody"]
+        if not path.exists():
+            raise FileNotFoundError(f"recording {rec.rec_id}: missing feature file "
+                                    f"{path}; run the features step first")
+        track = read_prosody_csv(path)
+        table = build_frame_table(rec, duration=len(track.rows) / FPS)
         tables.append(table)
         pros.append(track.rows.astype(np.float32))
         windows.append(_word_windows(rec.words, table.t, emb_rows))

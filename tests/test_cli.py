@@ -237,6 +237,27 @@ def test_features_failure_lists_recording_and_exits_nonzero(
     assert "gone.wav" in captured.err
 
 
+@pytest.mark.parametrize("edit,why", [
+    (lambda m: m[1].pop("speaker"), "entry 1 lacks speaker"),
+    (lambda m: m[1].update(id=m[0]["id"]), "entry 1 repeats id 0 of entry 0"),
+], ids=["no_speaker", "repeated_id"])
+def test_bad_manifest_exits_2_naming_the_entry(pipeline, tmp_path, capsys, edit, why):
+    corpus, _, _ = pipeline
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    for entry in manifest:         # resolvable from tmp_path
+        for key in ("audio", "transcript", "annotations", "interlocutor"):
+            if entry.get(key):
+                entry[key] = str(corpus / entry[key])
+    edit(manifest)
+    bad = tmp_path / "bad_manifest.json"
+    bad.write_text(json.dumps(manifest))
+    rc = cli.main(["features", "--manifest", str(bad),
+                   "--embeddings", str(corpus / "vectors.txt"),
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: {why}")
+
+
 def test_missing_embeddings_exits_with_named_path(pipeline, tmp_path, capsys):
     corpus, _, _ = pipeline
     rc = cli.main(["features", "--manifest", str(corpus / "manifest.json"),

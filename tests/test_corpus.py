@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -5,16 +8,17 @@ from gestprop.corpus import (
     CATEGORY,
     FRAME_CSV_COLUMNS,
     PHASE,
+    PHASE_PRECEDENCE,
     SEMANTICS,
     AnnotationTier,
     Recording,
     build_frame_table,
     encode_labels,
+    load_manifest,
     make_folds_between,
     make_folds_within,
     rasterize,
     read_annotations,
-    read_frame_csv,
     read_interlocutor,
     write_annotations,
     write_frame_csv,
@@ -82,7 +86,7 @@ def test_rasterize_tier_order_invariant():
     assert np.array_equal(a, b)
 
 
-def test_rasterize_phase_precedence():
+def test_rasterize_phase_precedence(caplog):
     # stroke wins over preparation on the overlap
     r = rec([
         AnnotationTier("R.G.Left.Phase", [(0.0, 0.5, "preparation")]),
@@ -92,6 +96,33 @@ def test_rasterize_phase_precedence():
     assert np.array_equal(out[1], encode_labels("preparation", PHASE))
     assert np.array_equal(out[5], encode_labels("stroke", PHASE))
     assert np.all(out.sum(axis=1) <= 1)
+
+    # two hands with many overlapping phases, against a per-frame oracle
+    rng = np.random.default_rng(11)
+    tiers = []
+    for hand in ("Left", "Right"):
+        starts = np.sort(rng.uniform(0, 20, size=40))
+        tiers.append(AnnotationTier(f"R.G.{hand}.Phase", [
+            (float(s), float(s + rng.uniform(0.1, 2.0)), str(rng.choice(PHASE.labels)))
+            for s in starts]))
+    n = 420
+    merged = np.zeros((n, PHASE.n_labels), dtype=np.uint8)
+    for tier in tiers:
+        for s, e, label in tier.intervals:
+            for f in range(n):
+                if s <= f / 20 < e:
+                    merged[f] |= encode_labels(label, PHASE)
+    want = merged.copy()
+    for f in range(n):
+        if merged[f].sum() > 1:
+            winner = next(p for p in PHASE_PRECEDENCE if merged[f, PHASE.index(p)])
+            want[f] = encode_labels(winner, PHASE)
+    n_conflicts = int((merged.sum(axis=1) > 1).sum())
+    assert n_conflicts > 50
+    with caplog.at_level("WARNING"):
+        out = rasterize(rec(tiers), PHASE, n)
+    assert np.array_equal(out, want)
+    assert f"resolved {n_conflicts} phase conflicts" in caplog.text
 
 
 def test_rasterize_empty_and_clipping(caplog):
@@ -193,11 +224,15 @@ def test_frame_csv_roundtrip(tmp_path):
     table = build_frame_table(r, duration=1.0)
     p = tmp_path / "frames.csv"
     write_frame_csv(table, p)
-    back = read_frame_csv(p)
-    assert back.rec_id == table.rec_id and back.speaker == table.speaker
-    for name in ("phase", "category", "semantics", "has_gesture"):
-        assert np.array_equal(getattr(back, name), getattr(table, name))
-    assert np.array_equal(back.t, table.t)
+    meta, header = p.read_text().splitlines()[:2]
+    assert meta == f"# rec_id={table.rec_id} speaker={table.speaker}"
+    assert header.split(",") == FRAME_CSV_COLUMNS
+    back = np.loadtxt(p, delimiter=",", skiprows=2, ndmin=2)
+    assert np.array_equal(back[:, 0], np.arange(table.n_frames))
+    assert np.array_equal(back[:, 1], table.t)
+    assert np.array_equal(back[:, 2], table.has_gesture)
+    assert np.array_equal(back[:, 3:], np.hstack([table.phase, table.category,
+                                                  table.semantics]))
 
 
 def write_frame_csv_by_row(table, path):
@@ -262,6 +297,35 @@ def test_interlocutor_rejects_empty_or_inverted_rows(tmp_path, row):
     p.write_text(f"0\t500\n{row}\n")
     with pytest.raises(ValueError, match=r"il\.tsv: line 2: empty or inverted interval"):
         read_interlocutor(p)
+
+
+# ------------------------------------------------------------------ manifest
+
+FILES = {"audio": "audio.wav", "transcript": "transcript.tsv",
+         "annotations": "annotations.tsv"}
+
+
+@pytest.mark.parametrize("entries,why", [
+    ([{"id": 0, "speaker": "S1", **FILES}, [1, "S2"]],
+     "entry 1 must be a JSON object, got list"),
+    ([{"id": 0, **FILES}], "entry 0 lacks speaker"),
+    ([{"speaker": "S1", "transcript": "transcript.tsv"}],
+     "entry 0 lacks id, audio, annotations"),
+    ([{"id": 1.7, "speaker": "S1", **FILES}],
+     "entry 0 needs an integer id and a nonempty speaker string, got 1.7 and 'S1'"),
+    ([{"id": 0, "speaker": None, **FILES}],
+     "entry 0 needs an integer id and a nonempty speaker string, got 0 and None"),
+    ([{"id": 0, "speaker": "S1", **FILES}, {"id": 1, "speaker": "S2", **FILES},
+      {"id": 1, "speaker": "S3", **FILES}], "entry 2 repeats id 1 of entry 1"),
+], ids=["not_an_object", "no_speaker", "no_id_audio_annotations", "float_id",
+        "null_speaker", "repeated_id"])
+def test_manifest_rejects_bad_entries_naming_file_and_index(tmp_path, entries, why):
+    for name in FILES.values():
+        (tmp_path / name).write_text("")
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(entries))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: {why}")):
+        load_manifest(path)
 
 
 # ------------------------------------------------------------------ folds

@@ -1,6 +1,6 @@
 """Feature build, cached dataset, and the window provider."""
 
-import re
+import json
 import shutil
 from dataclasses import replace
 
@@ -71,7 +71,7 @@ def test_frame_counts_agree_across_artifacts(built):
         clip = prosody.read_wav(rec.audio_path)
         n = int(clip.duration * 20)
         assert prosody.read_prosody_csv(paths["prosody"]).n_frames == n
-        assert corpus.read_frame_csv(paths["frames"]).n_frames == n
+        assert len(np.loadtxt(paths["frames"], delimiter=",", skiprows=2, ndmin=2)) == n
 
 
 def test_word_windows_match_window_oracle(built):
@@ -98,8 +98,8 @@ def test_word_windows_match_window_oracle(built):
 
 
 def test_dataset_order_matches_fold_plan(built):
-    _, recs, fdir, _, ds = built
-    tables = [corpus.read_frame_csv(features.feature_paths(fdir, r.rec_id)["frames"])
+    _, recs, _, _, ds = built
+    tables = [corpus.build_frame_table(r, duration=prosody.read_wav(r.audio_path).duration)
               for r in sorted(recs, key=lambda r: r.rec_id)]
     assert ds.n_frames == sum(t.n_frames for t in tables)
     rec_ids, offsets = np.unique(ds.rec_ids, return_index=True)
@@ -317,18 +317,56 @@ def test_shifted_transcript_timings_need_no_rebuild(built, tmp_path):
     assert not np.array_equal(moved.word_offsets[:n], ds.word_offsets[:n])
 
 
-def test_frame_csv_from_an_older_version_names_the_rebuild(built, tmp_path):
-    # frames.csv once ended in two extent columns; build_features skips a
-    # recording whose files exist, so such a file reaches the loader
-    root, _, _, emb, _ = built
+def assert_same_dataset(a, b):
+    for name in features.FrameDataset.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+def test_loading_reads_no_frame_csv(built, tmp_path):
+    # an 18-column frames.csv (one an older version wrote) and a deleted one
+    # both leave the dataset as it was
+    root, _, _, emb, ds = built
     copy, recs = _copy_corpus(root, tmp_path)
-    frames = features.feature_paths(copy / "features", recs[0].rec_id)["frames"]
-    meta, header, *rows = frames.read_text().splitlines()
-    frames.write_text("\n".join([meta, header + ",win_lo,win_hi"]
-                                + [row + ",0,0" for row in rows]) + "\n")
-    assert features.build_features(recs, copy / "features") == ([], [])
-    with pytest.raises(ValueError, match=re.escape(f"{frames}: unexpected header") + ".*features --force"):
-        features.load_dataset(recs, copy / "features", emb)
+    frames = [features.feature_paths(copy / "features", r.rec_id)["frames"] for r in recs]
+    meta, header, *rows = frames[0].read_text().splitlines()
+    frames[0].write_text("\n".join([meta, header + ",win_lo,win_hi"]
+                                   + [row + ",0,0" for row in rows]) + "\n")
+    assert_same_dataset(features.load_dataset(recs, copy / "features", emb), ds)
+    for path in frames:
+        path.unlink()
+    assert_same_dataset(features.load_dataset(recs, copy / "features", emb), ds)
+
+
+def test_annotation_edits_need_no_rebuild(built, tmp_path):
+    root, _, _, emb, ds = built
+    copy, recs = _copy_corpus(root, tmp_path)
+    rec = min(recs, key=lambda r: r.rec_id)
+    (copy / f"rec_{rec.rec_id:02d}" / "annotations.tsv").write_text("")
+    edited = features.load_dataset(corpus.load_manifest(copy / "manifest.json"),
+                                   copy / "features", emb)
+    n = first_recording_frames(ds)
+    assert ds.has_gesture[:n].sum() > 0
+    assert edited.has_gesture[:n].sum() == 0
+    for name in ("phase", "category", "semantics"):
+        assert not getattr(edited, name)[:n].any()
+        assert np.array_equal(getattr(edited, name)[n:], getattr(ds, name)[n:])
+    assert np.array_equal(edited.prosody, ds.prosody)
+
+
+def test_speaker_edits_need_no_rebuild(tmp_path):
+    spec = synth.SynthSpec(name="three", n_speakers=3, duration=12.0)
+    recs = synth.generate_synthetic_corpus(spec, seed=5, out_dir=tmp_path)
+    assert features.build_features(recs, tmp_path / "features")[1] == []
+    emb = textfeat.load_embeddings(tmp_path / "vectors.txt")
+    ds = features.load_dataset(recs, tmp_path / "features", emb)
+    assert len(ds.speaker_list) == corpus.make_folds_between(ds).n_folds == 3
+    manifest = tmp_path / "manifest.json"
+    entries = json.loads(manifest.read_text())
+    entries[2]["speaker"] = entries[0]["speaker"]
+    manifest.write_text(json.dumps(entries))
+    ds = features.load_dataset(corpus.load_manifest(manifest), tmp_path / "features", emb)
+    assert len(ds.speaker_list) == corpus.make_folds_between(ds).n_folds == 2
 
 
 def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):

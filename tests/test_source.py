@@ -61,3 +61,16 @@ def test_one_function_selects_word_windows():
     # select_window result per recording
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "select_window") == ["features._word_windows"]
+
+
+def test_one_function_parses_csv_files():
+    # the prosody cache is the only file the package reads back with numpy
+    assert callers(lambda f: isinstance(f, ast.Attribute) and f.attr == "loadtxt") \
+        == ["prosody.read_prosody_csv"]
+
+
+def test_labels_are_built_where_they_are_written_and_loaded():
+    # frames.csv is written for people; the dataset rasterizes the annotations
+    assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                   == "build_frame_table") \
+        == ["features.build_features", "features.load_dataset"]
