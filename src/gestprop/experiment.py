@@ -1,12 +1,17 @@
-"""Experiment orchestration: cross-validated training, baselines, search.
+"""Experiment orchestration: cross-validated training, baselines, random search.
 
 One ExperimentConfig drives every run. All artifacts land under its output
 directory: cached features in features/, per-fold checkpoints in
 checkpoints/, report.json + scores.csv for model runs, baselines.json for
 the chance systems, hpsearch.json + runrecord.csv for the search, and an
 index.json naming what each command wrote. A single master seed fans out to
-per-fold training seeds and per-baseline sampling streams, so rerunning a
-command with the same config and seed reproduces every file byte for byte.
+per-fold training seeds, per-baseline sampling streams and per-run search
+draws, so rerunning a command with the same config and seed reproduces every
+file byte for byte.
+
+The search is plain random search over SEARCH_SPACE: each run draws every
+setting once and cross-validates the drawn model, batch size and learning
+rate like eval does.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, from_fields,
                   load_checkpoint, predict_probs, receptive_field, save_checkpoint)
-from .training import TrainConfig, default_space, random_search, train
+from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
 
@@ -41,6 +46,22 @@ ENCODER_KEYS = {"enc_layers": "layers", "enc_channels": "channels",
 DECODER_KEYS = {"dec_hidden": "hidden", "dec_layers": "layers",
                 "dec_dropout": "dropout"}
 MODEL_KEYS = (*ENCODER_KEYS, *DECODER_KEYS)
+
+# hpsearch's random search (Bergstra & Bengio 2012): each setting's draw from
+# one run's generator. A run draws the settings in sorted name order; the
+# draws replace config.model and the train batch and lr.
+SEARCH_SPACE = {
+    "enc_layers": lambda rng: int(rng.integers(1, 4 + 1)),
+    "enc_channels": lambda rng: (16, 32, 64, 128)[int(rng.integers(0, 4))],
+    "kernel": lambda rng: (3, 5)[int(rng.integers(0, 2))],
+    "enc_dropout": lambda rng: float(rng.uniform(0.0, 0.5)),
+    "enc_out": lambda rng: (16, 32, 64, 128)[int(rng.integers(0, 4))],
+    "dec_hidden": lambda rng: int(rng.integers(32, 256 + 1)),
+    "dec_layers": lambda rng: int(rng.integers(1, 3 + 1)),
+    "dec_dropout": lambda rng: float(rng.uniform(0.0, 0.5)),
+    "batch": lambda rng: (32, 64, 128)[int(rng.integers(0, 3))],
+    "lr": lambda rng: float(np.exp(rng.uniform(np.log(1e-4), np.log(1e-2)))),
+}
 
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
@@ -91,22 +112,9 @@ class ExperimentConfig:
                 raise FileNotFoundError(f"{name} file not found: {path}")
 
     def to_dict(self) -> dict:
-        return {
-            "manifest": str(self.manifest),
-            "embeddings": str(self.embeddings),
-            "out_dir": str(self.out_dir),
-            "property": self.prop,
-            "modality": self.modality,
-            "cv": self.cv,
-            "folds": self.folds,
-            "train": self.train.to_dict(),
-            "model": dict(self.model),
-            "seed": self.seed,
-            "threshold": self.threshold,
-            "eval_on_all_frames": self.eval_on_all_frames,
-            "features_dir": None if self.features_dir is None
-                            else str(self.features_dir),
-        }
+        d = asdict(self)
+        d["property"] = d.pop("prop")
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -359,56 +367,44 @@ def run_baselines(config: ExperimentConfig) -> dict:
     return result
 
 
-def run_hpsearch(config: ExperimentConfig, n_runs: int,
-                 space=None) -> dict:
-    """Random search over encoder/decoder/optimizer hyperparameters.
+def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
+    """Random search over SEARCH_SPACE; the best run is the first with the
+    highest mean headline.
 
-    Every run retrains the full CV grid; scores.csv-style curve rows for
-    all (run, fold, eval step) triples land in runrecord.csv.
+    Run i draws from its own generator, seeded by (seed, i), and retrains
+    the full CV grid under runs/NN/; one row per (run, fold, eval step)
+    lands in runrecord.csv.
     """
     config.validate()
-    space = space if space is not None else default_space()
+    if n_runs < 1:
+        raise ValueError(f"need at least 1 run, got {n_runs}")
     out = _out_dir(config.out_dir)
-
-    def evaluate_run(i: int, sample: dict):
-        model = {k: v for k, v in sample.items() if k in MODEL_KEYS}
-        t = config.train
-        if "batch" in sample:
-            t = replace(t, batch=int(sample["batch"]))
-        if "lr" in sample:
-            t = replace(t, lr=float(sample["lr"]))
-        sub = replace(config, model=model, train=t,
-                      out_dir=str(out / "runs" / f"{i:02d}"),
-                      features_dir=str(config.features_path()),
-                      seed=_fold_seed(config.seed, 100_000 + i))
-        report = run_cv(sub, write_checkpoints=False)
-        records = [
-            {"fold": f["fold"], "curve": f["curve"],
-             "loss_curve": f["loss_curve"], "failed": f["failed"]}
-            for f in report["folds"]
-        ]
-        return report["aggregate"]["headline"]["mean"], records
-
-    best_idx, best_sample, results = random_search(
-        space, evaluate_run, n_runs, config.seed)
-
-    rows = ["run,fold,step,score,loss"]
-    for res in results:
-        for rec in res["records"]:
-            for (step, score), loss in zip(rec["curve"], rec["loss_curve"]):
-                rows.append(f"{res['run']},{rec['fold']},{step},"
-                            f"{score:.9g},{loss:.9g}")
+    runs, rows = [], ["run,fold,step,score,loss"]
+    for i in range(n_runs):
+        rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), i]))
+        sample = {name: SEARCH_SPACE[name](rng) for name in sorted(SEARCH_SPACE)}
+        report = run_cv(replace(
+            config, model={k: v for k, v in sample.items() if k in MODEL_KEYS},
+            train=replace(config.train, batch=sample["batch"], lr=sample["lr"]),
+            out_dir=str(out / "runs" / f"{i:02d}"),
+            features_dir=str(config.features_path()),
+            seed=_fold_seed(config.seed, 100_000 + i)), write_checkpoints=False)
+        runs.append({"run": i, "sample": sample,
+                     "score": float(report["aggregate"]["headline"]["mean"])})
+        for f in report["folds"]:
+            for (step, score), loss in zip(f["curve"], f["loss_curve"]):
+                rows.append(f"{i},{f['fold']},{step},{score:.9g},{loss:.9g}")
     write_atomic(out / "runrecord.csv", lambda p: Path(p).write_text("\n".join(rows) + "\n"))
 
+    best = max(runs, key=lambda r: r["score"])
     result = {
         "kind": "hpsearch",
         "config": config.to_dict(),
         "seed": config.seed,
         "n_runs": n_runs,
-        "best_run": best_idx,
-        "best_sample": best_sample,
-        "runs": [{"run": r["run"], "sample": r["sample"], "score": r["score"]}
-                 for r in results],
+        "best_run": best["run"],
+        "best_sample": best["sample"],
+        "runs": runs,
     }
     write_json(str(out / "hpsearch.json"), result)
     _register(out, "hpsearch",

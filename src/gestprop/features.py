@@ -1,10 +1,10 @@
 """Feature construction and the windowed dataset provider.
 
 build_features caches each recording's prosody as a CSV at 20 fps
-(interlocutor spans silenced first), written atomically, and beside it a
-frame-label CSV for people to read; nothing reads that one back. The step is
-idempotent: existing files are left alone unless force is set, so audio and
-interlocutor edits need a forced rebuild.
+(interlocutor spans silenced first), written atomically. An existing prosody
+CSV is left alone unless force is set, so audio and interlocutor edits need a
+forced rebuild. Beside it goes a frame-label CSV for people to read, written
+on every run from the current annotations; nothing reads that one back.
 
 load_dataset reads the prosody CSVs and builds everything else from the
 recordings (ordered by id) into one FrameDataset: the speaker and label bits
@@ -49,34 +49,31 @@ def feature_paths(feature_dir: str | Path, rec_id: int) -> dict[str, Path]:
 
 def build_features(recordings: list[Recording], feature_dir: str | Path,
                    force: bool = False) -> tuple[list[int], list[tuple[int, str]]]:
-    """Write each recording's prosody CSV and its frame-label CSV, which only
-    people read; returns (built ids, failures)."""
+    """Write each recording's prosody CSV, when missing or forced, and its
+    frame-label CSV, which only people read; returns (built ids, failures)."""
     feature_dir = Path(feature_dir)
     feature_dir.mkdir(parents=True, exist_ok=True)
     built: list[int] = []
     failures: list[tuple[int, str]] = []
     for rec in sorted(recordings, key=lambda r: r.rec_id):
         paths = feature_paths(feature_dir, rec.rec_id)
-        if not force and all(p.exists() for p in paths.values()):
-            log.info("recording %d: features exist, skipping", rec.rec_id)
-            continue
-        try:
-            clip = read_wav(rec.audio_path)
-        except (OSError, ValueError) as exc:
-            failures.append((rec.rec_id, f"{rec.audio_path}: {exc}"))
-            continue
-        duration = clip.duration
-        if rec.interlocutor:
-            clip = silence_intervals(clip, rec.interlocutor)
-        track = extract_prosody(clip)
-        table = build_frame_table(rec, duration=duration)
-        if len(track.rows) != table.n_frames:
-            failures.append((rec.rec_id,
-                             f"prosody rows {len(track.rows)} != frames {table.n_frames}"))
-            continue
-        write_atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
+        if force or not paths["prosody"].exists():
+            try:
+                clip = read_wav(rec.audio_path)
+            except (OSError, ValueError) as exc:
+                failures.append((rec.rec_id, f"{rec.audio_path}: {exc}"))
+                continue
+            if rec.interlocutor:
+                clip = silence_intervals(clip, rec.interlocutor)
+            track = extract_prosody(clip)
+            write_atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
+            built.append(rec.rec_id)
+        else:
+            log.info("recording %d: prosody exists, skipping", rec.rec_id)
+            track = read_prosody_csv(paths["prosody"])
+        # the label table has the frames load_dataset builds: one per prosody row
+        table = build_frame_table(rec, duration=len(track.rows) / FPS)
         write_atomic(paths["frames"], lambda p: write_frame_csv(table, p))
-        built.append(rec.rec_id)
     return built, failures
 
 

@@ -33,11 +33,10 @@ log = logging.getLogger(__name__)
 RAW_FPS = 200
 OUT_FPS = 20
 FRAME_LEN = 0.040
-HOP = 0.005
 F0_MIN = 75.0
 F0_MAX = 600.0
 VOICING_THRESHOLD = 0.15
-F0_CHUNK = 2048          # analysis frames per CMNDF batch; bounds the F0 tracker's memory
+F0_CHUNK = 1024          # analysis frames per CMNDF batch; bounds the F0 tracker's memory
 ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
@@ -64,6 +63,11 @@ class AudioClip:
     @property
     def duration(self) -> float:
         return len(self.samples) / self.sample_rate
+
+    @property
+    def n_windows(self) -> int:
+        """Analysis windows on the RAW_FPS grid: floor(n_samples * RAW_FPS / sr)."""
+        return len(self.samples) * RAW_FPS // self.sample_rate
 
 
 @dataclass
@@ -127,22 +131,27 @@ def silence_intervals(clip: AudioClip, intervals) -> AudioClip:
     return AudioClip(samples=samples, sample_rate=clip.sample_rate)
 
 
-def frame_signal(clip: AudioClip) -> np.ndarray:
-    """Slice a clip into overlapping analysis windows of FRAME_LEN every HOP.
+def frame_signal(clip: AudioClip, lo: int, hi: int) -> np.ndarray:
+    """Analysis windows lo..hi-1 of a clip, each FRAME_LEN long.
 
-    Window i is centred at t = i * HOP; samples outside the clip are zero.
-    Returns a read-only (n, L) view of one padded copy of the samples, with
-    n = floor(duration / HOP), so memory grows with the clip, not with L.
-    Rates where the hop is not an integral number of samples use the
-    nearest sample count.
+    Window i is centred at sample round(i * sr / RAW_FPS), computed in
+    integers, so the grid stays on RAW_FPS at rates like 44.1 kHz where a
+    hop is not a whole number of samples; samples outside the clip are
+    zero. Returns a (hi - lo, L) array gathered from one padded copy of
+    the samples those windows cover, so a long clip taken a slice at a
+    time costs one slice's memory.
     """
     sr = clip.sample_rate
-    hop_s = max(1, int(round(HOP * sr)))
     frame_s = max(1, int(round(FRAME_LEN * sr)))
-    n = len(clip.samples) // hop_s
-    # window i starts at i*hop - half in clip time
-    padded = np.concatenate([np.zeros(frame_s // 2), clip.samples, np.zeros(frame_s)])
-    return np.lib.stride_tricks.sliding_window_view(padded, frame_s)[::hop_s][:n]
+    # clip sample where window i starts: its centre, rounded half up, less half a window
+    starts = (np.arange(lo, hi) * sr + RAW_FPS // 2) // RAW_FPS - frame_s // 2
+    if len(starts) == 0:
+        return np.zeros((0, frame_s))
+    first, end = starts[0], starts[-1] + frame_s
+    span = np.zeros(end - first)
+    a, b = max(first, 0), min(end, len(clip.samples))
+    span[a - first:b - first] = clip.samples[a:b]
+    return np.lib.stride_tricks.sliding_window_view(span, frame_s)[starts - first]
 
 
 def _cmndf_track(frames: np.ndarray, energy: np.ndarray,
@@ -240,30 +249,20 @@ def _f0_track(frames: np.ndarray,
               sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS for a frame stack.
 
-    Works through F0_CHUNK frames at a time, so only one chunk's squares
-    and spectra are in memory at once. Each chunk is squared once: the
-    squares give the RMS that gates voicing, then become the CMNDF's
-    running energy sum in place.
+    The stack is squared once: the squares give the RMS that gates voicing,
+    then become the CMNDF's running energy sum in place. Memory grows with
+    the stack, so extract_prosody passes F0_CHUNK frames at a time.
     """
-    n = len(frames)
-    f0 = np.zeros(n)
-    voiced = np.zeros(n, dtype=bool)
-    rms = np.zeros(n)
-    for lo in range(0, n, F0_CHUNK):
-        chunk = frames[lo:lo + F0_CHUNK]
-        hi = lo + len(chunk)
-        energy = chunk * chunk
-        rms[lo:hi] = np.sqrt(np.mean(energy, axis=1))
-        np.cumsum(energy, axis=1, out=energy)
-        nd, tau_min, tau_max = _cmndf_track(chunk, energy, sample_rate)
-        lags, nd_min = _pick_period(nd, tau_min, tau_max)
-        period = _refine_parabolic(nd, lags, tau_min, tau_max)
-        cand = sample_rate / period
-        ok = (nd_min < VOICING_THRESHOLD) & (rms[lo:hi] >= ENERGY_GATE) \
-            & (cand >= F0_MIN) & (cand <= F0_MAX)
-        f0[lo:hi] = np.where(ok, cand, 0.0)
-        voiced[lo:hi] = ok
-    return f0, voiced, rms
+    energy = frames * frames
+    rms = np.sqrt(np.mean(energy, axis=1))
+    np.cumsum(energy, axis=1, out=energy)
+    nd, tau_min, tau_max = _cmndf_track(frames, energy, sample_rate)
+    lags, nd_min = _pick_period(nd, tau_min, tau_max)
+    period = _refine_parabolic(nd, lags, tau_min, tau_max)
+    cand = sample_rate / period
+    voiced = (nd_min < VOICING_THRESHOLD) & (rms >= ENERGY_GATE) \
+        & (cand >= F0_MIN) & (cand <= F0_MAX)
+    return np.where(voiced, cand, 0.0), voiced, rms
 
 
 def estimate_f0(window: np.ndarray, sample_rate: int) -> float | None:
@@ -345,15 +344,16 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     Frames at 200 fps, estimates F0/voicing and RMS, applies the log
     transforms, interpolates the pitch feature across unvoiced gaps, takes
     central-difference derivatives at 200 fps, then mean-downsamples to
-    20 fps. The raw track is trimmed to a multiple of 10 rows first so the
-    output has exactly floor(duration * 20) rows, aligned with the label
-    grid.
+    20 fps. The raw track is trimmed to a multiple of 10 rows first, so the
+    output has floor(n_samples * 20 / sr) rows, aligned with the label grid
+    at every sample rate.
     """
-    frames = frame_signal(clip)
-    n_raw = len(frames) - len(frames) % 10
+    n_raw = clip.n_windows - clip.n_windows % 10
     if n_raw == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
-    f0, voiced, rms = _f0_track(frames[:n_raw], clip.sample_rate)
+    f0, voiced, rms = map(np.concatenate, zip(*(
+        _f0_track(frame_signal(clip, lo, min(lo + F0_CHUNK, n_raw)), clip.sample_rate)
+        for lo in range(0, n_raw, F0_CHUNK))))
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)

@@ -20,7 +20,7 @@ positive count reaches half its majority side.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,9 +182,6 @@ class TrainConfig:
         if not 1 <= self.evals <= self.steps:
             raise ValueError(f"evals must be in [1, steps={self.steps}], got {self.evals}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
@@ -266,68 +263,3 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     record.final_score = record.curve[-1][1] if record.curve else 0.0
     return params, record
 
-
-# ------------------------------------------------------------------ random search
-
-@dataclass(frozen=True)
-class HyperRange:
-    """One dimension of the search space."""
-
-    kind: str                       # choice | uniform | log_uniform | int_uniform
-    choices: tuple = ()
-    lo: float = 0.0
-    hi: float = 0.0
-
-    def sample(self, rng: np.random.Generator):
-        if self.kind == "choice":
-            return self.choices[int(rng.integers(0, len(self.choices)))]
-        if self.kind == "uniform":
-            return float(rng.uniform(self.lo, self.hi))
-        if self.kind == "log_uniform":
-            return float(np.exp(rng.uniform(np.log(self.lo), np.log(self.hi))))
-        if self.kind == "int_uniform":
-            return int(rng.integers(int(self.lo), int(self.hi) + 1))
-        raise ValueError(f"unknown range kind {self.kind!r}")
-
-
-def default_space() -> dict[str, HyperRange]:
-    """The documented search space for both encoders and the decoder."""
-    return {
-        "enc_layers": HyperRange("int_uniform", lo=1, hi=4),
-        "enc_channels": HyperRange("choice", choices=(16, 32, 64, 128)),
-        "kernel": HyperRange("choice", choices=(3, 5)),
-        "enc_dropout": HyperRange("uniform", lo=0.0, hi=0.5),
-        "enc_out": HyperRange("choice", choices=(16, 32, 64, 128)),
-        "dec_hidden": HyperRange("int_uniform", lo=32, hi=256),
-        "dec_layers": HyperRange("int_uniform", lo=1, hi=3),
-        "dec_dropout": HyperRange("uniform", lo=0.0, hi=0.5),
-        "batch": HyperRange("choice", choices=(32, 64, 128)),
-        "lr": HyperRange("log_uniform", lo=1e-4, hi=1e-2),
-    }
-
-
-def sample_hyperparams(space: dict[str, HyperRange],
-                       rng: np.random.Generator) -> dict:
-    return {name: space[name].sample(rng) for name in sorted(space)}
-
-
-def random_search(space: dict[str, HyperRange], evaluate_run, n: int,
-                  seed: int) -> tuple[int, dict, list]:
-    """n seeded random draws; evaluate_run(i, sample) -> (score, records).
-
-    Returns (best run index, best sample, all per-run results). Ties keep
-    the earliest run.
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1 runs, got {n}")
-    results = []
-    best_idx, best_score, best_sample = -1, -np.inf, None
-    for i in range(n):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), i]))
-        sample = sample_hyperparams(space, rng)
-        score, records = evaluate_run(i, sample)
-        results.append({"run": i, "sample": sample, "score": float(score),
-                        "records": records})
-        if score > best_score:
-            best_idx, best_score, best_sample = i, score, sample
-    return best_idx, best_sample, results

@@ -1,4 +1,4 @@
-"""Experiment runner: config handling, CV reports, baselines, search."""
+"""Experiment runner: config handling, CV reports, baselines, random search."""
 
 import json
 import tracemalloc
@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from gestprop import corpus, experiment, net, synth
-from gestprop.experiment import (MODEL_KEYS, ExperimentConfig, _model_spec, _predict,
-                                 run_baselines, run_cv, run_features,
+from gestprop.experiment import (MODEL_KEYS, SEARCH_SPACE, ExperimentConfig, _model_spec,
+                                 _predict, run_baselines, run_cv, run_features,
                                  run_gradcheck, run_hpsearch, run_predict)
 from gestprop.features import WindowProvider, load_dataset
-from gestprop.training import HyperRange, LossSpec, TrainConfig
+from gestprop.training import LossSpec, TrainConfig
 
 FAST_TRAIN = TrainConfig(steps=12, batch=16, lr=2e-3, evals=2)
 FAST_MODEL = {"enc_layers": 1, "enc_channels": 8, "enc_out": 8, "dec_hidden": 8}
@@ -226,22 +226,95 @@ def test_baselines_flag_predictability_only_against_a_comparable_report(
 def test_run_hpsearch(corpus_dir, featured, tmp_path):
     config = fast_config(corpus_dir, tmp_path,
                          features_dir=str(featured / "features"))
-    space = {
-        "enc_channels": HyperRange("choice", choices=(4, 8)),
-        "lr": HyperRange("log_uniform", lo=1e-3, hi=5e-3),
-    }
-    result = run_hpsearch(config, n_runs=2, space=space)
+    result = run_hpsearch(config, n_runs=2)
     assert result["best_run"] in (0, 1)
     assert len(result["runs"]) == 2
     scores = [r["score"] for r in result["runs"]]
     assert result["runs"][result["best_run"]]["score"] == max(scores)
-    assert set(result["best_sample"]) == {"enc_channels", "lr"}
+    assert set(result["best_sample"]) == set(SEARCH_SPACE)
 
     lines = (tmp_path / "runrecord.csv").read_text().strip().splitlines()
     assert lines[0] == "run,fold,step,score,loss"
     assert len(lines) == 1 + 2 * 2 * 2          # runs x folds x eval points
-    assert (tmp_path / "runs" / "00" / "report.json").exists()
-    assert (tmp_path / "runs" / "01" / "report.json").exists()
+    for run in result["runs"]:                  # the draws replace model, batch and lr
+        report = json.loads((tmp_path / "runs" / f"{run['run']:02d}" / "report.json")
+                            .read_text())
+        sample = run["sample"]
+        assert report["config"]["model"] == {k: sample[k] for k in MODEL_KEYS}
+        assert report["config"]["train"]["batch"] == sample["batch"]
+        assert report["config"]["train"]["lr"] == sample["lr"]
+
+
+def canned_cv(scores, n_folds, n_evals):
+    """A run_cv stand-in: run i reports headline scores[i], n_folds folds of
+    n_evals curve points each, and records the configs it was given."""
+    seen = []
+
+    def run(config, write_checkpoints=True):
+        assert not write_checkpoints
+        seen.append(config)
+        folds = [{"fold": f, "curve": [[step + 1, 0.5] for step in range(n_evals)],
+                  "loss_curve": [0.25] * n_evals} for f in range(n_folds)]
+        return {"aggregate": {"headline": {"mean": scores[len(seen) - 1]}},
+                "folds": folds}
+    return run, seen
+
+
+def test_hpsearch_draws_match_the_recorded_goldens(corpus_dir, tmp_path, monkeypatch):
+    run, seen = canned_cv([0.0] * 3, n_folds=1, n_evals=1)
+    monkeypatch.setattr(experiment, "run_cv", run)
+    runs = run_hpsearch(fast_config(corpus_dir, tmp_path, seed=9), n_runs=3)["runs"]
+    assert runs[0]["sample"] == {
+        "batch": 64, "dec_dropout": 0.14340860454377768, "dec_hidden": 227,
+        "dec_layers": 1, "enc_channels": 64, "enc_dropout": 0.3887670414600894,
+        "enc_layers": 3, "enc_out": 64, "kernel": 5, "lr": 0.0052575970535138185}
+    assert runs[2]["sample"] == {
+        "batch": 32, "dec_dropout": 0.125538696966289, "dec_hidden": 171,
+        "dec_layers": 3, "enc_channels": 128, "enc_dropout": 0.3614214666810537,
+        "enc_layers": 2, "enc_out": 64, "kernel": 5, "lr": 0.0004456446386683881}
+    assert seen[1].model == {k: runs[1]["sample"][k] for k in MODEL_KEYS}
+
+
+def test_search_draws_stay_in_their_ranges():
+    rng = np.random.default_rng(0)
+    draws = [{name: draw(rng) for name, draw in SEARCH_SPACE.items()} for _ in range(300)]
+    values = {name: [d[name] for d in draws] for name in SEARCH_SPACE}
+    for name, want in (("enc_layers", {1, 2, 3, 4}), ("enc_channels", {16, 32, 64, 128}),
+                       ("kernel", {3, 5}), ("enc_out", {16, 32, 64, 128}),
+                       ("dec_layers", {1, 2, 3}), ("batch", {32, 64, 128})):
+        assert set(values[name]) == want, name
+    assert set(values["dec_hidden"]) <= set(range(32, 257))
+    for name in ("enc_dropout", "dec_dropout"):
+        assert all(0.0 <= v < 0.5 for v in values[name])
+    assert all(1e-4 <= v <= 1e-2 for v in values["lr"])
+    # log-uniform: about half the draws fall below the geometric midpoint 1e-3
+    assert 100 < sum(v < 1e-3 for v in values["lr"]) < 200
+
+
+def test_search_space_holds_only_settings_a_run_applies():
+    # run_hpsearch applies model keys, batch and lr; it would drop any other
+    assert set(SEARCH_SPACE) <= {*MODEL_KEYS, "batch", "lr"}
+
+
+def test_hpsearch_keeps_the_earliest_best_run_and_every_curve_row(
+        corpus_dir, tmp_path, monkeypatch):
+    run, seen = canned_cv([1.0, 3.0, 2.0, 3.0], n_folds=2, n_evals=3)
+    monkeypatch.setattr(experiment, "run_cv", run)
+    result = run_hpsearch(fast_config(corpus_dir, tmp_path), n_runs=4)
+    assert result["best_run"] == 1                  # ties keep the earliest run
+    assert result["best_sample"] == result["runs"][1]["sample"]
+    assert [r["score"] for r in result["runs"]] == [1.0, 3.0, 2.0, 3.0]
+    lines = (tmp_path / "runrecord.csv").read_text().splitlines()
+    assert len(lines) == 1 + 4 * 2 * 3              # runs x folds x eval points
+    assert [c.out_dir for c in seen] == [str(tmp_path / "runs" / f"{i:02d}")
+                                         for i in range(4)]
+
+
+def test_hpsearch_without_runs_writes_nothing(corpus_dir, tmp_path):
+    out = tmp_path / "search"
+    with pytest.raises(ValueError, match="at least 1 run, got 0"):
+        run_hpsearch(fast_config(corpus_dir, out), n_runs=0)
+    assert not out.exists()
 
 
 def test_run_predict(corpus_dir, featured):

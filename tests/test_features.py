@@ -41,12 +41,15 @@ def test_build_writes_two_files_per_recording(built):
 
 
 def test_build_is_idempotent_unless_forced(built):
+    # prosody is extracted once; the label tables are rewritten, byte for byte
     _, recs, fdir, _, _ = built
-    stamp = {p: p.stat().st_mtime_ns
-             for r in recs for p in features.feature_paths(fdir, r.rec_id).values()}
+    paths = [features.feature_paths(fdir, r.rec_id) for r in recs]
+    stamp = {p["prosody"]: p["prosody"].stat().st_mtime_ns for p in paths}
+    tables = {p["frames"]: p["frames"].read_bytes() for p in paths}
     again, failures = features.build_features(recs, fdir)
     assert again == [] and failures == []
     assert all(p.stat().st_mtime_ns == t for p, t in stamp.items())
+    assert all(p.read_bytes() == b for p, b in tables.items())
 
     one = [recs[0]]
     forced, _ = features.build_features(one, fdir, force=True)
@@ -352,6 +355,22 @@ def test_annotation_edits_need_no_rebuild(built, tmp_path):
         assert not getattr(edited, name)[:n].any()
         assert np.array_equal(getattr(edited, name)[n:], getattr(ds, name)[n:])
     assert np.array_equal(edited.prosody, ds.prosody)
+
+
+def test_label_tables_follow_annotations_without_a_rebuild(built, tmp_path):
+    root, _, _, _, _ = built
+    copy, recs = _copy_corpus(root, tmp_path)
+    table = features.feature_paths(copy / "features", recs[0].rec_id)["frames"]
+    want = table.read_bytes()
+    table.unlink()
+    assert features.build_features(recs, copy / "features") == ([], [])
+    assert table.read_bytes() == want
+
+    (copy / f"rec_{recs[0].rec_id:02d}" / "annotations.tsv").write_text("")
+    recs = corpus.load_manifest(copy / "manifest.json")
+    assert features.build_features(recs, copy / "features") == ([], [])
+    has_gesture = np.loadtxt(table, delimiter=",", skiprows=2, ndmin=2)[:, 2]
+    assert len(has_gesture) == want.count(b"\n") - 2 and not has_gesture.any()
 
 
 def test_speaker_edits_need_no_rebuild(tmp_path):

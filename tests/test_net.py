@@ -11,7 +11,6 @@ from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParam
                           ModelSpec, _layer_dims, audio_width, conv_stack, forward,
                           init_params, load_checkpoint, predict_probs, receptive_field,
                           save_checkpoint)
-from gestprop.training import default_space
 from gestprop.tensor import Tensor
 from autodiff_reference import weighted_sum
 
@@ -233,10 +232,7 @@ def test_center_readout_sees_only_center_window():
 
 
 @pytest.mark.parametrize("layers,kernel", [
-    (layers, kernel)
-    for layers in range(int(default_space()["enc_layers"].lo),
-                        int(default_space()["enc_layers"].hi) + 1)
-    for kernel in default_space()["kernel"].choices])
+    (layers, kernel) for layers in (1, 2, 3, 4) for kernel in (3, 5)])
 def test_conv_stack_reads_the_same_on_the_cropped_window(layers, kernel):
     # forward takes only the audio_width frames the encoder reads; on them
     # conv_stack must give bit for bit what it gives on the full 41 frames

@@ -47,19 +47,35 @@ def test_clip_validation():
 
 def test_frame_counts():
     clip = sine(100, 1.0, 16000)
-    frames = frame_signal(clip)
+    assert clip.n_windows == 200
+    frames = frame_signal(clip, 0, clip.n_windows)
     assert frames.shape == (200, 640)
-    assert not frames.flags.writeable           # a view, not a copy per window
-    assert frame_signal(AudioClip(np.zeros(0), 16000)).shape[0] == 0
+    # a slice of windows is the same slice of all of them
+    assert np.array_equal(frame_signal(clip, 50, 70), frames[50:70])
+    assert np.array_equal(frame_signal(clip, 199, 200), frames[199:])
+    assert AudioClip(np.zeros(0), 16000).n_windows == 0
+    assert frame_signal(AudioClip(np.zeros(0), 16000), 0, 0).shape == (0, 640)
     # 40 ms window at 48 kHz is 1920 samples
-    assert frame_signal(sine(100, 0.5, 48000)).shape == (100, 1920)
+    clip = sine(100, 0.5, 48000)
+    assert frame_signal(clip, 0, clip.n_windows).shape == (100, 1920)
+
+
+@pytest.mark.parametrize("sr,hop", [(22050, 110.25), (44100, 220.5)])
+def test_window_grid_stays_on_200_fps_at_fractional_hops(sr, hop):
+    # a hop of round(sr / 200) samples falls 0.45 windows a second behind here
+    clip = AudioClip(np.arange(sr * 61) / (sr * 61), sr)   # each sample holds its index / n
+    assert clip.n_windows == 61 * 200
+    for lo in (100, 6000, clip.n_windows - 100):
+        frames = frame_signal(clip, lo, lo + 50)
+        centres = frames[:, frames.shape[1] // 2] * (sr * 61)
+        assert np.all(np.abs(centres - np.arange(lo, lo + 50) * hop) <= 0.5 + 1e-6)
 
 
 def test_frames_are_centred():
     sr = 16000
     x = np.zeros(sr)
     x[8000] = 1.0   # spike at t = 0.5 s
-    frames = frame_signal(AudioClip(x, sr))
+    frames = frame_signal(AudioClip(x, sr), 0, 200)
     # window 100 is centred at 0.5 s: spike lands mid-window
     assert frames[100, 320] == 1.0
     # first window is half zero-padded
@@ -130,7 +146,7 @@ def test_cmndf_matches_time_domain_reference(sr):
 
 
 def test_f0_track_peak_memory_on_one_chunk():
-    # one chunk of 2048 x 640 frames peaked at 91.8 MB with the correlation
+    # a chunk of 2048 x 640 frames peaked at 91.8 MB with the correlation
     # padded to 1024 points, and at 31.6 MB with it at the frame length
     frames = np.random.default_rng(2).normal(0, 0.1, (F0_CHUNK, 640))
     tracemalloc.start()
@@ -260,6 +276,20 @@ def test_extract_prosody_row_count():
         n = int(dur * 16000)
         clip = AudioClip(rng.normal(0, 0.1, n), 16000)
         assert extract_prosody(clip).n_frames == int(clip.duration * 20)
+
+
+@pytest.mark.parametrize("sr", [22050, 44100])
+def test_prosody_stays_on_the_label_grid_at_fractional_hops(sr):
+    # a 200.45 fps analysis grid gave 2 rows a minute too many, and put a
+    # tone starting at 50 s over two frames late
+    n = int(55.3 * sr) + 7
+    x = np.zeros(n)
+    t = np.arange(n - 50 * sr) / sr
+    x[50 * sr:] = 0.3 * np.sin(2 * np.pi * 200.0 * t)
+    track = extract_prosody(AudioClip(x, sr))
+    assert track.n_frames == n * 20 // sr
+    first_voiced = int(np.argmax(track.rows[:, 0] > 0.5))
+    assert abs(first_voiced - 50 * 20) <= 1
 
 
 def test_extract_prosody_sine():

@@ -1,6 +1,7 @@
 """Losses (graph vs reference), Adam, balancing, and the training loop."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -10,10 +11,8 @@ from gestprop.gradcheck import numeric_grad, relative_error
 from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
                           init_params, predict_probs)
 from gestprop.tensor import Tensor
-from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, HyperRange, LossSpec, TrainConfig,
-                               class_balance_weights, default_space,
-                               loss_batch, random_search,
-                               sample_hyperparams, train, upsample)
+from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, LossSpec, TrainConfig,
+                               class_balance_weights, loss_batch, train, upsample)
 
 RNG = np.random.default_rng(99)
 
@@ -226,7 +225,7 @@ def test_upsample_deterministic_and_label_order():
 def test_train_config_roundtrip():
     cfg = TrainConfig(steps=50, batch=16, lr=1e-3,
                       loss=LossSpec("focal", gamma=1.5), upsample=True, evals=2)
-    assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+    assert TrainConfig.from_dict(asdict(cfg)) == cfg
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
     # no eval point would give final_score 0.0; more evals than steps
@@ -389,44 +388,3 @@ def test_train_rejects_empty_pool():
         train(spec, provider, np.array([], dtype=int), TrainConfig(steps=1, evals=1),
               0, score_on(spec, provider, np.arange(4)))
 
-
-def test_hyperrange_sampling_bounds():
-    rng = np.random.default_rng(0)
-    assert HyperRange("choice", choices=(3, 5)).sample(rng) in (3, 5)
-    for _ in range(50):
-        u = HyperRange("uniform", lo=0.1, hi=0.4).sample(rng)
-        assert 0.1 <= u <= 0.4
-        g = HyperRange("log_uniform", lo=1e-4, hi=1e-2).sample(rng)
-        assert 1e-4 <= g <= 1e-2
-        i = HyperRange("int_uniform", lo=1, hi=4).sample(rng)
-        assert i in (1, 2, 3, 4)
-    with pytest.raises(ValueError, match="kind"):
-        HyperRange("gaussian").sample(rng)
-
-
-def test_sample_hyperparams_deterministic():
-    space = default_space()
-    a = sample_hyperparams(space, np.random.default_rng(42))
-    b = sample_hyperparams(space, np.random.default_rng(42))
-    assert a == b
-    assert set(a) == set(space)
-
-
-def test_random_search_earliest_tie_wins():
-    space = {"x": HyperRange("choice", choices=(1, 2))}
-    best_idx, best, results = random_search(space, lambda i, s: (1.0, []), 5, seed=0)
-    assert best_idx == 0
-    assert len(results) == 5
-    scores = [(3.0 if i == 2 else 1.0) for i in range(5)]
-    best_idx, best, _ = random_search(space, lambda i, s: (scores[i], []), 5, seed=0)
-    assert best_idx == 2
-
-
-def test_random_search_deterministic_samples():
-    space = default_space()
-    seen = []
-    random_search(space, lambda i, s: (seen.append(dict(s)) or 0.0, []), 3, seed=9)
-    again = []
-    random_search(space, lambda i, s: (again.append(dict(s)) or 0.0, []), 3, seed=9)
-    assert seen == again
-    assert seen[0] != seen[1]    # distinct draws across runs
