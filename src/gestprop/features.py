@@ -58,14 +58,14 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
     for rec in sorted(recordings, key=lambda r: r.rec_id):
         paths = feature_paths(feature_dir, rec.rec_id)
         if force or not paths["prosody"].exists():
-            try:
+            try:    # a bad sample can surface in any decoded span, so extraction too
                 clip = read_wav(rec.audio_path)
+                if rec.interlocutor:
+                    clip = silence_intervals(clip, rec.interlocutor)
+                track = extract_prosody(clip)
             except (OSError, ValueError) as exc:
                 failures.append((rec.rec_id, f"{rec.audio_path}: {exc}"))
                 continue
-            if rec.interlocutor:
-                clip = silence_intervals(clip, rec.interlocutor)
-            track = extract_prosody(clip)
             write_atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
             built.append(rec.rec_id)
         else:

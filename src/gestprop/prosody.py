@@ -17,12 +17,23 @@ are taken.
 Transforms:
     pitch_feat  = max(0, ln(f0 + 1) - 4)        (f0 in Hz, 0 when unvoiced)
     energy_feat = ln(max(rms, 1e-10)) - 3
+
+Memory stays flat as recordings get longer. read_wav maps the WAV file
+instead of decoding it, silence_intervals records the zeroed sample ranges
+instead of copying the clip, and frame_signal decodes only the span its
+windows cover (to float64, PCM16 / 32768, channels averaged, silenced
+ranges zeroed, non-finite samples rejected), F0_CHUNK windows at a time.
+extract_prosody makes the F0 tracker's work arrays once per recording and
+reuses them for every chunk. Allocated afresh, each chunk's few-MB
+transforms would be mapped and page-faulted anew by the C allocator, which
+hands out large blocks from fresh pages until a larger block has been
+freed; that cost more time than the smaller chunk saved.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +47,7 @@ FRAME_LEN = 0.040
 F0_MIN = 75.0
 F0_MAX = 600.0
 VOICING_THRESHOLD = 0.15
-F0_CHUNK = 1024          # analysis frames per CMNDF batch; bounds the F0 tracker's memory
+F0_CHUNK = 256           # analysis frames per CMNDF batch; bounds the F0 tracker's memory
 ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
@@ -45,29 +56,64 @@ PROSODY_COLUMNS = ("vuv", "pitch", "energy", "d_pitch", "d_energy")
 
 @dataclass(frozen=True)
 class AudioClip:
-    """Mono audio in [-1, 1] float samples."""
+    """Audio as stored, decoded to mono float64 one span at a time.
+
+    samples holds the stored values, `channels` of them per instant: float
+    in [-1, 1], or int16 PCM, which decodes as / 32768. read_wav passes a
+    map of the WAV file's data chunk, so a clip holds no decoded copy. Sample
+    ranges [lo, hi) in `silenced` decode as zero.
+    """
 
     samples: np.ndarray
     sample_rate: int
+    channels: int = 1
+    silenced: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.asarray(self.samples)
+        if samples.dtype not in (np.int16, np.float32):
+            samples = samples.astype(np.float64, copy=False)
         if samples.ndim != 1:
-            raise ValueError(f"expected mono 1-D samples, got shape {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("audio contains non-finite samples")
+            raise ValueError(f"expected 1-D samples, got shape {samples.shape}")
+        if self.channels < 1 or len(samples) % self.channels:
+            raise ValueError(f"{len(samples)} samples do not split into "
+                             f"{self.channels} channel(s)")
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
 
     @property
+    def n_samples(self) -> int:
+        return len(self.samples) // self.channels
+
+    @property
     def duration(self) -> float:
-        return len(self.samples) / self.sample_rate
+        return self.n_samples / self.sample_rate
 
     @property
     def n_windows(self) -> int:
         """Analysis windows on the RAW_FPS grid: floor(n_samples * RAW_FPS / sr)."""
-        return len(self.samples) * RAW_FPS // self.sample_rate
+        return self.n_samples * RAW_FPS // self.sample_rate
+
+    def decode(self, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Mono float64 samples lo..hi-1 (default: all), silenced ranges zeroed.
+
+        Decodes in the order a whole-file read did (to float64, PCM16 scaled,
+        channels averaged), so a span equals that slice of the whole. A
+        non-finite sample in the span is a ValueError.
+        """
+        ch = self.channels
+        hi = self.n_samples if hi is None else hi
+        x = self.samples[lo * ch:hi * ch].astype(np.float64)
+        if self.samples.dtype == np.int16:
+            x /= 32768.0
+        if ch > 1:
+            x = x.reshape(-1, ch).mean(axis=1)
+        if not np.isfinite(x).all():
+            raise ValueError(f"audio contains non-finite samples in {lo}..{hi - 1}")
+        for a, b in self.silenced:
+            x[max(a - lo, 0):max(b - lo, 0)] = 0.0
+        return x
 
 
 @dataclass
@@ -92,31 +138,28 @@ class ProsodyTrack:
 
 
 def read_wav(path: str | Path) -> AudioClip:
-    """Read a WAV file (PCM16 or float32; stereo is averaged to mono)."""
-    sr, data = wavfile.read(str(path))
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype in (np.float32, np.float64):
-        samples = data.astype(np.float64)
-    else:
+    """Map a WAV file's samples (PCM16 or float; stereo is averaged to mono
+    when decoded). Nothing is decoded or copied here."""
+    sr, data = wavfile.read(str(path), mmap=True)
+    if data.dtype not in (np.int16, np.float32, np.float64):
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
-    return AudioClip(samples=samples, sample_rate=int(sr))
+    channels = data.shape[1] if data.ndim == 2 else 1
+    return AudioClip(samples=data.reshape(-1), sample_rate=int(sr), channels=channels)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write a clip as 32-bit float WAV."""
-    wavfile.write(str(path), clip.sample_rate, clip.samples.astype(np.float32))
+    """Write a clip, decoded, as 32-bit float WAV."""
+    wavfile.write(str(path), clip.sample_rate, clip.decode().astype(np.float32))
 
 
 def silence_intervals(clip: AudioClip, intervals) -> AudioClip:
-    """Return a copy of the clip with the given (start, end) seconds zeroed.
+    """The clip with the given (start, end) seconds decoding as zero.
 
-    Intervals reaching past the clip are clipped with a warning.
+    Only the sample ranges are recorded; no sample is copied. Intervals
+    reaching past the clip are clipped with a warning.
     """
-    samples = clip.samples.copy()
-    n = len(samples)
+    n = clip.n_samples
+    ranges = []
     for start, end in intervals:
         if end <= start:
             raise ValueError(f"empty or inverted interval ({start}, {end})")
@@ -127,8 +170,8 @@ def silence_intervals(clip: AudioClip, intervals) -> AudioClip:
                 "silence interval (%.3f, %.3f) exceeds clip of %.3f s; clipping",
                 start, end, clip.duration,
             )
-        samples[max(lo, 0):min(hi, n)] = 0.0
-    return AudioClip(samples=samples, sample_rate=clip.sample_rate)
+        ranges.append((max(lo, 0), min(hi, n)))
+    return replace(clip, silenced=clip.silenced + tuple(ranges))
 
 
 def frame_signal(clip: AudioClip, lo: int, hi: int) -> np.ndarray:
@@ -137,30 +180,63 @@ def frame_signal(clip: AudioClip, lo: int, hi: int) -> np.ndarray:
     Window i is centred at sample round(i * sr / RAW_FPS), computed in
     integers, so the grid stays on RAW_FPS at rates like 44.1 kHz where a
     hop is not a whole number of samples; samples outside the clip are
-    zero. Returns a (hi - lo, L) array gathered from one padded copy of
-    the samples those windows cover, so a long clip taken a slice at a
-    time costs one slice's memory.
+    zero. Returns a (hi - lo, L) array gathered from one padded span, of
+    which only the samples those windows cover are decoded, so a long clip
+    taken a slice at a time costs one slice's memory.
     """
     sr = clip.sample_rate
-    frame_s = max(1, int(round(FRAME_LEN * sr)))
+    frame_s = _frame_len(sr)
     # clip sample where window i starts: its centre, rounded half up, less half a window
     starts = (np.arange(lo, hi) * sr + RAW_FPS // 2) // RAW_FPS - frame_s // 2
     if len(starts) == 0:
         return np.zeros((0, frame_s))
     first, end = starts[0], starts[-1] + frame_s
     span = np.zeros(end - first)
-    a, b = max(first, 0), min(end, len(clip.samples))
-    span[a - first:b - first] = clip.samples[a:b]
+    a, b = max(first, 0), min(end, clip.n_samples)
+    span[a - first:b - first] = clip.decode(a, b)
     return np.lib.stride_tricks.sliding_window_view(span, frame_s)[starts - first]
 
 
-def _cmndf_track(frames: np.ndarray, energy: np.ndarray,
-                 sample_rate: int) -> tuple[np.ndarray, int, int]:
+def _frame_len(sample_rate: int) -> int:
+    return max(1, int(round(FRAME_LEN * sample_rate)))
+
+
+def _lag_range(sample_rate: int) -> tuple[int, int]:
+    """(tau_min, tau_max): the lags of periods in the F0_MIN..F0_MAX band."""
+    return max(1, int(sample_rate / F0_MAX)), int(np.ceil(sample_rate / F0_MIN))
+
+
+def _f0_buffers(rows: int, frame_len: int, sample_rate: int) -> dict[str, np.ndarray]:
+    """Work arrays of the F0 tracker for up to `rows` frames of frame_len.
+
+    extract_prosody makes one set per recording and hands it to every
+    chunk, so no chunk allocates its multi-MB transforms afresh.
+    """
+    tau_max = _lag_range(sample_rate)[1]
+    spectrum = (rows, frame_len // 2 + 1)
+    return {"energy": np.empty((rows, frame_len)), "corr": np.empty((rows, frame_len)),
+            "spec": np.empty(spectrum, complex), "spec_w": np.empty(spectrum, complex),
+            "d": np.empty((rows, tau_max)), "cum_d": np.empty((rows, tau_max))}
+
+
+def _rows(buffers: dict[str, np.ndarray] | None, frames: np.ndarray,
+          sample_rate: int) -> dict[str, np.ndarray]:
+    """The first len(frames) rows of each buffer; new buffers when None."""
+    n, frame_len = frames.shape
+    if buffers is None:
+        buffers = _f0_buffers(n, frame_len, sample_rate)
+    return {k: v[:n] for k, v in buffers.items()}
+
+
+def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
+                 buffers: dict[str, np.ndarray] | None = None,
+                 ) -> tuple[np.ndarray, int, int]:
     """CMNDF values for lags 1..tau_max for every frame.
 
     energy is the running sum of squares along each frame,
     energy[i, k] = sum_{j<=k} x_ij^2. Returns (nd, tau_min, tau_max) where
-    nd[i, t-1] is the normalized difference of frame i at lag t.
+    nd[i, t-1] is the normalized difference of frame i at lag t; nd is a
+    view of the `d` buffer (see _f0_buffers).
 
     The difference function over an integration window of W = L - tau_max
     samples, d(t) = sum_{j<W} (x_j - x_{j+t})^2, expands to e0 + e_t - 2 r(t)
@@ -171,28 +247,27 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray,
     of the circular correlation equal the linear ones.
     """
     L = frames.shape[1]
-    tau_min = max(1, int(sample_rate / F0_MAX))
-    tau_max = int(np.ceil(sample_rate / F0_MIN))
+    tau_min, tau_max = _lag_range(sample_rate)
     if tau_max > L // 2:
         raise ValueError(
             f"window of {L} samples too short for fmin={F0_MIN} Hz "
             f"at {sample_rate} Hz (needs >= {2 * tau_max})"
         )
     W = L - tau_max
+    buf = _rows(buffers, frames, sample_rate)
 
-    xcorr = np.fft.rfft(frames[:, :W], L)
+    xcorr = np.fft.rfft(frames[:, :W], L, out=buf["spec_w"])
     np.conjugate(xcorr, out=xcorr)
-    xcorr *= np.fft.rfft(frames, L)
-    corr = np.fft.irfft(xcorr, L)[:, 1:tau_max + 1]
-    del xcorr
+    xcorr *= np.fft.rfft(frames, L, out=buf["spec"])
+    corr = np.fft.irfft(xcorr, L, out=buf["corr"])[:, 1:tau_max + 1]
 
     # lag t in column t - 1: e_t = sum_{j=t}^{t+W-1} x_j^2, e0 = sum_{j<W} x_j^2
-    d = energy[:, W:] - energy[:, :tau_max]
+    d = np.subtract(energy[:, W:], energy[:, :tau_max], out=buf["d"])
     d += energy[:, W - 1:W]
     corr *= 2.0
     d -= corr
     np.maximum(d, 0.0, out=d)
-    cum_d = np.cumsum(d, axis=1)
+    cum_d = np.cumsum(d, axis=1, out=buf["cum_d"])
     nd = d                       # normalized in place
     nd *= np.arange(1, tau_max + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -245,18 +320,21 @@ def _refine_parabolic(nd: np.ndarray, lags: np.ndarray,
     return refined
 
 
-def _f0_track(frames: np.ndarray,
-              sample_rate: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _f0_track(frames: np.ndarray, sample_rate: int,
+              buffers: dict[str, np.ndarray] | None = None,
+              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS for a frame stack.
 
     The stack is squared once: the squares give the RMS that gates voicing,
-    then become the CMNDF's running energy sum in place. Memory grows with
-    the stack, so extract_prosody passes F0_CHUNK frames at a time.
+    then become the CMNDF's running energy sum in place. Work arrays come
+    from `buffers` (see _f0_buffers) or are made for this stack, whose size
+    they grow with, so extract_prosody passes F0_CHUNK frames at a time.
     """
-    energy = frames * frames
+    buf = _rows(buffers, frames, sample_rate)
+    energy = np.multiply(frames, frames, out=buf["energy"])
     rms = np.sqrt(np.mean(energy, axis=1))
     np.cumsum(energy, axis=1, out=energy)
-    nd, tau_min, tau_max = _cmndf_track(frames, energy, sample_rate)
+    nd, tau_min, tau_max = _cmndf_track(frames, energy, sample_rate, buf)
     lags, nd_min = _pick_period(nd, tau_min, tau_max)
     period = _refine_parabolic(nd, lags, tau_min, tau_max)
     cand = sample_rate / period
@@ -348,12 +426,17 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     output has floor(n_samples * 20 / sr) rows, aligned with the label grid
     at every sample rate.
     """
+    sr = clip.sample_rate
     n_raw = clip.n_windows - clip.n_windows % 10
     if n_raw == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
-    f0, voiced, rms = map(np.concatenate, zip(*(
-        _f0_track(frame_signal(clip, lo, min(lo + F0_CHUNK, n_raw)), clip.sample_rate)
-        for lo in range(0, n_raw, F0_CHUNK))))
+    f0, rms = np.empty(n_raw), np.empty(n_raw)
+    voiced = np.empty(n_raw, dtype=bool)
+    buffers = _f0_buffers(min(F0_CHUNK, n_raw), _frame_len(sr), sr)
+    for lo in range(0, n_raw, F0_CHUNK):
+        hi = min(lo + F0_CHUNK, n_raw)
+        f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frame_signal(clip, lo, hi), sr,
+                                                         buffers)
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)

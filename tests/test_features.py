@@ -2,10 +2,12 @@
 
 import json
 import shutil
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from gestprop import corpus, features, prosody, synth, textfeat
 from gestprop.net import EncoderSpec, ModelSpec, audio_width
@@ -65,6 +67,91 @@ def test_missing_audio_is_collected_not_raised(built, tmp_path):
     assert len(failures) == 1
     rec_id, msg = failures[0]
     assert rec_id == 99 and "nope.wav" in msg
+
+
+def tone_and_noise(seconds, sr, seed):
+    """Noise with 150-300 Hz tone bursts every other second, so that frames
+    are voiced and unvoiced."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(seconds * sr)) / sr
+    tone = 0.3 * np.sin(2 * np.pi * (150.0 + 150.0 * (t % 7) / 7) * t)
+    return rng.normal(0, 0.02, len(t)) + tone * (np.floor(t) % 2 == 1)
+
+
+def whole_file_prosody(rec):
+    """The reference: decode the whole file the old way (float64, PCM16
+    / 32768, channel mean), zero the interlocutor spans in place, and
+    extract from the in-memory clip."""
+    sr, data = wavfile.read(rec.audio_path)
+    x = data.astype(np.float64) / 32768.0 if data.dtype == np.int16 else data.astype(np.float64)
+    if x.ndim == 2:
+        x = x.mean(axis=1)
+    for start, end in rec.interlocutor:
+        x[max(int(round(start * sr)), 0):min(int(round(end * sr)), len(x))] = 0.0
+    return prosody.extract_prosody(prosody.AudioClip(x, sr))
+
+
+@pytest.mark.parametrize("sr,layout", [(44100, "pcm16_stereo"), (16000, "float32")])
+def test_built_features_equal_a_whole_file_decode(tmp_path, sr, layout):
+    x = tone_and_noise(6.3, sr, seed=sr)
+    if layout == "pcm16_stereo":   # channels differ, so the mean matters
+        x = np.round(np.stack([x, 0.5 * x[::-1]], axis=1) * 32767).astype(np.int16)
+    else:
+        x = x.astype(np.float32)
+    wavfile.write(tmp_path / "a.wav", sr, x)
+    rec = corpus.Recording(rec_id=0, speaker="s", audio_path=tmp_path / "a.wav",
+                           interlocutor=[(0.5, 1.25), (3.01, 3.9), (6.0, 9.0)])
+    built, failures = features.build_features([rec], tmp_path / "feat")
+    assert built == [0] and failures == []
+
+    track = whole_file_prosody(rec)
+    prosody.write_prosody_csv(track, tmp_path / "want.prosody.csv")
+    corpus.write_frame_csv(corpus.build_frame_table(rec, duration=track.n_frames / 20),
+                           tmp_path / "want.frames.csv")
+    paths = features.feature_paths(tmp_path / "feat", 0)
+    assert paths["prosody"].read_bytes() == (tmp_path / "want.prosody.csv").read_bytes()
+    assert paths["frames"].read_bytes() == (tmp_path / "want.frames.csv").read_bytes()
+
+
+def test_non_finite_sample_fails_only_its_recording(tmp_path):
+    recs = []
+    for rec_id in (0, 1, 2):
+        x = tone_and_noise(3.0, 16000, seed=rec_id).astype(np.float32)
+        if rec_id == 1:
+            x[30000] = np.nan          # mid-file: found while extracting, not by read_wav
+        wavfile.write(tmp_path / f"{rec_id}.wav", 16000, x)
+        recs.append(corpus.Recording(rec_id=rec_id, speaker="s",
+                                     audio_path=tmp_path / f"{rec_id}.wav"))
+    built, failures = features.build_features(recs, tmp_path / "feat")
+    assert built == [0, 2]
+    assert len(failures) == 1
+    rec_id, msg = failures[0]
+    assert rec_id == 1 and "1.wav" in msg and "non-finite" in msg
+    assert not features.feature_paths(tmp_path / "feat", 1)["prosody"].exists()
+    for rec_id in (0, 2):
+        assert features.feature_paths(tmp_path / "feat", rec_id)["prosody"].exists()
+
+
+def test_build_memory_stays_flat_as_the_recording_grows(tmp_path):
+    # decoding the whole file held two float64 copies of it: 11.8 MB more
+    # at 120 s than at 30 s
+    rng = np.random.default_rng(12)
+
+    def peak_mb(seconds):
+        path = tmp_path / f"{seconds}.wav"
+        wavfile.write(path, 16000, rng.normal(0, 0.1, seconds * 16000).astype(np.float32))
+        rec = corpus.Recording(rec_id=seconds, speaker="s", audio_path=path,
+                               interlocutor=[(seconds - 5.0, seconds + 5.0)])
+        tracemalloc.start()
+        try:
+            built, _ = features.build_features([rec], tmp_path / "feat", force=True)
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        assert built == [seconds]
+        return peak
+
+    assert peak_mb(120) - peak_mb(30) < 3.0
 
 
 def test_frame_counts_agree_across_artifacts(built):

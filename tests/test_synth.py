@@ -93,7 +93,7 @@ def test_audio_coupling_strokes_are_loud(tmp_path):
     n = int(spec.duration * 20)
     phase = rasterize(rec, PHASE, n)
     hop = clip.sample_rate // 20
-    frames = clip.samples[: n * hop].reshape(n, hop)
+    frames = clip.decode()[: n * hop].reshape(n, hop)
     rms = np.sqrt((frames ** 2).mean(axis=1))
     stroke = phase[:, PHASE.labels.index("stroke")] == 1
     other = phase.any(axis=1) & ~stroke
@@ -113,7 +113,7 @@ def test_decoupled_audio_is_event_independent(tmp_path):
         clip = read_wav(rec.audio_path)
         n = int(spec.duration * 20)
         hop = clip.sample_rate // 20
-        rms = np.sqrt((clip.samples[: n * hop].reshape(n, hop) ** 2).mean(axis=1))
+        rms = np.sqrt((clip.decode()[: n * hop].reshape(n, hop) ** 2).mean(axis=1))
         gest = build_frame_table(rec, duration=spec.duration).has_gesture == 1
         ratios.append(rms[gest].mean() / rms[~gest].mean())
     assert 0.6 < np.mean(ratios) < 1.6
