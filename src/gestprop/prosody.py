@@ -39,6 +39,8 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from .evaluation import write_atomic
+
 log = logging.getLogger(__name__)
 
 RAW_FPS = 200
@@ -139,7 +141,13 @@ class ProsodyTrack:
 
 def read_wav(path: str | Path) -> AudioClip:
     """Map a WAV file's samples (PCM16 or float; stereo is averaged to mono
-    when decoded). Nothing is decoded or copied here."""
+    when decoded). Nothing is decoded or copied here.
+
+    The clip reads the file as it is decoded, so the file must not be
+    truncated or rewritten in place while the clip is in use: a read past a
+    shortened mapping ends the process (SIGBUS). write_wav replaces a file
+    by rename, which leaves an existing mapping on the old contents.
+    """
     sr, data = wavfile.read(str(path), mmap=True)
     if data.dtype not in (np.int16, np.float32, np.float64):
         raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
@@ -148,8 +156,9 @@ def read_wav(path: str | Path) -> AudioClip:
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write a clip, decoded, as 32-bit float WAV."""
-    wavfile.write(str(path), clip.sample_rate, clip.decode().astype(np.float32))
+    """Write a clip, decoded, as 32-bit float WAV, replacing path by rename."""
+    samples = clip.decode().astype(np.float32)
+    write_atomic(path, lambda tmp: wavfile.write(tmp, clip.sample_rate, samples))
 
 
 def silence_intervals(clip: AudioClip, intervals) -> AudioClip:
@@ -219,24 +228,15 @@ def _f0_buffers(rows: int, frame_len: int, sample_rate: int) -> dict[str, np.nda
             "d": np.empty((rows, tau_max)), "cum_d": np.empty((rows, tau_max))}
 
 
-def _rows(buffers: dict[str, np.ndarray] | None, frames: np.ndarray,
-          sample_rate: int) -> dict[str, np.ndarray]:
-    """The first len(frames) rows of each buffer; new buffers when None."""
-    n, frame_len = frames.shape
-    if buffers is None:
-        buffers = _f0_buffers(n, frame_len, sample_rate)
-    return {k: v[:n] for k, v in buffers.items()}
-
-
 def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
-                 buffers: dict[str, np.ndarray] | None = None,
-                 ) -> tuple[np.ndarray, int, int]:
+                 buf: dict[str, np.ndarray]) -> tuple[np.ndarray, int, int]:
     """CMNDF values for lags 1..tau_max for every frame.
 
     energy is the running sum of squares along each frame,
-    energy[i, k] = sum_{j<=k} x_ij^2. Returns (nd, tau_min, tau_max) where
+    energy[i, k] = sum_{j<=k} x_ij^2. buf holds work arrays of exactly
+    len(frames) rows (see _f0_buffers). Returns (nd, tau_min, tau_max) where
     nd[i, t-1] is the normalized difference of frame i at lag t; nd is a
-    view of the `d` buffer (see _f0_buffers).
+    view of buf["d"].
 
     The difference function over an integration window of W = L - tau_max
     samples, d(t) = sum_{j<W} (x_j - x_{j+t})^2, expands to e0 + e_t - 2 r(t)
@@ -254,7 +254,6 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
             f"at {sample_rate} Hz (needs >= {2 * tau_max})"
         )
     W = L - tau_max
-    buf = _rows(buffers, frames, sample_rate)
 
     xcorr = np.fft.rfft(frames[:, :W], L, out=buf["spec_w"])
     np.conjugate(xcorr, out=xcorr)
@@ -320,17 +319,16 @@ def _refine_parabolic(nd: np.ndarray, lags: np.ndarray,
     return refined
 
 
-def _f0_track(frames: np.ndarray, sample_rate: int,
-              buffers: dict[str, np.ndarray] | None = None,
+def _f0_track(frames: np.ndarray, sample_rate: int, buffers: dict[str, np.ndarray],
               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS for a frame stack.
 
     The stack is squared once: the squares give the RMS that gates voicing,
-    then become the CMNDF's running energy sum in place. Work arrays come
-    from `buffers` (see _f0_buffers) or are made for this stack, whose size
-    they grow with, so extract_prosody passes F0_CHUNK frames at a time.
+    then become the CMNDF's running energy sum in place. Work arrays are the
+    first len(frames) rows of `buffers` (see _f0_buffers), which grow with
+    the stack, so extract_prosody passes F0_CHUNK frames at a time.
     """
-    buf = _rows(buffers, frames, sample_rate)
+    buf = {k: v[:len(frames)] for k, v in buffers.items()}
     energy = np.multiply(frames, frames, out=buf["energy"])
     rms = np.sqrt(np.mean(energy, axis=1))
     np.cumsum(energy, axis=1, out=energy)
@@ -354,7 +352,8 @@ def estimate_f0(window: np.ndarray, sample_rate: int) -> float | None:
         F0 in Hz within [F0_MIN, F0_MAX], or None when the frame fails the
         voicing test (CMNDF minimum >= threshold or RMS < 1e-4).
     """
-    f0, voiced, _ = _f0_track(np.asarray(window, dtype=np.float64)[None, :], sample_rate)
+    frames = np.asarray(window, dtype=np.float64)[None, :]
+    f0, voiced, _ = _f0_track(frames, sample_rate, _f0_buffers(1, len(window), sample_rate))
     return float(f0[0]) if voiced[0] else None
 
 
@@ -435,8 +434,7 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     buffers = _f0_buffers(min(F0_CHUNK, n_raw), _frame_len(sr), sr)
     for lo in range(0, n_raw, F0_CHUNK):
         hi = min(lo + F0_CHUNK, n_raw)
-        f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frame_signal(clip, lo, hi), sr,
-                                                         buffers)
+        f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frame_signal(clip, lo, hi), sr, buffers)
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)

@@ -122,34 +122,15 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
-        self._step = np.empty_like(flat)      # work vectors, reused every step
-        self._denom = np.empty_like(flat)
 
     def step(self, grad: np.ndarray) -> None:
-        """Update flat in place from grad, laid out like it.
-
-        m += (1 - b1) (g - m); v += (1 - b2) (g^2 - v);
-        flat -= lr (m / b1c) / (sqrt(v / b2c) + eps), with each operation
-        written into a reused vector in that order.
-        """
+        """Update flat in place from grad, laid out like it."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        step, denom = self._step, self._denom
-        np.subtract(grad, self.m, out=step)
-        step *= 1.0 - ADAM_BETA1
-        self.m += step
-        np.multiply(grad, grad, out=step)
-        step -= self.v
-        step *= 1.0 - ADAM_BETA2
-        self.v += step
-        np.divide(self.m, b1c, out=step)
-        step *= self.lr
-        np.divide(self.v, b2c, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step /= denom
-        self.flat -= step
+        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
+        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
+        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
 
 
 # ------------------------------------------------------------------ balancing

@@ -13,6 +13,7 @@ from gestprop.prosody import (
     AudioClip,
     ProsodyTrack,
     _cmndf_track,
+    _f0_buffers,
     _f0_track,
     downsample_by_mean,
     estimate_f0,
@@ -139,7 +140,8 @@ def test_cmndf_matches_time_domain_reference(sr):
         tail_only,
         np.zeros(L),
     ])
-    nd, _, got_tau_max = _cmndf_track(frames, np.cumsum(frames * frames, axis=1), sr)
+    nd, _, got_tau_max = _cmndf_track(frames, np.cumsum(frames * frames, axis=1), sr,
+                                      _f0_buffers(len(frames), L, sr))
     assert got_tau_max == tau_max and nd.shape == (len(frames), tau_max)
     want = np.stack([cmndf_reference(f, tau_max) for f in frames])
     assert np.max(np.abs(nd - want)) < 1e-9
@@ -153,7 +155,7 @@ def test_f0_track_peak_memory_on_one_chunk():
     frames = np.random.default_rng(2).normal(0, 0.1, (F0_CHUNK, 640))
     tracemalloc.start()
     try:
-        _f0_track(frames, 16000)
+        _f0_track(frames, 16000, _f0_buffers(F0_CHUNK, 640, 16000))
         peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
@@ -363,6 +365,19 @@ def test_wav_roundtrip(tmp_path):
     back = read_wav(p)
     assert back.sample_rate == 16000
     assert np.max(np.abs(back.decode() - clip.decode())) < 1e-6
+
+
+def test_rewriting_a_wav_leaves_a_mapped_clip_on_the_old_samples(tmp_path):
+    # a clip maps its file; rewriting the file in place, shorter, would make
+    # the next decode read past the mapping's end and end the process
+    p = tmp_path / "t.wav"
+    write_wav(p, sine(220, 0.25, 16000, amp=0.5))
+    mapped = read_wav(p)
+    want = mapped.decode()
+    write_wav(p, sine(220, 0.01, 16000))
+    assert mapped.decode().tobytes() == want.tobytes()
+    assert read_wav(p).n_samples == 160
+    assert [f.name for f in tmp_path.iterdir()] == ["t.wav"]
 
 
 def test_wav_pcm16_and_stereo(tmp_path):
