@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -218,6 +219,22 @@ def write_frame_csv(table: FrameTable, path: str | Path) -> None:
 
 # ------------------------------------------------------------------ annotation IO
 
+def _read_interval(path, lineno: int, start_ms: str, end_ms: str) -> tuple[float, float]:
+    """(start, end) in seconds from a row's millisecond fields; a time that
+    is not a finite number, or an end not after the start, is a ValueError
+    naming the file and line."""
+    try:
+        start, end = float(start_ms) / 1000.0, float(end_ms) / 1000.0
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ValueError(f"{path}: line {lineno}: non-finite time ({start_ms}, {end_ms})")
+    if end <= start:
+        raise ValueError(f"{path}: line {lineno}: empty or inverted interval "
+                         f"({start}, {end})")
+    return start, end
+
+
 def read_annotations(path: str | Path) -> list[AnnotationTier]:
     """Read `tier<TAB>start_ms<TAB>end_ms<TAB>label` rows grouped by tier."""
     tiers: dict[str, AnnotationTier] = {}
@@ -230,10 +247,7 @@ def read_annotations(path: str | Path) -> list[AnnotationTier]:
             if len(parts) != 4:
                 raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields")
             name, start_ms, end_ms, label = parts
-            start, end = float(start_ms) / 1000.0, float(end_ms) / 1000.0
-            if end <= start:
-                raise ValueError(f"{path}: line {lineno}: empty or inverted interval "
-                                 f"({start}, {end})")
+            start, end = _read_interval(path, lineno, start_ms, end_ms)
             tier = tiers.setdefault(name, AnnotationTier(name=name, intervals=[]))
             tier.intervals.append((start, end, label))
     return list(tiers.values())
@@ -257,11 +271,7 @@ def read_interlocutor(path: str | Path) -> list[tuple[float, float]]:
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ValueError(f"{path}: line {lineno}: expected 2 tab-separated fields")
-            start, end = float(parts[0]) / 1000.0, float(parts[1]) / 1000.0
-            if end <= start:
-                raise ValueError(f"{path}: line {lineno}: empty or inverted interval "
-                                 f"({start}, {end})")
-            out.append((start, end))
+            out.append(_read_interval(path, lineno, *parts))
     return out
 
 

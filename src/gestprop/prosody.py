@@ -22,17 +22,26 @@ Memory stays flat as recordings get longer. read_wav maps the WAV file
 instead of decoding it, silence_intervals records the zeroed sample ranges
 instead of copying the clip, and frame_signal decodes only the span its
 windows cover (to float64, PCM16 / 32768, channels averaged, silenced
-ranges zeroed, non-finite samples rejected), F0_CHUNK windows at a time.
-extract_prosody makes the F0 tracker's work arrays once per recording and
-reuses them for every chunk. Allocated afresh, each chunk's few-MB
-transforms would be mapped and page-faulted anew by the C allocator, which
-hands out large blocks from fresh pages until a larger block has been
-freed; that cost more time than the smaller chunk saved.
+ranges zeroed, non-finite samples rejected).
+
+extract_prosody tracks F0 on one thread per CPU the process may use (at
+most F0_CHUNK // 64), each taking F0_CHUNK // threads windows at a time, so
+the windows in flight total at most F0_CHUNK whatever the thread count.
+Every window is transformed on its own, so the rows are bit-identical at
+any thread count; numpy's FFTs and ufunc loops release the interpreter
+lock, so the threads overlap. Each thread keeps one set of the F0
+tracker's work arrays for the whole recording. Allocated afresh, each
+chunk's few-MB transforms would be mapped and page-faulted anew by the C
+allocator, which hands out large blocks from fresh pages until a larger
+block has been freed; that cost more time than the smaller chunk saved.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -49,7 +58,7 @@ FRAME_LEN = 0.040
 F0_MIN = 75.0
 F0_MAX = 600.0
 VOICING_THRESHOLD = 0.15
-F0_CHUNK = 256           # analysis frames per CMNDF batch; bounds the F0 tracker's memory
+F0_CHUNK = 256           # analysis frames in flight at once; bounds the F0 tracker's memory
 ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
@@ -218,12 +227,13 @@ def _lag_range(sample_rate: int) -> tuple[int, int]:
 def _f0_buffers(rows: int, frame_len: int, sample_rate: int) -> dict[str, np.ndarray]:
     """Work arrays of the F0 tracker for up to `rows` frames of frame_len.
 
-    extract_prosody makes one set per recording and hands it to every
-    chunk, so no chunk allocates its multi-MB transforms afresh.
+    extract_prosody makes one set per thread per recording and hands it to
+    every chunk that thread tracks, so no chunk allocates its multi-MB
+    transforms afresh.
     """
     tau_max = _lag_range(sample_rate)[1]
     spectrum = (rows, frame_len // 2 + 1)
-    return {"energy": np.empty((rows, frame_len)), "corr": np.empty((rows, frame_len)),
+    return {"energy": np.empty((rows, frame_len)),
             "spec": np.empty(spectrum, complex), "spec_w": np.empty(spectrum, complex),
             "d": np.empty((rows, tau_max)), "cum_d": np.empty((rows, tau_max))}
 
@@ -233,7 +243,8 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
     """CMNDF values for lags 1..tau_max for every frame.
 
     energy is the running sum of squares along each frame,
-    energy[i, k] = sum_{j<=k} x_ij^2. buf holds work arrays of exactly
+    energy[i, k] = sum_{j<=k} x_ij^2; once the energy terms are taken from
+    it, the correlation overwrites it. buf holds work arrays of exactly
     len(frames) rows (see _f0_buffers). Returns (nd, tau_min, tau_max) where
     nd[i, t-1] is the normalized difference of frame i at lag t; nd is a
     view of buf["d"].
@@ -255,14 +266,14 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
         )
     W = L - tau_max
 
-    xcorr = np.fft.rfft(frames[:, :W], L, out=buf["spec_w"])
-    np.conjugate(xcorr, out=xcorr)
-    xcorr *= np.fft.rfft(frames, L, out=buf["spec"])
-    corr = np.fft.irfft(xcorr, L, out=buf["corr"])[:, 1:tau_max + 1]
-
     # lag t in column t - 1: e_t = sum_{j=t}^{t+W-1} x_j^2, e0 = sum_{j<W} x_j^2
     d = np.subtract(energy[:, W:], energy[:, :tau_max], out=buf["d"])
     d += energy[:, W - 1:W]
+
+    xcorr = np.fft.rfft(frames[:, :W], L, out=buf["spec_w"])
+    np.conjugate(xcorr, out=xcorr)
+    xcorr *= np.fft.rfft(frames, L, out=buf["spec"])
+    corr = np.fft.irfft(xcorr, L, out=energy)[:, 1:tau_max + 1]
     corr *= 2.0
     d -= corr
     np.maximum(d, 0.0, out=d)
@@ -326,7 +337,7 @@ def _f0_track(frames: np.ndarray, sample_rate: int, buffers: dict[str, np.ndarra
     The stack is squared once: the squares give the RMS that gates voicing,
     then become the CMNDF's running energy sum in place. Work arrays are the
     first len(frames) rows of `buffers` (see _f0_buffers), which grow with
-    the stack, so extract_prosody passes F0_CHUNK frames at a time.
+    the stack, so extract_prosody passes at most F0_CHUNK frames at a time.
     """
     buf = {k: v[:len(frames)] for k, v in buffers.items()}
     energy = np.multiply(frames, frames, out=buf["energy"])
@@ -415,6 +426,14 @@ def downsample_by_mean(track: ProsodyTrack, factor: int = 10) -> ProsodyTrack:
     return ProsodyTrack(fps=track.fps // factor, rows=merged)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     """Full 5-channel prosody pipeline at 20 fps.
 
@@ -431,10 +450,29 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
     f0, rms = np.empty(n_raw), np.empty(n_raw)
     voiced = np.empty(n_raw, dtype=bool)
-    buffers = _f0_buffers(min(F0_CHUNK, n_raw), _frame_len(sr), sr)
-    for lo in range(0, n_raw, F0_CHUNK):
-        hi = min(lo + F0_CHUNK, n_raw)
-        f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frame_signal(clip, lo, hi), sr, buffers)
+    workers = min(_usable_cpus(), F0_CHUNK // 64, -(-n_raw // F0_CHUNK))
+    step = F0_CHUNK // workers
+    free = queue.SimpleQueue()          # one set of work arrays per thread
+    for _ in range(workers):
+        free.put(_f0_buffers(min(step, n_raw), _frame_len(sr), sr))
+
+    def track(lo: int) -> None:
+        hi = min(lo + step, n_raw)
+        buffers = free.get()
+        try:
+            frames = frame_signal(clip, lo, hi)
+            f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frames, sr, buffers)
+        finally:
+            free.put(buffers)
+
+    # chunks write disjoint slices; the first error, in chunk order, cancels
+    # the chunks not yet started, and no thread outlives the call
+    pool = ThreadPoolExecutor(workers)
+    try:
+        for chunk in [pool.submit(track, lo) for lo in range(0, n_raw, step)]:
+            chunk.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
     pitch = transform_pitch(np.where(voiced, f0, 0.0))
     pitch = interpolate_unvoiced(pitch, voiced)
@@ -460,7 +498,12 @@ def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
 
 
 def read_prosody_csv(path: str | Path) -> ProsodyTrack:
+    """Read a file write_prosody_csv wrote; a non-finite cell is a ValueError
+    naming the file and the data row."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.size == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if len(bad):
+        raise ValueError(f"{path}: data row {bad[0] + 1}: non-finite value")
     return ProsodyTrack(fps=OUT_FPS, rows=data[:, 1:6])

@@ -24,6 +24,7 @@ audio.wav, transcript.tsv, annotations.tsv, and optional interlocutor.tsv.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -86,8 +87,12 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_speakers < 1:
             raise ValueError(f"need >= 1 speaker, got {self.n_speakers}")
-        if self.duration < 12.0:
-            raise ValueError(f"duration must cover at least one event cycle, got {self.duration}")
+        if not 12.0 <= self.duration < math.inf:
+            raise ValueError("duration must be finite and cover at least one event cycle, "
+                             f"got {self.duration}")
+        if not 0.0 < self.words_per_sec < math.inf:
+            raise ValueError("words_per_sec must be positive and finite, "
+                             f"got {self.words_per_sec}")
         if self.sample_rate < 8000:
             raise ValueError(f"sample rate too low for pitch tracking: {self.sample_rate}")
         if not 0.0 <= self.trigger_prob <= 1.0:

@@ -16,6 +16,7 @@ call per recording.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,6 +36,9 @@ class WordToken:
     offset: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.onset) and math.isfinite(self.offset)):
+            raise ValueError(f"word {self.word!r}: non-finite time "
+                             f"({self.onset}, {self.offset})")
         if self.offset < self.onset:
             raise ValueError(f"word {self.word!r}: offset {self.offset} < onset {self.onset}")
 
@@ -59,8 +63,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
 
     Lines are `word v1 .. vd` separated by spaces. An optional first line
     `<count> <dim>` (two integer tokens) is treated as a header. Duplicate
-    words keep the last vector with a warning; malformed lines raise
-    ValueError naming the line number.
+    words keep the last vector with a warning; malformed lines and
+    non-finite values raise ValueError naming the line number.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = None
@@ -83,6 +87,8 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise ValueError(f"{path}: line {lineno}: non-finite vector value")
             if dim is None:
                 dim = len(vec)
             elif len(vec) != dim:
@@ -115,9 +121,9 @@ def read_transcript(path: str | Path) -> list[WordToken]:
             if len(parts) != 3:
                 raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
             onset_ms, offset_ms, word = parts
-            onset, offset = float(onset_ms) / 1000.0, float(offset_ms) / 1000.0
             try:
-                words.append(WordToken(word=word, onset=onset, offset=offset))
+                words.append(WordToken(word=word, onset=float(onset_ms) / 1000.0,
+                                       offset=float(offset_ms) / 1000.0))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from None
     words.sort(key=lambda w: (w.onset, w.offset))

@@ -20,6 +20,7 @@ positive count reaches half its majority side.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,8 +49,8 @@ class LossSpec:
     def __post_init__(self):
         if self.kind not in LOSS_KINDS:
             raise ValueError(f"unknown loss kind {self.kind!r}; choose from {LOSS_KINDS}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError(f"beta must be in [0, 1), got {self.beta}")
 
@@ -177,8 +178,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.steps < 1 or self.batch < 1:
             raise ValueError("steps and batch must be positive")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 1 <= self.evals <= self.steps:
             raise ValueError(f"evals must be in [1, steps={self.steps}], got {self.evals}")
 

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -150,6 +151,26 @@ def test_config_entries_that_are_not_objects_exit_2_naming_them(tmp_path, capsys
     assert cli.main(["eval", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {cfg_path}: {named} must be a JSON object")
+
+
+@pytest.mark.parametrize("duration", ["nan", "inf"])
+def test_synth_non_finite_duration_exits_2_at_once(tmp_path, duration):
+    # the event sampler never reached such an end and grew until memory ran
+    # out, so the child runs under a time and an address-space limit
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    cap = 2 << 30
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    done = subprocess.run([sys.executable, "-m", "gestprop", "synth", "--preset", "combined",
+                           "--out", str(tmp_path / "corpus"), "--duration", duration],
+                          env=env, capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_memory)
+    assert done.returncode == 2, done.stderr
+    assert "duration must be finite" in done.stderr and duration in done.stderr
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_python_dash_m_runs_the_cli():

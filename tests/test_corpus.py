@@ -299,6 +299,23 @@ def test_interlocutor_rejects_empty_or_inverted_rows(tmp_path, row):
         read_interlocutor(p)
 
 
+@pytest.mark.parametrize("row", ["nan\t1000", "1000\tnan", "1000\tinf", "-inf\t1000"])
+def test_annotations_reject_non_finite_times(tmp_path, row):
+    # a NaN time used to fail later in rasterize, naming no file
+    p = tmp_path / "ann.tsv"
+    p.write_text(f"Phase\t0\t500\tstroke\nPhase\t{row}\tretraction\n")
+    with pytest.raises(ValueError, match=r"ann\.tsv: line 2: non-finite time"):
+        read_annotations(p)
+
+
+@pytest.mark.parametrize("row", ["nan\t1000", "1000\tnan", "1000\tinf", "-inf\t1000"])
+def test_interlocutor_rejects_non_finite_times(tmp_path, row):
+    p = tmp_path / "il.tsv"
+    p.write_text(f"0\t500\n{row}\n")
+    with pytest.raises(ValueError, match=r"il\.tsv: line 2: non-finite time"):
+        read_interlocutor(p)
+
+
 # ------------------------------------------------------------------ manifest
 
 FILES = {"audio": "audio.wav", "transcript": "transcript.tsv",

@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -334,19 +337,47 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows():
 
 
 def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
-    # each window is transformed on its own, so neither the chunk size nor
-    # the reused buffers' stale rows past a short last chunk change a bit
+    # each window is transformed on its own, so neither the chunk size, the
+    # thread count nor the reused buffers' stale rows past a short last
+    # chunk change a bit; 2540 windows leave a short last chunk at every
+    # size below (85, 128, 256 and 1024 windows per chunk)
     sr = 44100
     rng = np.random.default_rng(13)
     t = np.arange(int(12.7 * sr)) / sr
     x = rng.normal(0, 0.02, len(t)) + 0.3 * np.sin(2 * np.pi * 180.0 * t) * (t % 2 > 1)
-    clip = AudioClip(x, sr)
-    monkeypatch.setattr(prosody, "F0_CHUNK", 256)
-    small = extract_prosody(clip).rows
-    monkeypatch.setattr(prosody, "F0_CHUNK", 1024)
-    large = extract_prosody(clip).rows
-    assert small.tobytes() == large.tobytes()
-    assert 0.2 < small[:, 0].mean() < 0.8      # voiced and unvoiced frames both
+    stereo = np.stack([x, 0.5 * x + rng.normal(0, 0.01, len(t))], axis=1)
+    pcm = (np.clip(stereo, -1.0, 1.0) * 32767).astype(np.int16).reshape(-1)
+    clip = silence_intervals(AudioClip(pcm, sr, channels=2), [(0.5, 1.7), (6.05, 6.3)])
+    assert clip.n_windows == 2540
+    threads = threading.active_count()
+    rows = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)        # threads hand over often: a shared buffer shows
+    try:
+        for cpus, chunk in [(1, 256), (2, 256), (3, 256), (1, 1024)]:
+            monkeypatch.setattr(prosody, "_usable_cpus", lambda cpus=cpus: cpus)
+            monkeypatch.setattr(prosody, "F0_CHUNK", chunk)
+            rows[cpus, chunk] = extract_prosody(clip).rows.tobytes()
+            assert threading.active_count() == threads      # the pool is joined
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(set(rows.values())) == 1
+    vuv = extract_prosody(clip).rows[:, 0]
+    assert 0.2 < vuv.mean() < 0.8      # voiced and unvoiced frames both
+    assert not vuv[12:32].any()        # the first silenced range
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_extract_prosody_names_a_nan_sample_mid_clip(monkeypatch, cpus):
+    monkeypatch.setattr(prosody, "_usable_cpus", lambda: cpus)
+    x = np.random.default_rng(4).normal(0, 0.1, 60 * 16000).astype(np.float32)
+    x[456_789] = np.nan
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="non-finite samples") as err:
+        extract_prosody(AudioClip(x, 16000))
+    lo, hi = map(int, re.search(r"in (\d+)\.\.(\d+)", str(err.value)).groups())
+    assert lo <= 456_789 <= hi and hi - lo < F0_CHUNK * 80 + 640     # one chunk's span
+    assert threading.active_count() == threads
 
 
 def test_extract_prosody_deterministic():
@@ -424,3 +455,14 @@ def test_prosody_csv_roundtrip(tmp_path):
     back = read_prosody_csv(p)
     assert back.rows.shape == track.rows.shape
     assert np.max(np.abs(back.rows - track.rows)) < 1e-6
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_prosody_csv_rejects_non_finite_cells(tmp_path, cell):
+    p = tmp_path / "pros.csv"
+    write_prosody_csv(ProsodyTrack(fps=20, rows=np.zeros((4, 5))), p)
+    lines = p.read_text().splitlines()
+    lines[3] = f"2,0,{cell},0,0,0"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=r"pros\.csv: data row 3: non-finite value"):
+        read_prosody_csv(p)

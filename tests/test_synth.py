@@ -167,6 +167,15 @@ def test_presets_and_validation():
         SynthSpec(name="x", duration=5.0)
 
 
+@pytest.mark.parametrize("field,value", [("duration", float("nan")), ("duration", float("inf")),
+                                         ("words_per_sec", float("nan")),
+                                         ("words_per_sec", 0.0), ("words_per_sec", -1.0)])
+def test_spec_rejects_non_finite_or_non_positive_floats(field, value):
+    # either would keep an event or word loop from reaching the recording's end
+    with pytest.raises(ValueError, match=field):
+        SynthSpec(name="x", **{field: value})
+
+
 def test_stroke_rarity(small_corpus):
     # the stroke must stay a rare phase so chance-level F1 sits near zero
     out, recs = small_corpus

@@ -57,6 +57,14 @@ def test_load_malformed(tmp_path):
         load_embeddings(p)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_values(tmp_path, value):
+    p = tmp_path / "v.txt"
+    p.write_text(f"foo 1 2 3\nbar 4 {value} 6\n")
+    with pytest.raises(ValueError, match=r"v\.txt: line 2: non-finite vector value"):
+        load_embeddings(p)
+
+
 def test_load_duplicate_keeps_last(tmp_path, caplog):
     p = tmp_path / "v.txt"
     p.write_text("foo 1 2\nfoo 3 4\n")
@@ -190,6 +198,9 @@ def test_transcript_malformed(tmp_path):
     p.write_text("100\t200\n")
     with pytest.raises(ValueError, match="line 1"):
         read_transcript(p)
+    p.write_text("0\t50\tein\nx1\t200\thello\n")
+    with pytest.raises(ValueError, match=r"t\.tsv: line 2: could not convert"):
+        read_transcript(p)
 
 
 def test_transcript_rejects_offset_before_onset(tmp_path):
@@ -197,6 +208,15 @@ def test_transcript_rejects_offset_before_onset(tmp_path):
     p.write_text("0\t50\tein\n100\t50\thello\n")
     with pytest.raises(ValueError,
                        match=r"t\.tsv: line 2: word 'hello': offset 0\.05 < onset 0\.1"):
+        read_transcript(p)
+
+
+@pytest.mark.parametrize("row", ["nan\t200\thello", "100\tnan\thello", "100\tinf\thello"])
+def test_transcript_rejects_non_finite_times(tmp_path, row):
+    # a NaN onset would leave select_window searching unsorted onsets
+    p = tmp_path / "t.tsv"
+    p.write_text(f"0\t50\tein\n{row}\n")
+    with pytest.raises(ValueError, match=r"t\.tsv: line 2: word 'hello': non-finite time"):
         read_transcript(p)
 
 

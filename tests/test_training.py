@@ -151,6 +151,17 @@ def test_loss_spec_validation():
         LossSpec("class_balanced_focal", beta=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_float_settings_reject_non_finite_values(value):
+    # a comparison with NaN is false, so `lr <= 0` let NaN through
+    with pytest.raises(ValueError, match="lr"):
+        TrainConfig(lr=value)
+    with pytest.raises(ValueError, match="gamma"):
+        LossSpec("focal", gamma=value)
+    with pytest.raises(ValueError, match="beta"):
+        LossSpec("class_balanced_focal", beta=value)
+
+
 def test_adam_first_step_size_is_lr():
     for scale in (1.0, 1e3):
         w = np.zeros(3)
