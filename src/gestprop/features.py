@@ -28,8 +28,8 @@ import numpy as np
 from .corpus import (AUDIO_CONTEXT_FRAMES, FPS, Recording, SCHEMAS, build_frame_table,
                      write_frame_csv)
 from .evaluation import write_atomic
-from .prosody import (PROSODY_COLUMNS, extract_prosody, read_prosody_csv, read_wav,
-                      silence_intervals, write_prosody_csv)
+from .prosody import (PROSODY_COLUMNS, ProsodyTrack, extract_prosody, read_prosody_csv,
+                      read_wav, silence_intervals, write_prosody_csv)
 from .textfeat import EmbeddingTable, load_embeddings, lookup_word, select_window
 
 log = logging.getLogger(__name__)
@@ -58,11 +58,8 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
     for rec in sorted(recordings, key=lambda r: r.rec_id):
         paths = feature_paths(feature_dir, rec.rec_id)
         if force or not paths["prosody"].exists():
-            try:    # a bad sample can surface in any decoded span, so extraction too
-                clip = read_wav(rec.audio_path)
-                if rec.interlocutor:
-                    clip = silence_intervals(clip, rec.interlocutor)
-                track = extract_prosody(clip)
+            try:    # a bad or missing sample can surface in any decoded span
+                track = _recording_prosody(rec)
             except (OSError, ValueError) as exc:
                 failures.append((rec.rec_id, f"{rec.audio_path}: {exc}"))
                 continue
@@ -75,6 +72,15 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
         table = build_frame_table(rec, duration=len(track.rows) / FPS)
         write_atomic(paths["frames"], lambda p: write_frame_csv(table, p))
     return built, failures
+
+
+def _recording_prosody(rec: Recording) -> ProsodyTrack:
+    """Prosody of a recording's audio, interlocutor spans silenced. The
+    clip, and with it the open WAV file, is dropped on return."""
+    clip = read_wav(rec.audio_path)
+    if rec.interlocutor:
+        clip = silence_intervals(clip, rec.interlocutor)
+    return extract_prosody(clip)
 
 
 def _word_windows(words, t: np.ndarray, emb_rows: dict[str, int]):

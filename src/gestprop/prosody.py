@@ -18,11 +18,13 @@ Transforms:
     pitch_feat  = max(0, ln(f0 + 1) - 4)        (f0 in Hz, 0 when unvoiced)
     energy_feat = ln(max(rms, 1e-10)) - 3
 
-Memory stays flat as recordings get longer. read_wav maps the WAV file
-instead of decoding it, silence_intervals records the zeroed sample ranges
-instead of copying the clip, and frame_signal decodes only the span its
-windows cover (to float64, PCM16 / 32768, channels averaged, silenced
-ranges zeroed, non-finite samples rejected).
+Memory stays flat as recordings get longer; only the output rows grow.
+read_wav reads a WAV file's header and keeps the file open, silence_intervals
+records the zeroed sample ranges instead of copying the clip, and
+frame_signal decodes only the span its windows cover, read from the file
+with one positioned read (os.pread, so POSIX only) and decoded to float64
+(PCM16 / 32768, channels averaged, silenced ranges zeroed, non-finite
+samples rejected). No page of the file stays mapped.
 
 extract_prosody tracks F0 on one thread per CPU the process may use (at
 most F0_CHUNK // 64), each taking F0_CHUNK // threads windows at a time, so
@@ -41,6 +43,7 @@ from __future__ import annotations
 import logging
 import os
 import queue
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -63,6 +66,37 @@ ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
 PROSODY_COLUMNS = ("vuv", "pitch", "energy", "d_pitch", "d_energy")
+CSV_HEADER = "frame," + ",".join(PROSODY_COLUMNS)
+
+
+class WavData:
+    """The stored samples of a WAV file's data chunk, read a span at a time.
+
+    Holds one open descriptor, shared by the clips silence_intervals makes
+    from the clip read_wav returned and closed when the last of them is
+    collected. A span is one os.pread into a fresh array; pread moves no
+    shared file position, so threads read spans at once with no lock.
+    """
+
+    def __init__(self, path: str | Path, fd: int, offset: int, dtype: np.dtype,
+                 size: int, channels: int):
+        self.path, self.fd, self.offset = path, fd, offset
+        self.dtype, self.size, self.channels = dtype, size, channels
+        weakref.finalize(self, os.close, fd)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, span: slice) -> np.ndarray:
+        """Stored values span.start..span.stop-1, read into a fresh array."""
+        lo, hi, _ = span.indices(self.size)
+        n = max(hi - lo, 0) * self.dtype.itemsize
+        data = os.pread(self.fd, n, self.offset + lo * self.dtype.itemsize)
+        if len(data) < n:
+            ch = self.channels
+            raise ValueError(f"{self.path}: samples {lo // ch}..{(hi - 1) // ch} "
+                             "are past the end of the file; was it truncated?")
+        return np.frombuffer(data, self.dtype)
 
 
 @dataclass(frozen=True)
@@ -70,22 +104,24 @@ class AudioClip:
     """Audio as stored, decoded to mono float64 one span at a time.
 
     samples holds the stored values, `channels` of them per instant: float
-    in [-1, 1], or int16 PCM, which decodes as / 32768. read_wav passes a
-    map of the WAV file's data chunk, so a clip holds no decoded copy. Sample
-    ranges [lo, hi) in `silenced` decode as zero.
+    in [-1, 1], or int16 PCM, which decodes as / 32768. read_wav passes the
+    WAV file's WavData, so a clip holds no sample in memory. Sample ranges
+    [lo, hi) in `silenced` decode as zero.
     """
 
-    samples: np.ndarray
+    samples: np.ndarray | WavData
     sample_rate: int
     channels: int = 1
     silenced: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        samples = np.asarray(self.samples)
-        if samples.dtype not in (np.int16, np.float32):
-            samples = samples.astype(np.float64, copy=False)
-        if samples.ndim != 1:
-            raise ValueError(f"expected 1-D samples, got shape {samples.shape}")
+        samples = self.samples
+        if not isinstance(samples, WavData):
+            samples = np.asarray(samples)
+            if samples.dtype not in (np.int16, np.float32):
+                samples = samples.astype(np.float64, copy=False)
+            if samples.ndim != 1:
+                raise ValueError(f"expected 1-D samples, got shape {samples.shape}")
         if self.channels < 1 or len(samples) % self.channels:
             raise ValueError(f"{len(samples)} samples do not split into "
                              f"{self.channels} channel(s)")
@@ -149,23 +185,31 @@ class ProsodyTrack:
 
 
 def read_wav(path: str | Path) -> AudioClip:
-    """Map a WAV file's samples (PCM16 or float; stereo is averaged to mono
-    when decoded). Nothing is decoded or copied here.
+    """Open a WAV file (PCM16 or float; stereo is averaged to mono when
+    decoded). Only the header is read here; each span is read as decoded.
 
-    The clip reads the file as it is decoded, so the file must not be
-    truncated or rewritten in place while the clip is in use: a read past a
-    shortened mapping ends the process (SIGBUS). write_wav replaces a file
-    by rename, which leaves an existing mapping on the old contents.
+    The clip keeps the file open, so a file replaced by rename, as write_wav
+    does, leaves the clip on the old contents. A file truncated while the
+    clip is in use fails the next span read past its end with a ValueError.
     """
-    sr, data = wavfile.read(str(path), mmap=True)
-    if data.dtype not in (np.int16, np.float32, np.float64):
-        raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
-    channels = data.shape[1] if data.ndim == 2 else 1
-    return AudioClip(samples=data.reshape(-1), sample_rate=int(sr), channels=channels)
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # given a descriptor, not a file object, scipy maps the data chunk
+        # rather than reading it; the map is dropped with no page touched
+        sr, data = wavfile.read(os.dup(fd), mmap=True)
+        if data.dtype not in (np.int16, np.float32, np.float64):
+            raise ValueError(f"unsupported WAV sample format {data.dtype} in {path}")
+        channels = data.shape[1] if data.ndim == 2 else 1
+        wav = WavData(path, fd, data.offset, data.dtype, data.size, channels)
+    except BaseException:
+        os.close(fd)
+        raise
+    return AudioClip(samples=wav, sample_rate=int(sr), channels=channels)
 
 
 def write_wav(path: str | Path, clip: AudioClip) -> None:
-    """Write a clip, decoded, as 32-bit float WAV, replacing path by rename."""
+    """Write a clip, decoded, as 32-bit float WAV, replacing path by rename,
+    so a clip still reading the old file keeps its samples."""
     samples = clip.decode().astype(np.float32)
     write_atomic(path, lambda tmp: wavfile.write(tmp, clip.sample_rate, samples))
 
@@ -474,17 +518,13 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     finally:
         pool.shutdown(cancel_futures=True)
 
-    pitch = transform_pitch(np.where(voiced, f0, 0.0))
-    pitch = interpolate_unvoiced(pitch, voiced)
-    energy = transform_energy(rms)
-
-    raw = np.column_stack([
-        voiced.astype(np.float64),
-        pitch,
-        energy,
-        finite_diff(pitch, RAW_FPS),
-        finite_diff(energy, RAW_FPS),
-    ])
+    # the columns are filled in place: f0 is already 0 where unvoiced
+    raw = np.empty((n_raw, len(PROSODY_COLUMNS)))
+    raw[:, 0] = voiced
+    raw[:, 1] = interpolate_unvoiced(transform_pitch(f0), voiced)
+    raw[:, 2] = transform_energy(rms)
+    raw[:, 3] = finite_diff(raw[:, 1], RAW_FPS)
+    raw[:, 4] = finite_diff(raw[:, 2], RAW_FPS)
     return downsample_by_mean(ProsodyTrack(fps=RAW_FPS, rows=raw))
 
 
@@ -493,17 +533,31 @@ def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
     n = track.n_frames
     cells = np.column_stack([np.arange(n), track.rows]).ravel().tolist()
     with open(path, "w") as fh:
-        fh.write("frame," + ",".join(PROSODY_COLUMNS) + "\n")
+        fh.write(CSV_HEADER + "\n")
         fh.write(("%d" + ",%.9g" * len(PROSODY_COLUMNS) + "\n") * n % tuple(cells))
 
 
 def read_prosody_csv(path: str | Path) -> ProsodyTrack:
-    """Read a file write_prosody_csv wrote; a non-finite cell is a ValueError
-    naming the file and the data row."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    """Read a file write_prosody_csv wrote. A header other than
+    write_prosody_csv's, a row without 6 cells or a non-finite cell is a
+    ValueError naming the file and the data row."""
+    cells = len(PROSODY_COLUMNS) + 1
+
+    def rows(fh):
+        for row, line in enumerate(fh, 1):
+            if line.count(",") != cells - 1:
+                raise ValueError(f"{path}: data row {row}: {line.count(',') + 1} cells, "
+                                 f"want {cells}")
+            yield line
+
+    with open(path) as fh:
+        first = fh.readline().rstrip("\n")
+        if first != CSV_HEADER:
+            raise ValueError(f"{path}: header {first!r}, want {CSV_HEADER!r}")
+        data = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
     if data.size == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
     if len(bad):
         raise ValueError(f"{path}: data row {bad[0] + 1}: non-finite value")
-    return ProsodyTrack(fps=OUT_FPS, rows=data[:, 1:6])
+    return ProsodyTrack(fps=OUT_FPS, rows=data[:, 1:])

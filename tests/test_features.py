@@ -1,6 +1,8 @@
 """Feature build, cached dataset, and the window provider."""
 
+import gc
 import json
+import os
 import shutil
 import tracemalloc
 from dataclasses import replace
@@ -130,6 +132,45 @@ def test_non_finite_sample_fails_only_its_recording(tmp_path):
     assert not features.feature_paths(tmp_path / "feat", 1)["prosody"].exists()
     for rec_id in (0, 2):
         assert features.feature_paths(tmp_path / "feat", rec_id)["prosody"].exists()
+
+
+def test_a_wav_truncated_in_use_fails_only_its_recording(tmp_path, monkeypatch):
+    # read through a map, a read past the shortened file ended the process
+    recs = []
+    for rec_id in (0, 1, 2):
+        wavfile.write(tmp_path / f"{rec_id}.wav", 16000,
+                      tone_and_noise(3.0, 16000, seed=rec_id).astype(np.float32))
+        recs.append(corpus.Recording(rec_id=rec_id, speaker="s",
+                                     audio_path=tmp_path / f"{rec_id}.wav"))
+    read_wav = prosody.read_wav
+
+    def read_then_truncate(path):
+        clip = read_wav(path)
+        if path == recs[1].audio_path:
+            with open(path, "r+b") as fh:
+                fh.truncate(path.stat().st_size // 2)
+        return clip
+
+    monkeypatch.setattr(features, "read_wav", read_then_truncate)
+    built, failures = features.build_features(recs, tmp_path / "feat")
+    assert built == [0, 2]
+    assert len(failures) == 1
+    rec_id, msg = failures[0]
+    assert rec_id == 1 and "1.wav" in msg and "past the end of the file" in msg
+    assert not features.feature_paths(tmp_path / "feat", 1)["prosody"].exists()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
+def test_build_leaves_no_wav_open(tmp_path):
+    spec = synth.SynthSpec(name="tiny", n_speakers=3, duration=12.0, interlocutor=True)
+    recs = synth.generate_synthetic_corpus(spec, seed=3, out_dir=tmp_path)
+    assert len(recs) == 3
+    gc.collect()
+    before = len(os.listdir("/proc/self/fd"))
+    built, failures = features.build_features(recs, tmp_path / "feat")
+    assert len(built) == 3 and failures == []
+    gc.collect()
+    assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_build_memory_stays_flat_as_the_recording_grows(tmp_path):

@@ -1,8 +1,11 @@
 import math
+import os
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +339,56 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows():
     assert peak_mb(120) - peak_mb(30) < 25.0
 
 
+PEAK_RSS_CHILD = """
+import resource, sys
+from gestprop import prosody
+path = sys.argv[1]
+mapped = []
+track_chunk = prosody._f0_track
+
+def f0_track(*args):
+    try:
+        with open("/proc/self/maps") as fh:
+            mapped.append(path in fh.read())
+    except FileNotFoundError:
+        pass
+    return track_chunk(*args)
+
+prosody._f0_track = f0_track
+prosody.extract_prosody(prosody.read_wav(path))
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(peak if sys.platform == "darwin" else peak * 1024, any(mapped))
+"""
+
+# a child keeps the peak of the process that started it in ru_maxrss, so the
+# measured child is started from this small one rather than from pytest
+LAUNCHER = ("import subprocess, sys; "
+            "sys.exit(subprocess.run([sys.executable, '-c', *sys.argv[1:]]).returncode)")
+
+
+def test_extract_prosody_resident_memory_stays_flat_as_the_wav_grows(tmp_path):
+    # tracemalloc does not see file pages: mapped, every page the chunks
+    # decoded stayed resident, so the peak grew by the whole file
+    from scipy.io import wavfile
+    env = dict(os.environ, PYTHONPATH=str(Path(prosody.__file__).parents[1]),
+               **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                   "MKL_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")})
+    rng = np.random.default_rng(8)
+
+    def peak_bytes(seconds):
+        path = tmp_path / f"{seconds}.wav"
+        wavfile.write(path, 16000, rng.normal(0, 0.1, seconds * 16000).astype(np.float32))
+        out = subprocess.run([sys.executable, "-c", LAUNCHER, PEAK_RSS_CHILD, str(path)],
+                             env=env, capture_output=True, text=True, timeout=300,
+                             check=True)
+        peak, mapped = out.stdout.split()
+        assert mapped == "False"          # no page of the WAV is mapped
+        return int(peak)
+
+    file_growth = (240 - 30) * 16000 * 4
+    assert peak_bytes(240) - peak_bytes(30) < file_growth
+
+
 def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
     # each window is transformed on its own, so neither the chunk size, the
     # thread count nor the reused buffers' stale rows past a short last
@@ -398,17 +451,46 @@ def test_wav_roundtrip(tmp_path):
     assert np.max(np.abs(back.decode() - clip.decode())) < 1e-6
 
 
-def test_rewriting_a_wav_leaves_a_mapped_clip_on_the_old_samples(tmp_path):
-    # a clip maps its file; rewriting the file in place, shorter, would make
-    # the next decode read past the mapping's end and end the process
+def test_a_clip_reads_the_file_it_opened(tmp_path):
+    # a clip holds its file open; write_wav replaces the file by rename, so
+    # the clip still decodes the old samples and a new read_wav the new ones
     p = tmp_path / "t.wav"
     write_wav(p, sine(220, 0.25, 16000, amp=0.5))
-    mapped = read_wav(p)
-    want = mapped.decode()
+    opened = read_wav(p)
+    want = opened.decode()
     write_wav(p, sine(220, 0.01, 16000))
-    assert mapped.decode().tobytes() == want.tobytes()
+    assert opened.decode().tobytes() == want.tobytes()
     assert read_wav(p).n_samples == 160
     assert [f.name for f in tmp_path.iterdir()] == ["t.wav"]
+
+
+def test_a_wav_truncated_in_use_fails_naming_the_file_and_span(tmp_path):
+    # read through a map, the same file ended the process (SIGBUS)
+    p = tmp_path / "t.wav"
+    write_wav(p, sine(220, 1.0, 16000, amp=0.5))
+    clip = read_wav(p)
+    head = clip.decode(0, 8000)
+    with open(p, "r+b") as fh:
+        fh.truncate(p.stat().st_size - 4 * 4000)      # the last 4000 samples
+    assert clip.decode(0, 8000).tobytes() == head.tobytes()
+    with pytest.raises(ValueError, match=r"t\.wav: samples 8000\.\.15999 are past the end"):
+        clip.decode(8000, 16000)
+
+
+@pytest.mark.parametrize("stereo", [False, True])
+def test_clip_spans_decode_like_the_whole_file(tmp_path, stereo):
+    from scipy.io import wavfile
+    sr = 8000
+    x = np.random.default_rng(9).integers(-32768, 32768, (3 * sr, 2), dtype=np.int16)
+    x = x if stereo else x[:, 0]
+    wavfile.write(tmp_path / "a.wav", sr, x)
+    clip = silence_intervals(read_wav(tmp_path / "a.wav"), [(0.5, 0.75)])
+    whole = x.astype(np.float64) / 32768.0
+    whole = whole.mean(axis=1) if stereo else whole
+    whole[4000:6000] = 0.0
+    assert clip.decode().tobytes() == whole.tobytes()
+    for lo, hi in [(0, 1), (3999, 6001), (5000, 5000), (23990, 24000)]:
+        assert clip.decode(lo, hi).tobytes() == whole[lo:hi].tobytes()
 
 
 def test_wav_pcm16_and_stereo(tmp_path):
@@ -455,6 +537,23 @@ def test_prosody_csv_roundtrip(tmp_path):
     back = read_prosody_csv(p)
     assert back.rows.shape == track.rows.shape
     assert np.max(np.abs(back.rows - track.rows)) < 1e-6
+
+
+@pytest.mark.parametrize("line,text,message", [
+    (0, "frame,vuv,pitch,energy,d_pitch",
+     r"pros\.csv: header 'frame,vuv,pitch,energy,d_pitch', want 'frame,vuv,"),
+    (2, "1,0,0,0", r"pros\.csv: data row 2: 4 cells, want 6"),
+    (3, "2,0,0,0,0,0,7", r"pros\.csv: data row 3: 7 cells, want 6"),
+])
+def test_prosody_csv_rejects_a_bad_shape(tmp_path, line, text, message):
+    # a 7th value in every row used to load, dropped
+    p = tmp_path / "pros.csv"
+    write_prosody_csv(ProsodyTrack(fps=20, rows=np.zeros((4, 5))), p)
+    lines = p.read_text().splitlines()
+    lines[line] = text
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        read_prosody_csv(p)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
