@@ -37,14 +37,13 @@ from .features import FrameDataset, WindowProvider, build_features, load_dataset
 from .net import DecoderSpec, EncoderSpec, ModelSpec, load_checkpoint, save_checkpoint
 from .prosody import AudioClip, ProsodyTrack, extract_prosody
 from .synth import SynthSpec, generate_synthetic_corpus, preset
-from .textfeat import EmbeddingTable, load_embeddings
+from .textfeat import load_embeddings
 from .training import LossSpec, TrainConfig
 
 __all__ = [
     "AudioClip",
     "CATEGORY",
     "DecoderSpec",
-    "EmbeddingTable",
     "EncoderSpec",
     "ExperimentConfig",
     "FrameDataset",

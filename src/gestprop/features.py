@@ -6,7 +6,8 @@ CSV is left alone unless force is set, so audio and interlocutor edits need a
 forced rebuild. Beside it goes a frame-label CSV for people to read, written
 on every run from the current annotations; nothing reads that one back.
 
-load_dataset reads the prosody CSVs and builds everything else from the
+load_dataset reads the prosody CSVs and, from the vectors file, only the
+vectors of the transcript words, and builds everything else from the
 recordings (ordered by id) into one FrameDataset: the speaker and label bits
 from the manifest and its annotations, each frame's 7-slot word window and
 the extent of its input window from the transcript, which fold plans read.
@@ -30,7 +31,7 @@ from .corpus import (AUDIO_CONTEXT_FRAMES, FPS, Recording, SCHEMAS, build_frame_
 from .evaluation import write_atomic
 from .prosody import (PROSODY_COLUMNS, ProsodyTrack, extract_prosody, read_prosody_csv,
                       read_wav, silence_intervals, write_prosody_csv)
-from .textfeat import EmbeddingTable, load_embeddings, lookup_word, select_window
+from .textfeat import load_embeddings, lookup_word, select_window
 
 log = logging.getLogger(__name__)
 
@@ -61,7 +62,10 @@ def build_features(recordings: list[Recording], feature_dir: str | Path,
             try:    # a bad or missing sample can surface in any decoded span
                 track = _recording_prosody(rec)
             except (OSError, ValueError) as exc:
-                failures.append((rec.rec_id, f"{rec.audio_path}: {exc}"))
+                msg = str(exc)      # name the file once: most read errors name it already
+                if str(rec.audio_path) not in msg:
+                    msg = f"{rec.audio_path}: {msg}"
+                failures.append((rec.rec_id, msg))
                 continue
             write_atomic(paths["prosody"], lambda p: write_prosody_csv(track, p))
             built.append(rec.rec_id)
@@ -119,7 +123,7 @@ class FrameDataset:
     has_gesture: np.ndarray      # (N,) uint8
     word_ids: np.ndarray         # (N, 7) int32 into emb_matrix (or sentinels)
     word_offsets: np.ndarray     # (N, 7) float32, 0 on absent slots
-    emb_matrix: np.ndarray       # (V, dim) float32
+    emb_matrix: np.ndarray       # (V, dim) float32, the transcript words with a vector
     eligible: np.ndarray         # (N,) bool, audio window inside recording
     win_lo: np.ndarray           # (N,) float64, earliest time the input window touches
     win_hi: np.ndarray           # (N,) float64, latest time the input window touches
@@ -141,15 +145,12 @@ class FrameDataset:
 
 
 def load_dataset(recordings: list[Recording], feature_dir: str | Path,
-                 embeddings: EmbeddingTable | str | Path) -> FrameDataset:
-    if not isinstance(embeddings, EmbeddingTable):
-        embeddings = load_embeddings(embeddings)
-    vocab_words, emb_matrix = embeddings.to_matrix()
-    emb_matrix = emb_matrix.astype(np.float32)
-    emb_rows = {w: i for i, w in enumerate(vocab_words)}
-
+                 embeddings: str | Path) -> FrameDataset:
     if not recordings:
         raise ValueError("no recordings to load")
+    vocab, emb_matrix = load_embeddings(
+        embeddings, {w.word for rec in recordings for w in rec.words})
+    emb_rows = {w: i for i, w in enumerate(vocab)}
     tables, pros, windows = [], [], []
     for rec in sorted(recordings, key=lambda r: r.rec_id):
         path = feature_paths(feature_dir, rec.rec_id)["prosody"]

@@ -511,12 +511,8 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
 
     # chunks write disjoint slices; the first error, in chunk order, cancels
     # the chunks not yet started, and no thread outlives the call
-    pool = ThreadPoolExecutor(workers)
-    try:
-        for chunk in [pool.submit(track, lo) for lo in range(0, n_raw, step)]:
-            chunk.result()
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers) as pool:
+        list(pool.map(track, range(0, n_raw, step)))
 
     # the columns are filled in place: f0 is already 0 where unvoiced
     raw = np.empty((n_raw, len(PROSODY_COLUMNS)))

@@ -11,6 +11,11 @@ word onsets and an array of target times and returns, per time, the 7 slot
 indices into the word list with -1 for an absent slot. load_dataset derives
 both the dataset's word windows and each frame's input-window extent from one
 call per recording.
+
+load_embeddings streams the word-vector file once and keeps only the vectors
+lookup_word can reach from the transcript words, so the vectors held follow
+the corpus's vocabulary, not the file's. It still checks every line, and
+remembers each word of the file (not its vector) for the duplicate rule.
 """
 
 from __future__ import annotations
@@ -43,30 +48,26 @@ class WordToken:
             raise ValueError(f"word {self.word!r}: offset {self.offset} < onset {self.onset}")
 
 
-class EmbeddingTable:
-    """Word -> vector lookup with insertion-ordered vocabulary."""
-
-    def __init__(self, vectors: dict[str, np.ndarray], dim: int):
-        self.dim = dim
-        self.vectors = vectors
-
-    def to_matrix(self) -> tuple[list[str], np.ndarray]:
-        """Vocabulary in insertion order plus the stacked vector matrix."""
-        words = list(self.vectors)
-        mat = np.stack([self.vectors[w] for w in words]) if words \
-            else np.zeros((0, self.dim))
-        return words, mat
+def lookup_word(entries: dict, word: str):
+    """The entry for a word, else for its lowercase form, else None."""
+    found = entries.get(word)
+    return found if found is not None else entries.get(word.lower())
 
 
-def load_embeddings(path: str | Path) -> EmbeddingTable:
-    """Parse a text word-vector file.
+def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
+    """Stream a text word-vector file, keeping only what lookup_word can
+    reach from the given words: each word and its lowercase form.
 
-    Lines are `word v1 .. vd` separated by spaces. An optional first line
-    `<count> <dim>` (two integer tokens) is treated as a header. Duplicate
-    words keep the last vector with a warning; malformed lines and
-    non-finite values raise ValueError naming the line number.
+    Returns the kept words in file order and their vectors as one float32
+    (V, dim) matrix. Lines are `word v1 .. vd` separated by spaces. An
+    optional first line `<count> <dim>` (two integer tokens) is treated as a
+    header. Every line is checked, kept or not: malformed lines and
+    non-finite values raise ValueError naming the line number, and
+    duplicate words keep the last vector with a warning.
     """
-    vectors: dict[str, np.ndarray] = {}
+    wanted = {form for word in words for form in (word, word.lower())}
+    kept: dict[str, np.ndarray] = {}
+    seen: set[str] = set()
     dim = None
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -95,18 +96,15 @@ def load_embeddings(path: str | Path) -> EmbeddingTable:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {dim} values, got {len(vec)}"
                 )
-            if word in vectors:
+            if word in seen:
                 log.warning("duplicate vector for %r (line %d); keeping the last", word, lineno)
-            vectors[word] = vec
-    if not vectors:
+            seen.add(word)
+            if word in wanted:
+                kept[word] = vec.astype(np.float32)
+    if dim is None:
         raise ValueError(f"{path}: no vectors found")
-    return EmbeddingTable(vectors=vectors, dim=dim)
-
-
-def lookup_word(entries: dict, word: str):
-    """The entry for a word, else for its lowercase form, else None."""
-    found = entries.get(word)
-    return found if found is not None else entries.get(word.lower())
+    matrix = np.stack(list(kept.values())) if kept else np.zeros((0, dim), np.float32)
+    return list(kept), matrix
 
 
 def read_transcript(path: str | Path) -> list[WordToken]:

@@ -13,7 +13,7 @@ from scipy.io import wavfile
 
 from gestprop import corpus, features, prosody, synth, textfeat
 from gestprop.net import EncoderSpec, ModelSpec, audio_width
-from text_reference import assemble_text_window
+from text_reference import assemble_text_window, read_vectors
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def built(tmp_path_factory):
     new, failures = features.build_features(recs, fdir)
     assert failures == []
     assert new == sorted(r.rec_id for r in recs)
-    emb = textfeat.load_embeddings(root / "vectors.txt")
+    emb = root / "vectors.txt"
     ds = features.load_dataset(recs, fdir, emb)
     return root, recs, fdir, emb, ds
 
@@ -160,6 +160,36 @@ def test_a_wav_truncated_in_use_fails_only_its_recording(tmp_path, monkeypatch):
     assert not features.feature_paths(tmp_path / "feat", 1)["prosody"].exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "int32", "truncated_in_use",
+                                  "nan_sample", "not_riff"])
+def test_each_failure_names_its_file_once(tmp_path, monkeypatch, case):
+    # most read errors name the file already; the failure adds it only if not
+    path = tmp_path / f"{case}.wav"
+    x = tone_and_noise(3.0, 16000, seed=1).astype(np.float32)
+    if case == "int32":
+        wavfile.write(path, 16000, np.round(x * 2e9).astype(np.int32))
+    elif case == "not_riff":
+        path.write_bytes(b"not a wave file" * 10)
+    elif case != "missing":
+        if case == "nan_sample":
+            x[30000] = np.nan
+        wavfile.write(path, 16000, x)
+    read_wav = prosody.read_wav
+
+    def read_then_truncate(p):
+        clip = read_wav(p)
+        with open(p, "r+b") as fh:
+            fh.truncate(p.stat().st_size // 2)
+        return clip
+
+    if case == "truncated_in_use":
+        monkeypatch.setattr(features, "read_wav", read_then_truncate)
+    rec = corpus.Recording(rec_id=0, speaker="s", audio_path=path)
+    built, failures = features.build_features([rec], tmp_path / "feat")
+    assert built == [] and len(failures) == 1
+    assert failures[0][1].count(str(path)) == 1, failures[0][1]
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc")
 def test_build_leaves_no_wav_open(tmp_path):
     spec = synth.SynthSpec(name="tiny", n_speakers=3, duration=12.0, interlocutor=True)
@@ -210,7 +240,7 @@ def test_word_windows_match_window_oracle(built):
     rec = min(recs, key=lambda r: r.rec_id)
     n = first_recording_frames(ds)
     ids, offsets = ds.word_ids[:n], ds.word_offsets[:n]
-    rows = {w: i for i, w in enumerate(emb.vectors)}
+    vectors = read_vectors(emb)
     for f in range(n):
         t = f / 20.0
         cur = -1                        # linear scan: the latest onset <= t
@@ -223,8 +253,11 @@ def test_word_windows_match_window_oracle(built):
                 assert ids[f, s] == -1 and offsets[f, s] == 0.0
                 continue
             tok = rec.words[i]
-            row = textfeat.lookup_word(rows, tok.word)
-            assert ids[f, s] == (features.OOV_ID if row is None else row)
+            vec = textfeat.lookup_word(vectors, tok.word)
+            if vec is None:
+                assert ids[f, s] == features.OOV_ID
+            else:
+                assert np.array_equal(ds.emb_matrix[ids[f, s]], vec.astype(np.float32))
             assert offsets[f, s] == np.float32(tok.onset - t)
 
 
@@ -347,7 +380,7 @@ def test_text_batch_matches_assemble_oracle(built):
     rec0 = next(r for r in recs if r.rec_id == ds.rec_ids[0])
     for f in (25, 80, 150):
         got = pr.batch(np.array([f]))["text"][0]
-        want = assemble_text_window(emb, rec0.words, f / 20.0)
+        want = assemble_text_window(read_vectors(emb), rec0.words, f / 20.0)
         assert np.allclose(got, want, atol=1e-5)
 
 
@@ -361,11 +394,12 @@ def test_text_no_timing_zeroes_offset_column(built):
     assert np.array_equal(timed[:, :, :300], plain[:, :, :300])
 
 
-def test_oov_words_keep_offset_but_zero_embedding(built):
+def test_oov_words_keep_offset_but_zero_embedding(built, tmp_path):
     root, recs, fdir, emb, _ = built
     target = next(w.word for w in recs[0].words)
-    slim = textfeat.EmbeddingTable(
-        {w: v for w, v in emb.vectors.items() if w != target}, emb.dim)
+    slim = tmp_path / "slim.txt"
+    slim.write_text("".join(line for line in emb.read_text().splitlines(keepends=True)
+                            if line.split(" ", 1)[0] != target))
     ds = features.load_dataset(recs, fdir, slim)
     hit = np.where(ds.word_ids == features.OOV_ID)
     assert len(hit[0]) > 0
@@ -454,6 +488,72 @@ def assert_same_dataset(a, b):
         assert x.dtype == y.dtype and np.array_equal(x, y), name
 
 
+def window_vectors(ds, frames):
+    """Each slot's vector (zeros where absent or OOV) and kind (its sentinel,
+    or 0 for a word with a vector) at the frames: the word windows without
+    their row numbering, which follows the vectors file."""
+    ids = ds.word_ids[frames]
+    table = np.vstack([ds.emb_matrix, np.zeros((1, ds.emb_matrix.shape[1]), np.float32)])
+    return table[np.where(ids >= 0, ids, -1)], np.minimum(ids, 0)
+
+
+def assert_same_windows(a, b, frames=slice(None)):
+    for x, y in zip(window_vectors(a, frames), window_vectors(b, frames)):
+        assert x.dtype == y.dtype and np.array_equal(x, y)
+    assert np.array_equal(a.word_offsets[frames], b.word_offsets[frames])
+
+
+def test_unused_vectors_change_no_window_and_cost_no_memory(built, tmp_path):
+    # a published vectors file holds a million words the corpus never uses;
+    # holding their vectors grew the load's peak by 30.7 MB per 5,000 words
+    _, recs, fdir, emb, _ = built
+    header, *lines = emb.read_text().splitlines(keepends=True)
+    rng = np.random.default_rng(4)
+    unused = [f"zzunused{i:04d} " + " ".join(f"{v:.6f}" for v in row) + "\n"
+              for i, row in enumerate(rng.normal(0.0, 0.4, size=(5000, 300)))]
+    padded = tmp_path / "padded.txt"
+    padded.write_text("".join([header] + unused[:2500] + lines + unused[2500:]))
+
+    def load(path):
+        tracemalloc.start()
+        try:
+            loaded = features.load_dataset(recs, fdir, path)
+            return loaded, tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+
+    plain, plain_mb = load(emb)
+    wide, wide_mb = load(padded)
+    assert_same_windows(wide, plain)
+    for name in ("rec_ids", "t", "prosody", "phase", "category", "semantics",
+                 "has_gesture", "eligible", "win_lo", "win_hi"):
+        assert np.array_equal(getattr(wide, name), getattr(plain, name)), name
+    for make in (lambda d: corpus.make_folds_within(d, k=5), corpus.make_folds_between):
+        a, b = make(wide), make(plain)
+        for x, y in zip(a.val + a.train, b.val + b.train):
+            assert np.array_equal(x, y)
+    assert len(wide.emb_matrix) == len(plain.emb_matrix) <= len(lines)
+    assert wide_mb - plain_mb < 2.0
+
+
+def test_no_word_with_a_vector_gives_zero_embeddings_and_real_offsets(built, tmp_path):
+    _, recs, fdir, _, ds = built
+    other = tmp_path / "other.txt"
+    other.write_text("zzother " + " ".join(["0.5"] * 300) + "\n")
+    bare = features.load_dataset(recs, fdir, other)
+    assert bare.emb_matrix.shape == (0, 300) and bare.emb_matrix.dtype == np.float32
+    present = ds.word_ids != features.ABSENT_ID
+    assert present.any()
+    assert np.array_equal(bare.word_ids,
+                          np.where(present, features.OOV_ID, features.ABSENT_ID))
+    idx = np.arange(bare.n_frames)
+    text = features.WindowProvider(bare, "semantics", "text").batch(idx)["text"]
+    assert text.shape == (bare.n_frames, 7, 301)
+    assert not text[:, :, :300].any()
+    assert np.array_equal(text[:, :, 300], ds.word_offsets)
+    assert np.abs(text[:, :, 300][present]).max() > 0
+
+
 def test_loading_reads_no_frame_csv(built, tmp_path):
     # an 18-column frames.csv (one an older version wrote) and a deleted one
     # both leave the dataset as it was
@@ -505,7 +605,7 @@ def test_speaker_edits_need_no_rebuild(tmp_path):
     spec = synth.SynthSpec(name="three", n_speakers=3, duration=12.0)
     recs = synth.generate_synthetic_corpus(spec, seed=5, out_dir=tmp_path)
     assert features.build_features(recs, tmp_path / "features")[1] == []
-    emb = textfeat.load_embeddings(tmp_path / "vectors.txt")
+    emb = tmp_path / "vectors.txt"
     ds = features.load_dataset(recs, tmp_path / "features", emb)
     assert len(ds.speaker_list) == corpus.make_folds_between(ds).n_folds == 3
     manifest = tmp_path / "manifest.json"
@@ -530,7 +630,7 @@ def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):
     assert present.any() and (ds.word_ids[:n][present] >= 0).all()
     assert np.array_equal(edited.word_ids[:n],
                           np.where(present, features.OOV_ID, features.ABSENT_ID))
-    assert np.array_equal(edited.word_ids[n:], ds.word_ids[n:])
+    assert_same_windows(edited, ds, slice(n, None))
     assert np.array_equal(edited.word_offsets, ds.word_offsets)
 
 

@@ -74,3 +74,9 @@ def test_labels_are_built_where_they_are_written_and_loaded():
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "build_frame_table") \
         == ["features.build_features", "features.load_dataset"]
+
+
+def test_one_function_reads_word_vectors():
+    # the dataset reads only its transcript words' vectors, with one reader
+    assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                   == "load_embeddings") == ["features.load_dataset"]

@@ -11,8 +11,7 @@ from gestprop.prosody import read_wav
 from gestprop import synth
 from gestprop.synth import (PRESETS, SynthSpec, TRIGGER_WORDS,
                             generate_synthetic_corpus, preset)
-from gestprop.textfeat import load_embeddings
-from text_reference import embed_word
+from text_reference import embed_word, read_vectors
 
 SMALL = SynthSpec(name="small", n_speakers=2, duration=40.0)
 
@@ -134,8 +133,8 @@ def test_interlocutor_only_in_gaps(tmp_path):
 
 def test_embeddings_cover_transcripts(small_corpus):
     out, recs = small_corpus
-    table = load_embeddings(out / "vectors.txt")
-    assert table.dim == 300
+    table = read_vectors(out / "vectors.txt")
+    assert {len(v) for v in table.values()} == {300}
     for rec in recs:
         for w in rec.words:
             assert np.any(embed_word(table, w.word) != 0.0), w.word

@@ -5,19 +5,18 @@ import pytest
 
 from gestprop import synth
 from gestprop.textfeat import (
-    EmbeddingTable,
     WordToken,
     load_embeddings,
     read_transcript,
     select_window,
     write_transcript,
 )
-from text_reference import assemble_text_window, embed_word
+from text_reference import assemble_text_window, embed_word, read_vectors
 
 
 def table(dim=4, words=("ein", "kreis", "Gross")):
     rng = np.random.default_rng(0)
-    return EmbeddingTable({w: rng.normal(size=dim) for w in words}, dim=dim)
+    return {w: rng.normal(size=dim) for w in words}
 
 
 def tokens(onsets, dur=0.2):
@@ -30,31 +29,32 @@ def tokens(onsets, dur=0.2):
 def test_load_with_header(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("2 3\nfoo 1 2 3\nbar 4 5 6\n")
-    t = load_embeddings(p)
-    assert t.dim == 3 and len(t.vectors) == 2
-    assert np.array_equal(t.vectors["bar"], [4, 5, 6])
+    words, mat = load_embeddings(p, ["foo", "bar"])
+    assert words == ["foo", "bar"]
+    assert mat.shape == (2, 3) and mat.dtype == np.float32
+    assert np.array_equal(mat[1], [4, 5, 6])
 
 
 def test_load_without_header(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("foo 1 2 3\nbar 4 5 6\n")
-    t = load_embeddings(p)
-    assert t.dim == 3 and len(t.vectors) == 2
+    words, mat = load_embeddings(p, ["foo", "bar"])
+    assert words == ["foo", "bar"] and mat.shape == (2, 3)
 
 
 def test_load_malformed(tmp_path):
     p = tmp_path / "v.txt"
     p.write_text("foo 1 2 3\nbar 4 x 6\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_embeddings(p)
+        load_embeddings(p, ["foo", "bar"])
 
     p.write_text("foo 1 2 3\nbar 4 5\n")
     with pytest.raises(ValueError, match="line 2"):
-        load_embeddings(p)
+        load_embeddings(p, ["foo", "bar"])
 
     p.write_text("")
     with pytest.raises(ValueError, match="no vectors"):
-        load_embeddings(p)
+        load_embeddings(p, ["foo"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -62,26 +62,65 @@ def test_load_rejects_non_finite_values(tmp_path, value):
     p = tmp_path / "v.txt"
     p.write_text(f"foo 1 2 3\nbar 4 {value} 6\n")
     with pytest.raises(ValueError, match=r"v\.txt: line 2: non-finite vector value"):
-        load_embeddings(p)
+        load_embeddings(p, ["foo", "bar"])
 
 
 def test_load_duplicate_keeps_last(tmp_path, caplog):
     p = tmp_path / "v.txt"
     p.write_text("foo 1 2\nfoo 3 4\n")
     with caplog.at_level("WARNING"):
-        t = load_embeddings(p)
-    assert np.array_equal(t.vectors["foo"], [3, 4])
+        words, mat = load_embeddings(p, ["foo"])
+    assert words == ["foo"] and np.array_equal(mat, [[3, 4]])
     assert any("duplicate" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("line,error", [
+    ("zz 4 x 6", r"v\.txt: line 2: could not convert"),
+    ("zz 4 nan 6", r"v\.txt: line 2: non-finite vector value"),
+    ("zz 4 5", r"v\.txt: line 2: expected 3 values, got 2"),
+    ("foo 7 8 9", None),                    # a duplicate warns
+])
+def test_unused_lines_are_checked_like_used_ones(tmp_path, caplog, line, error):
+    p = tmp_path / "v.txt"
+    p.write_text(f"foo 1 2 3\n{line}\nbar 4 5 6\n")
+    if error:
+        with pytest.raises(ValueError, match=error):
+            load_embeddings(p, ["bar"])
+        return
+    with caplog.at_level("WARNING"):
+        words, mat = load_embeddings(p, ["bar"])
+    assert words == ["bar"] and np.array_equal(mat, [[4, 5, 6]])
+    assert any("duplicate vector for 'foo' (line 2)" in r.getMessage()
+               for r in caplog.records)
+
+
+def test_load_keeps_each_word_and_its_lowercase_form_in_file_order(tmp_path):
+    p = tmp_path / "v.txt"
+    rows = {w: np.random.default_rng(i).normal(size=4)
+            for i, w in enumerate(["Kreis", "EIN", "ein", "rund", "kreis", "gross"])}
+    p.write_text("".join(f"{w} {' '.join(map(str, v.tolist()))}\n" for w, v in rows.items()))
+    words, mat = load_embeddings(p, ["ein", "Kreis", "Gross"])
+    assert words == ["Kreis", "ein", "kreis", "gross"]     # not EIN, not rund
+    assert mat.dtype == np.float32
+    want = read_vectors(p)
+    assert np.array_equal(mat, np.stack([want[w] for w in words]).astype(np.float32))
+
+
+def test_load_without_a_wanted_word_gives_an_empty_matrix(tmp_path):
+    p = tmp_path / "v.txt"
+    p.write_text("foo 1 2 3\n")
+    words, mat = load_embeddings(p, ["bar"])
+    assert words == [] and mat.shape == (0, 3) and mat.dtype == np.float32
 
 
 # ------------------------------------------------------------------ lookup
 
 def test_embed_word():
     t = table()
-    assert np.array_equal(embed_word(t, "kreis"), t.vectors["kreis"])
+    assert np.array_equal(embed_word(t, "kreis"), t["kreis"])
     # exact match wins, uppercase falls back to lowercase, OOV is zero
-    assert np.array_equal(embed_word(t, "Gross"), t.vectors["Gross"])
-    assert np.array_equal(embed_word(t, "KREIS"), t.vectors["kreis"])
+    assert np.array_equal(embed_word(t, "Gross"), t["Gross"])
+    assert np.array_equal(embed_word(t, "KREIS"), t["kreis"])
     assert np.array_equal(embed_word(t, "unbekannt"), np.zeros(4))
 
 
@@ -150,7 +189,7 @@ def test_assemble_shapes_and_timing():
     mat = assemble_text_window(t, words, 1.1)
     assert mat.shape == (7, 5)
     # current = kreis at slot 3: offset = 1.0 - 1.1 = -0.1
-    assert np.allclose(mat[3, :4], t.vectors["kreis"])
+    assert np.allclose(mat[3, :4], t["kreis"])
     assert mat[3, 4] == pytest.approx(-0.1)
     # future word at slot 4 with positive offset
     assert mat[4, 4] == pytest.approx(0.3)
