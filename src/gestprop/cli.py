@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .experiment import (CV_MODES, PROPERTIES, ExperimentConfig, run_baselines,
@@ -27,12 +27,9 @@ from .training import LOSS_KINDS
 
 log = logging.getLogger(__name__)
 
-CONFIG_KEYS = ("manifest", "embeddings", "out_dir", "property", "modality",
-               "cv", "folds", "seed", "threshold", "eval_on_all_frames",
-               "features_dir")
-TRAIN_KEYS = ("steps", "batch", "lr", "upsample", "evals")
-# config entries that hold JSON objects, with the entries nested in those
-OBJECT_KEYS = {"train": {"loss": {}}, "model": {}}
+# the top-level config keys; an experiment flag's dest is the dotted config
+# path it sets, under one of them
+SETTINGS = {f.name for f in fields(ExperimentConfig)} - {"prop"} | {"property"}
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
@@ -41,7 +38,7 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--manifest", help="corpus manifest JSON")
     p.add_argument("--embeddings", help="word-vector text file")
     p.add_argument("--out", dest="out_dir", help="run output directory")
-    p.add_argument("--property", dest="prop", choices=PROPERTIES)
+    p.add_argument("--property", choices=PROPERTIES)
     p.add_argument("--modality", choices=MODALITIES)
     p.add_argument("--cv", choices=CV_MODES)
     p.add_argument("--folds", type=int)
@@ -51,64 +48,39 @@ def _add_experiment_flags(p: argparse.ArgumentParser) -> None:
                    action="store_true", default=None)
     p.add_argument("--features-dir", dest="features_dir",
                    help="reuse features cached outside the run directory")
-    p.add_argument("--steps", type=int, help="training steps")
-    p.add_argument("--batch", type=int, help="batch size")
-    p.add_argument("--lr", type=float, help="learning rate")
-    p.add_argument("--loss", choices=LOSS_KINDS)
-    p.add_argument("--gamma", type=float, help="focal exponent")
-    p.add_argument("--beta", type=float, help="class-balance beta")
-    p.add_argument("--upsample", action="store_true", default=None)
-    p.add_argument("--evals", type=int, help="validation curve points")
+    p.add_argument("--steps", dest="train.steps", type=int, help="training steps")
+    p.add_argument("--batch", dest="train.batch", type=int, help="batch size")
+    p.add_argument("--lr", dest="train.lr", type=float, help="learning rate")
+    p.add_argument("--loss", dest="train.loss.kind", choices=LOSS_KINDS)
+    p.add_argument("--gamma", dest="train.loss.gamma", type=float, help="focal exponent")
+    p.add_argument("--beta", dest="train.loss.beta", type=float, help="class-balance beta")
+    p.add_argument("--upsample", dest="train.upsample", action="store_true", default=None)
+    p.add_argument("--evals", dest="train.evals", type=int, help="validation curve points")
 
 
-def _require_objects(value, file: str, key: str = "", nested: dict = OBJECT_KEYS) -> None:
-    """ValueError naming the file and key unless value, and each entry in it
-    that OBJECT_KEYS names, is a JSON object."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{file}: {key or 'the config'} must be a JSON object, "
-                         f"got {type(value).__name__}")
-    for name, inner in nested.items():
-        if name in value:
-            _require_objects(value[name], file, f"{key}.{name}".lstrip("."), inner)
+def _put(settings, path: str, value) -> None:
+    """Set the entry at the dotted path, adding objects on the way; an entry
+    on the way that is not an object is left for the loader to name."""
+    *parents, key = path.split(".")
+    for name in parents:
+        settings = settings.setdefault(name, {}) if isinstance(settings, dict) else None
+    if isinstance(settings, dict):
+        settings[key] = value
 
 
 def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
     """Settings from defaults, then the --config file, then explicit flags."""
-    base = dict(defaults or {})
+    settings = dict(defaults or {})
     if args.config:
         try:
-            settings = json.loads(Path(args.config).read_text())
+            file = json.loads(Path(args.config).read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
-        _require_objects(settings, args.config)
-        base.update(settings)
-
-    for key in CONFIG_KEYS:
-        attr = "prop" if key == "property" else key
-        value = getattr(args, attr, None)
-        if value is not None:
-            base[key] = value
-
-    train = dict(base.get("train", {}))
-    for key in TRAIN_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            train[key] = value
-    loss = dict(train.get("loss", {}))
-    for key, attr in (("kind", "loss"), ("gamma", "gamma"), ("beta", "beta")):
-        value = getattr(args, attr, None)
-        if value is not None:
-            loss[key] = value
-    if loss:
-        train["loss"] = loss
-    if train:
-        base["train"] = train
-
-    missing = [k for k in ("manifest", "embeddings", "out_dir") if not base.get(k)]
-    if missing:
-        raise ValueError(f"missing required settings: {', '.join(missing)} "
-                         f"(pass flags or --config)")
-    return ExperimentConfig.from_dict(base)
+        settings = {**settings, **file} if isinstance(file, dict) else file
+    for path, value in vars(args).items():
+        if value is not None and path.split(".")[0] in SETTINGS:
+            _put(settings, path, value)
+    return ExperimentConfig.from_dict(settings, source=args.config or "")
 
 
 # ------------------------------------------------------------------ commands
@@ -167,14 +139,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = preset(args.preset)
-    overrides = {}
-    if args.speakers is not None:
-        overrides["n_speakers"] = args.speakers
-    if args.duration is not None:
-        overrides["duration"] = args.duration
-    if overrides:
-        spec = replace(spec, **overrides)
+    overrides = {"n_speakers": args.n_speakers, "duration": args.duration}
+    spec = replace(preset(args.preset), **{k: v for k, v in overrides.items() if v is not None})
     recordings = generate_synthetic_corpus(spec, seed=args.seed, out_dir=args.out)
     print(f"synth: {len(recordings)} recording(s) in {args.out} "
           f"(preset {args.preset}, seed {args.seed})")
@@ -225,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", required=True, choices=sorted(PRESETS))
     p.add_argument("--out", required=True, help="corpus directory")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--speakers", type=int, help="override speaker count")
+    p.add_argument("--speakers", dest="n_speakers", type=int, help="override speaker count")
     p.add_argument("--duration", type=float, help="override seconds per recording")
     p.set_defaults(fn=_cmd_synth)
 

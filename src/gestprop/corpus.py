@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .textfeat import WordToken, read_transcript
+from .textfeat import WordToken, read_rows, read_transcript
 
 if TYPE_CHECKING:
     from .features import FrameDataset
@@ -238,18 +238,10 @@ def _read_interval(path, lineno: int, start_ms: str, end_ms: str) -> tuple[float
 def read_annotations(path: str | Path) -> list[AnnotationTier]:
     """Read `tier<TAB>start_ms<TAB>end_ms<TAB>label` rows grouped by tier."""
     tiers: dict[str, AnnotationTier] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 tab-separated fields")
-            name, start_ms, end_ms, label = parts
-            start, end = _read_interval(path, lineno, start_ms, end_ms)
-            tier = tiers.setdefault(name, AnnotationTier(name=name, intervals=[]))
-            tier.intervals.append((start, end, label))
+    for lineno, (name, start_ms, end_ms, label) in read_rows(path, 4):
+        start, end = _read_interval(path, lineno, start_ms, end_ms)
+        tier = tiers.setdefault(name, AnnotationTier(name=name, intervals=[]))
+        tier.intervals.append((start, end, label))
     return list(tiers.values())
 
 
@@ -262,17 +254,7 @@ def write_annotations(tiers: list[AnnotationTier], path: str | Path) -> None:
 
 def read_interlocutor(path: str | Path) -> list[tuple[float, float]]:
     """Read `start_ms<TAB>end_ms` rows; each must end after it starts."""
-    out = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ValueError(f"{path}: line {lineno}: expected 2 tab-separated fields")
-            out.append(_read_interval(path, lineno, *parts))
-    return out
+    return [_read_interval(path, lineno, *parts) for lineno, parts in read_rows(path, 2)]
 
 
 def write_interlocutor(intervals: list[tuple[float, float]], path: str | Path) -> None:
@@ -290,8 +272,9 @@ def load_manifest(path: str | Path) -> list[Recording]:
     path, "annotations": path, "interlocutor": path or null}. Relative
     paths resolve against the manifest's directory. Audio is not loaded
     here. An entry that is not an object, lacks a key other than
-    interlocutor, has a non-integer id or an empty speaker, or repeats an
-    earlier id is a ValueError naming the file and the entry's index.
+    interlocutor, has a non-integer id or an empty speaker, has a path that
+    is not a nonempty string, or repeats an earlier id is a ValueError
+    naming the file and the entry's index.
     """
     path = Path(path)
     base = path.parent
@@ -315,6 +298,14 @@ def load_manifest(path: str | Path) -> list[Recording]:
             raise ValueError(f"{path}: entry {i} repeats id {rec_id} "
                              f"of entry {first[rec_id]}")
         first[rec_id] = i
+        for key in ("audio", "transcript", "annotations", "interlocutor"):
+            value = e.get(key)
+            if key == "interlocutor" and value is None:
+                continue
+            if not isinstance(value, str) or not value:
+                or_null = " or null" if key == "interlocutor" else ""
+                raise ValueError(f"{path}: entry {i} {key} must be a nonempty path"
+                                 f"{or_null}, got {value!r}")
         rec = Recording(
             rec_id=rec_id,
             speaker=speaker,

@@ -20,6 +20,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -32,7 +33,7 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, from_fields,
-                  load_checkpoint, predict_probs, receptive_field, save_checkpoint)
+                  load_checkpoint, predict_probs, receptive_field, save_checkpoint, typed)
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -102,10 +103,9 @@ class ExperimentConfig:
             raise ValueError(f"need at least 2 folds, got {self.folds}")
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError(f"threshold must be in [0, 1], got {self.threshold}")
-        unknown = set(self.model) - set(MODEL_KEYS)
-        if unknown:
-            raise ValueError(f"unknown model keys {sorted(unknown)}; "
-                             f"choose from {MODEL_KEYS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _model_parts(self.model)        # a bad model entry fails before any work
         for name in ("manifest", "embeddings"):
             path = Path(getattr(self, name))
             if not path.exists():
@@ -117,13 +117,13 @@ class ExperimentConfig:
         return d
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        if "property" in d:
+    def from_dict(cls, d, source: str = "") -> "ExperimentConfig":
+        """The config a JSON object from source describes (see from_fields),
+        with prop under its JSON key "property"."""
+        if isinstance(d, dict) and "property" in d:
+            d = dict(d)
             d["prop"] = d.pop("property")
-        if isinstance(d.get("train"), dict):
-            d["train"] = TrainConfig.from_dict(d["train"])
-        return from_fields(cls, d)
+        return from_fields(cls, d, source=source)
 
 
 # ------------------------------------------------------------------ plumbing
@@ -150,9 +150,8 @@ def _fold_seed(master: int, fold: int) -> int:
 
 
 def _load_corpus(config: ExperimentConfig):
-    recordings = load_manifest(config.manifest)
-    dataset = load_dataset(recordings, config.features_path(), config.embeddings)
-    return recordings, dataset
+    return load_dataset(load_manifest(config.manifest), config.features_path(),
+                        config.embeddings)
 
 
 def _make_plan(dataset, config: ExperimentConfig):
@@ -171,18 +170,29 @@ def _training_pool(dataset, prop: str, idx: np.ndarray) -> np.ndarray:
     return idx[keep]
 
 
+def _model_parts(model: dict) -> tuple[EncoderSpec, DecoderSpec]:
+    """The encoder and decoder that config.model's entries set; an unknown
+    entry, or one without its spec field's type, is a ValueError naming it."""
+    unknown = sorted(set(model) - set(MODEL_KEYS))
+    if unknown:
+        raise ValueError(f"unknown model keys {unknown}; choose from {MODEL_KEYS}")
+
+    def pick(cls, keys: dict):
+        hints = get_type_hints(cls)
+        return cls(**{field: typed(model[key], hints[field], f"model.{key}")
+                      for key, field in keys.items() if key in model})
+    return pick(EncoderSpec, ENCODER_KEYS), pick(DecoderSpec, DECODER_KEYS)
+
+
 def _model_spec(config: ExperimentConfig, provider: WindowProvider,
                 text_dim: int) -> ModelSpec:
-    def pick(keys: dict) -> dict:
-        return {field: config.model[key] for key, field in keys.items()
-                if key in config.model}
-    encoder = EncoderSpec(**pick(ENCODER_KEYS))
+    encoder, decoder = _model_parts(config.model)
     return ModelSpec(
         head="softmax" if provider.exclusive else "sigmoid",
         n_labels=provider.n_labels,
         audio=encoder if provider.uses_audio else None,
         text=encoder if provider.uses_text else None,
-        decoder=DecoderSpec(**pick(DECODER_KEYS)),
+        decoder=decoder,
         text_dim=text_dim,
         speaker_dim=provider.speaker_dim,
     )
@@ -249,10 +259,14 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
     with scores.csv (and one checkpoint per fold when requested).
     """
     config.validate()
+    return _cross_validate(config, _load_corpus(config), write_checkpoints)
+
+
+def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) -> dict:
+    """run_cv on a loaded dataset."""
     out = _out_dir(config.out_dir)
     if write_checkpoints:
         (out / CHECKPOINT_SUBDIR).mkdir(exist_ok=True)
-    _, dataset = _load_corpus(config)
     plan = _make_plan(dataset, config)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=dataset.speaker_list
@@ -315,7 +329,7 @@ def run_baselines(config: ExperimentConfig) -> dict:
     """Evaluate the four chance systems on the same folds as the model."""
     config.validate()
     out = _out_dir(config.out_dir)
-    _, dataset = _load_corpus(config)
+    dataset = _load_corpus(config)
     plan = _make_plan(dataset, config)
     exclusive = SCHEMAS[config.prop].exclusive
     labels_all = dataset.labels_for(config.prop)
@@ -371,24 +385,25 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
     """Random search over SEARCH_SPACE; the best run is the first with the
     highest mean headline.
 
-    Run i draws from its own generator, seeded by (seed, i), and retrains
-    the full CV grid under runs/NN/; one row per (run, fold, eval step)
-    lands in runrecord.csv.
+    The corpus loads once. Run i draws from its own generator, seeded by
+    (seed, i), and retrains the full CV grid under runs/NN/; one row per
+    (run, fold, eval step) lands in runrecord.csv.
     """
     config.validate()
     if n_runs < 1:
         raise ValueError(f"need at least 1 run, got {n_runs}")
     out = _out_dir(config.out_dir)
+    dataset = _load_corpus(config)
     runs, rows = [], ["run,fold,step,score,loss"]
     for i in range(n_runs):
         rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), i]))
         sample = {name: SEARCH_SPACE[name](rng) for name in sorted(SEARCH_SPACE)}
-        report = run_cv(replace(
+        report = _cross_validate(replace(
             config, model={k: v for k, v in sample.items() if k in MODEL_KEYS},
             train=replace(config.train, batch=sample["batch"], lr=sample["lr"]),
             out_dir=str(out / "runs" / f"{i:02d}"),
             features_dir=str(config.features_path()),
-            seed=_fold_seed(config.seed, 100_000 + i)), write_checkpoints=False)
+            seed=_fold_seed(config.seed, 100_000 + i)), dataset, write_checkpoints=False)
         runs.append({"run": i, "sample": sample,
                      "score": float(report["aggregate"]["headline"]["mean"])})
         for f in report["folds"]:
@@ -429,7 +444,7 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         raise ValueError(f"{checkpoint}: an audio model needs a norm in its meta")
     out = _out_dir(config.out_dir)
     (out / "predictions").mkdir(exist_ok=True)
-    _, dataset = _load_corpus(config)
+    dataset = _load_corpus(config)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=meta.get("speakers") if spec.speaker_dim else None)
     if spec.audio is not None:

@@ -21,8 +21,9 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -38,14 +39,52 @@ TEXT_DIM = 301             # 300-d embedding + timing offset
 CHECKPOINT_MAGIC = b"GPROPCKPT1\n"
 
 
-def from_fields(cls, d: dict):
-    """cls(**d), with a ValueError naming the keys cls has no field for."""
-    names = {f.name for f in fields(cls)}
-    unknown = sorted(set(d) - names)
+# the JSON type of each settings field type, named for messages
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+               dict: "a JSON object"}
+
+
+def _settings_error(source: str, message: str) -> ValueError:
+    return ValueError(f"{source}: {message}" if source else message)
+
+
+def typed(value, tp, path: str, source: str = ""):
+    """value as a setting of type tp, a dataclass or one of _JSON_TYPES, either
+    maybe `| None`; else a ValueError naming path, and source (the file the
+    value came from) when given. A bool is not an int; an int is a float."""
+    if type(None) in get_args(tp):                      # X | None
+        if value is None:
+            return None
+        tp = get_args(tp)[0]
+    if is_dataclass(tp):
+        return from_fields(tp, value, path, source)
+    if isinstance(value, (int, float) if tp is float else tp) \
+            and isinstance(value, bool) == (tp is bool):
+        return value
+    raise _settings_error(source, f"{path or 'the config'} must be {_JSON_TYPES[tp]}, "
+                                  f"got {json.dumps(value, default=repr)}")
+
+
+def from_fields(cls, d, path: str = "", source: str = ""):
+    """The settings dataclass cls from the JSON object d found at path, each
+    value typed by its field's type. An unknown key, or a missing required
+    one (an empty string counts as missing), is a ValueError naming path and
+    source like typed's; range errors are cls's own."""
+    d = typed(d, dict, path, source)
+    names = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(d) - set(names))
     if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys {unknown}; "
-                         f"choose from {sorted(names)}")
-    return cls(**d)
+        raise _settings_error(source, f"unknown {cls.__name__} keys {unknown}"
+                                      f"{' in ' + path if path else ''}; choose from {names}")
+    hints = get_type_hints(cls)
+    kw = {name: typed(value, hints[name], f"{path}.{name}".lstrip("."), source)
+          for name, value in d.items()}
+    missing = [f"{path}.{f.name}".lstrip(".") for f in fields(cls)
+               if f.default is MISSING and f.default_factory is MISSING
+               and kw.get(f.name) in (None, "")]
+    if missing:
+        raise _settings_error(source, f"missing required settings: {', '.join(missing)}")
+    return cls(**kw)
 
 
 @dataclass(frozen=True)
@@ -101,16 +140,6 @@ class ModelSpec:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ModelSpec":
-        d = dict(d)
-        for key in ("audio", "text"):
-            if d.get(key) is not None:
-                d[key] = from_fields(EncoderSpec, d[key])
-        if "decoder" in d:
-            d["decoder"] = from_fields(DecoderSpec, d["decoder"])
-        return from_fields(cls, d)
 
 
 def _layer_dims(spec: ModelSpec):
@@ -318,8 +347,8 @@ def load_checkpoint(path: str | Path) -> tuple[ModelSpec, ModelParams, dict]:
             raise ValueError(f"{path}: truncated or corrupt header "
                              f"({type(exc).__name__}: {exc})") from None
         try:
-            spec = ModelSpec.from_dict(spec_dict)
-        except (ValueError, TypeError) as exc:
+            spec = from_fields(ModelSpec, spec_dict, "spec")
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
         want = [(name, shape) for name, shape, _ in _layer_dims(spec)]
         if listed != want:

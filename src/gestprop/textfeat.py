@@ -107,23 +107,29 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
     return list(kept), matrix
 
 
-def read_transcript(path: str | Path) -> list[WordToken]:
-    """Read `onset_ms<TAB>offset_ms<TAB>word` rows sorted by onset."""
-    words = []
+def read_rows(path: str | Path, n_fields: int):
+    """Yield (line number, fields) for each non-blank line of a tab-separated
+    file; a line without n_fields fields is a ValueError naming file and line."""
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
             if not line.strip():
                 continue
             parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            onset_ms, offset_ms, word = parts
-            try:
-                words.append(WordToken(word=word, onset=float(onset_ms) / 1000.0,
-                                       offset=float(offset_ms) / 1000.0))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            if len(parts) != n_fields:
+                raise ValueError(f"{path}: line {lineno}: expected {n_fields} tab-separated fields")
+            yield lineno, parts
+
+
+def read_transcript(path: str | Path) -> list[WordToken]:
+    """Read `onset_ms<TAB>offset_ms<TAB>word` rows sorted by onset."""
+    words = []
+    for lineno, (onset_ms, offset_ms, word) in read_rows(path, 3):
+        try:
+            words.append(WordToken(word=word, onset=float(onset_ms) / 1000.0,
+                                   offset=float(offset_ms) / 1000.0))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     words.sort(key=lambda w: (w.onset, w.offset))
     return words
 

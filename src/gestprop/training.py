@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import PropertyReport
-from .net import (ModelParams, ModelSpec, audio_width, flat_grad, forward, from_fields,
-                  init_params)
+from .net import ModelParams, ModelSpec, audio_width, flat_grad, forward, init_params
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -182,13 +181,6 @@ class TrainConfig:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if not 1 <= self.evals <= self.steps:
             raise ValueError(f"evals must be in [1, steps={self.steps}], got {self.evals}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        if isinstance(d.get("loss"), dict):
-            d["loss"] = from_fields(LossSpec, d["loss"])
-        return from_fields(cls, d)
 
 
 @dataclass

@@ -153,6 +153,33 @@ def test_config_entries_that_are_not_objects_exit_2_naming_them(tmp_path, capsys
     assert err.startswith(f"error: {cfg_path}: {named} must be a JSON object")
 
 
+@pytest.mark.parametrize("settings,message", [
+    ({"eval_on_all_frames": "false"}, 'eval_on_all_frames must be a boolean, got "false"'),
+    ({"train": {"upsample": "no"}}, 'train.upsample must be a boolean, got "no"'),
+    ({"seed": "5"}, 'seed must be an integer, got "5"'),
+    ({"folds": "5"}, 'folds must be an integer, got "5"'),
+    ({"folds": 2.0}, "folds must be an integer, got 2.0"),
+    ({"folds": True}, "folds must be an integer, got true"),
+    ({"threshold": "0.5"}, 'threshold must be a number, got "0.5"'),
+    ({"train": {"lr": "0.1"}}, 'train.lr must be a number, got "0.1"'),
+    ({"train": {"loss": {"gamma": "2"}}}, 'train.loss.gamma must be a number, got "2"'),
+    ({"model": {"enc_layers": 2.5}}, "model.enc_layers must be an integer, got 2.5"),
+])
+def test_config_values_of_the_wrong_type_exit_2_naming_the_key(pipeline, tmp_path, capsys,
+                                                               settings, message):
+    corpus, run, _ = pipeline
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({
+        "manifest": str(corpus / "manifest.json"),
+        "embeddings": str(corpus / "vectors.txt"),
+        "out_dir": str(tmp_path / "run"), "features_dir": str(run / "features"),
+        "modality": "audio", "folds": 2, "train": {"steps": 10, "batch": 16, "evals": 2},
+        **settings}))
+    assert cli.main(["eval", "--config", str(cfg_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("duration", ["nan", "inf"])
 def test_synth_non_finite_duration_exits_2_at_once(tmp_path, duration):
     # the event sampler never reached such an end and grew until memory ran

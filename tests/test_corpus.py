@@ -334,8 +334,19 @@ FILES = {"audio": "audio.wav", "transcript": "transcript.tsv",
      "entry 0 needs an integer id and a nonempty speaker string, got 0 and None"),
     ([{"id": 0, "speaker": "S1", **FILES}, {"id": 1, "speaker": "S2", **FILES},
       {"id": 1, "speaker": "S3", **FILES}], "entry 2 repeats id 1 of entry 1"),
+    ([{"id": 0, "speaker": "S1", **FILES, "audio": 5}],
+     "entry 0 audio must be a nonempty path, got 5"),
+    ([{"id": 0, "speaker": "S1", **FILES, "audio": ""}],
+     "entry 0 audio must be a nonempty path, got ''"),
+    ([{"id": 0, "speaker": "S1", **FILES, "transcript": None}],
+     "entry 0 transcript must be a nonempty path, got None"),
+    ([{"id": 0, "speaker": "S1", **FILES, "interlocutor": 5}],
+     "entry 0 interlocutor must be a nonempty path or null, got 5"),
+    ([{"id": 0, "speaker": "S1", **FILES, "annotations": ["x"]}],
+     "entry 0 annotations must be a nonempty path, got ['x']"),
 ], ids=["not_an_object", "no_speaker", "no_id_audio_annotations", "float_id",
-        "null_speaker", "repeated_id"])
+        "null_speaker", "repeated_id", "int_audio", "empty_audio", "null_transcript",
+        "int_interlocutor", "list_annotations"])
 def test_manifest_rejects_bad_entries_naming_file_and_index(tmp_path, entries, why):
     for name in FILES.values():
         (tmp_path / name).write_text("")

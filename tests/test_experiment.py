@@ -65,6 +65,10 @@ def test_config_validation(corpus_dir, tmp_path):
         fast_config(corpus_dir, tmp_path, folds=1).validate()
     with pytest.raises(ValueError, match="model keys"):
         fast_config(corpus_dir, tmp_path, model={"depth": 3}).validate()
+    with pytest.raises(ValueError, match="model.enc_layers must be an integer, got 2.5"):
+        fast_config(corpus_dir, tmp_path, model={"enc_layers": 2.5}).validate()
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        fast_config(corpus_dir, tmp_path, seed=-1).validate()
     with pytest.raises(FileNotFoundError, match="manifest"):
         fast_config(corpus_dir, tmp_path,
                     manifest=str(tmp_path / "none.json")).validate()
@@ -88,7 +92,7 @@ def test_from_dict_names_unknown_keys(corpus_dir, tmp_path):
     with pytest.raises(ValueError, match=r"unknown TrainConfig keys \['step'\]"):
         ExperimentConfig.from_dict({**d, "train": {"step": 5}})
     with pytest.raises(ValueError, match=r"unknown LossSpec keys \['alpha'\]"):
-        TrainConfig.from_dict({"loss": {"alpha": 0.25}})
+        net.from_fields(TrainConfig, {"loss": {"alpha": 0.25}})
 
 
 def test_run_features_registers_outputs(corpus_dir, featured):
@@ -246,11 +250,11 @@ def test_run_hpsearch(corpus_dir, featured, tmp_path):
 
 
 def canned_cv(scores, n_folds, n_evals):
-    """A run_cv stand-in: run i reports headline scores[i], n_folds folds of
-    n_evals curve points each, and records the configs it was given."""
+    """A _cross_validate stand-in: run i reports headline scores[i], n_folds
+    folds of n_evals curve points each, and records the configs it was given."""
     seen = []
 
-    def run(config, write_checkpoints=True):
+    def run(config, dataset, write_checkpoints=True):
         assert not write_checkpoints
         seen.append(config)
         folds = [{"fold": f, "curve": [[step + 1, 0.5] for step in range(n_evals)],
@@ -260,10 +264,13 @@ def canned_cv(scores, n_folds, n_evals):
     return run, seen
 
 
-def test_hpsearch_draws_match_the_recorded_goldens(corpus_dir, tmp_path, monkeypatch):
+def test_hpsearch_draws_match_the_recorded_goldens(corpus_dir, featured, tmp_path,
+                                                   monkeypatch):
     run, seen = canned_cv([0.0] * 3, n_folds=1, n_evals=1)
-    monkeypatch.setattr(experiment, "run_cv", run)
-    runs = run_hpsearch(fast_config(corpus_dir, tmp_path, seed=9), n_runs=3)["runs"]
+    monkeypatch.setattr(experiment, "_cross_validate", run)
+    runs = run_hpsearch(fast_config(corpus_dir, tmp_path, seed=9,
+                                    features_dir=str(featured / "features")),
+                        n_runs=3)["runs"]
     assert runs[0]["sample"] == {
         "batch": 64, "dec_dropout": 0.14340860454377768, "dec_hidden": 227,
         "dec_layers": 1, "enc_channels": 64, "enc_dropout": 0.3887670414600894,
@@ -297,10 +304,11 @@ def test_search_space_holds_only_settings_a_run_applies():
 
 
 def test_hpsearch_keeps_the_earliest_best_run_and_every_curve_row(
-        corpus_dir, tmp_path, monkeypatch):
+        corpus_dir, featured, tmp_path, monkeypatch):
     run, seen = canned_cv([1.0, 3.0, 2.0, 3.0], n_folds=2, n_evals=3)
-    monkeypatch.setattr(experiment, "run_cv", run)
-    result = run_hpsearch(fast_config(corpus_dir, tmp_path), n_runs=4)
+    monkeypatch.setattr(experiment, "_cross_validate", run)
+    result = run_hpsearch(fast_config(corpus_dir, tmp_path,
+                                      features_dir=str(featured / "features")), n_runs=4)
     assert result["best_run"] == 1                  # ties keep the earliest run
     assert result["best_sample"] == result["runs"][1]["sample"]
     assert [r["score"] for r in result["runs"]] == [1.0, 3.0, 2.0, 3.0]
@@ -308,6 +316,17 @@ def test_hpsearch_keeps_the_earliest_best_run_and_every_curve_row(
     assert len(lines) == 1 + 4 * 2 * 3              # runs x folds x eval points
     assert [c.out_dir for c in seen] == [str(tmp_path / "runs" / f"{i:02d}")
                                          for i in range(4)]
+
+
+def test_hpsearch_reads_the_corpus_once(corpus_dir, featured, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiment, "load_dataset",
+                        lambda *args: calls.append(args) or load_dataset(*args))
+    run, seen = canned_cv([0.0] * 3, n_folds=1, n_evals=1)
+    monkeypatch.setattr(experiment, "_cross_validate", run)
+    run_hpsearch(fast_config(corpus_dir, tmp_path,
+                             features_dir=str(featured / "features")), n_runs=3)
+    assert len(calls) == 1 and len(seen) == 3
 
 
 def test_hpsearch_without_runs_writes_nothing(corpus_dir, tmp_path):

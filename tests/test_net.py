@@ -1,6 +1,7 @@
 """Model construction, forward pass and checkpoints."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -9,8 +10,8 @@ import pytest
 from gestprop import tensor as T
 from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParams,
                           ModelSpec, _layer_dims, audio_width, conv_stack, forward,
-                          init_params, load_checkpoint, predict_probs, receptive_field,
-                          save_checkpoint)
+                          from_fields, init_params, load_checkpoint, predict_probs,
+                          receptive_field, save_checkpoint)
 from gestprop.tensor import Tensor
 from autodiff_reference import weighted_sum
 
@@ -156,21 +157,48 @@ def test_spec_validation():
 
 def test_spec_roundtrip_via_dict():
     spec = small_spec("softmax", n_labels=5, speaker_dim=8)
-    again = ModelSpec.from_dict(spec.to_dict())
+    again = from_fields(ModelSpec, spec.to_dict())
     assert again == spec
     no_audio = ModelSpec(head="sigmoid", n_labels=2, audio=None,
                          text=EncoderSpec())
-    assert ModelSpec.from_dict(no_audio.to_dict()) == no_audio
+    assert from_fields(ModelSpec, no_audio.to_dict()) == no_audio
 
 
 def test_spec_from_dict_names_unknown_keys():
     d = small_spec().to_dict()
     with pytest.raises(ValueError, match=r"unknown ModelSpec keys \['depth'\]"):
-        ModelSpec.from_dict({**d, "depth": 2})
-    with pytest.raises(ValueError, match=r"unknown EncoderSpec keys \['reduce'\]"):
-        ModelSpec.from_dict({**d, "audio": {**d["audio"], "reduce": "center"}})
-    with pytest.raises(ValueError, match=r"unknown DecoderSpec keys \['width'\]"):
-        ModelSpec.from_dict({**d, "decoder": {**d["decoder"], "width": 3}})
+        from_fields(ModelSpec, {**d, "depth": 2})
+    with pytest.raises(ValueError, match=r"unknown EncoderSpec keys \['reduce'\] in audio"):
+        from_fields(ModelSpec, {**d, "audio": {**d["audio"], "reduce": "center"}})
+    with pytest.raises(ValueError, match=r"unknown DecoderSpec keys \['width'\] in decoder"):
+        from_fields(ModelSpec, {**d, "decoder": {**d["decoder"], "width": 3}})
+
+
+@pytest.mark.parametrize("edit,message", [
+    ({"n_labels": True}, "n_labels must be an integer, got true"),
+    ({"n_labels": 2.0}, "n_labels must be an integer, got 2.0"),
+    ({"head": None}, "head must be a string, got null"),
+    ({"audio": {"dropout": "0"}}, 'audio.dropout must be a number, got "0"'),
+    ({"decoder": None}, "decoder must be a JSON object, got null"),
+    ({"text": []}, "text must be a JSON object, got []"),
+    ({"head": ""}, "missing required settings: head"),
+], ids=["bool_for_int", "float_for_int", "null_for_str", "str_for_float",
+        "null_for_object", "array_for_object", "empty_required"])
+def test_from_fields_rejects_wrong_json_types_naming_the_key(edit, message):
+    d = {**small_spec().to_dict(), **edit}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        from_fields(ModelSpec, d)
+    with pytest.raises(ValueError, match=f"^x.json: {re.escape(message)}$"):
+        from_fields(ModelSpec, d, source="x.json")
+
+
+def test_from_fields_takes_ints_for_floats_and_null_for_optional_objects():
+    d = small_spec().to_dict()
+    spec = from_fields(ModelSpec, {**d, "audio": None, "decoder": {"dropout": 0}})
+    assert spec.audio is None and spec.decoder == DecoderSpec(dropout=0)
+    # range errors are the spec's own, not the loader's, so no source prefix
+    with pytest.raises(ValueError, match="^need >= 1 label, got 0$"):
+        from_fields(ModelSpec, {**d, "n_labels": 0}, source="x.json")
 
 
 def full_stack_center(prefix, enc, x, pt):
@@ -318,8 +346,14 @@ def test_checkpoint_rejects_garbage(tmp_path):
         with pytest.raises(ValueError, match=f"{name}.ckpt: truncated or corrupt header"):
             load_checkpoint(path)
     (tmp_path / "no_head.ckpt").write_bytes(framed({**header, "spec": {}}))
-    with pytest.raises(ValueError, match="no_head.ckpt: .*missing .* 'head'"):
+    with pytest.raises(ValueError, match="no_head.ckpt: missing required settings: "
+                                         "spec.head, spec.n_labels"):
         load_checkpoint(tmp_path / "no_head.ckpt")
+    (tmp_path / "str_labels.ckpt").write_bytes(
+        framed({**header, "spec": {**header["spec"], "n_labels": "2"}}))
+    with pytest.raises(ValueError, match='str_labels.ckpt: spec.n_labels must be an '
+                                         'integer, got "2"'):
+        load_checkpoint(tmp_path / "str_labels.ckpt")
 
 
 def test_checkpoint_rejects_trailing_bytes(tmp_path):

@@ -80,3 +80,18 @@ def test_one_function_reads_word_vectors():
     # the dataset reads only its transcript words' vectors, with one reader
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "load_embeddings") == ["features.load_dataset"]
+
+
+def test_one_loader_turns_json_into_settings():
+    # ExperimentConfig.from_dict only renames "property" to prop; checkpoint
+    # specs and config files both go through net.from_fields
+    from_dicts = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                from_dicts += [f"{path.stem}.{node.name}" for fn in node.body
+                               if isinstance(fn, ast.FunctionDef) and fn.name == "from_dict"]
+    assert from_dicts == ["experiment.ExperimentConfig"]
+    assert sorted(callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                          == "from_fields")) \
+        == ["experiment.from_dict", "net.load_checkpoint", "net.typed"]

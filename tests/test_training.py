@@ -9,7 +9,7 @@ import pytest
 from gestprop.evaluation import PropertyReport, binarize, evaluate_property
 from gestprop.gradcheck import numeric_grad, relative_error
 from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
-                          init_params, predict_probs)
+                          from_fields, init_params, predict_probs)
 from gestprop.tensor import Tensor
 from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, LossSpec, TrainConfig,
                                class_balance_weights, loss_batch, train, upsample)
@@ -236,7 +236,7 @@ def test_upsample_deterministic_and_label_order():
 def test_train_config_roundtrip():
     cfg = TrainConfig(steps=50, batch=16, lr=1e-3,
                       loss=LossSpec("focal", gamma=1.5), upsample=True, evals=2)
-    assert TrainConfig.from_dict(asdict(cfg)) == cfg
+    assert from_fields(TrainConfig, asdict(cfg)) == cfg
     with pytest.raises(ValueError, match="lr"):
         TrainConfig(lr=0.0)
     # no eval point would give final_score 0.0; more evals than steps
