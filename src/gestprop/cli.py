@@ -29,7 +29,7 @@ log = logging.getLogger(__name__)
 
 # the top-level config keys; an experiment flag's dest is the dotted config
 # path it sets, under one of them
-SETTINGS = {f.name for f in fields(ExperimentConfig)} - {"prop"} | {"property"}
+SETTINGS = {f.metadata.get("key", f.name) for f in fields(ExperimentConfig)}
 
 
 def _add_experiment_flags(p: argparse.ArgumentParser) -> None:

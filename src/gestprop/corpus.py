@@ -207,14 +207,13 @@ FRAME_CSV_COLUMNS = (
 
 def write_frame_csv(table: FrameTable, path: str | Path) -> None:
     """One row per frame: its time, has_gesture and the 13 label bits."""
-    n = table.n_frames
-    cells = np.column_stack([np.arange(n), table.t, table.has_gesture, table.phase,
-                             table.category, table.semantics]).ravel().tolist()
-    row = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 2) + "\n"
+    line = "%d,%.9g" + ",%d" * (len(FRAME_CSV_COLUMNS) - 2) + "\n"
     with open(path, "w") as fh:
         fh.write(f"# rec_id={table.rec_id} speaker={table.speaker}\n")
         fh.write(",".join(FRAME_CSV_COLUMNS) + "\n")
-        fh.write(row * n % tuple(cells))
+        rows = zip(table.t, table.has_gesture, table.phase, table.category, table.semantics)
+        fh.writelines(line % (i, t, g, *phase.tolist(), *category.tolist(), *semantics.tolist())
+                      for i, (t, g, phase, category, semantics) in enumerate(rows))
 
 
 # ------------------------------------------------------------------ annotation IO

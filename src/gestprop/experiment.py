@@ -76,7 +76,7 @@ class ExperimentConfig:
     manifest: str
     embeddings: str
     out_dir: str
-    prop: str = "presence"
+    prop: str = field(default="presence", metadata={"key": "property"})
     modality: str = "both"
     cv: str = "within"
     folds: int = 20
@@ -118,11 +118,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d, source: str = "") -> "ExperimentConfig":
-        """The config a JSON object from source describes (see from_fields),
-        with prop under its JSON key "property"."""
-        if isinstance(d, dict) and "property" in d:
-            d = dict(d)
-            d["prop"] = d.pop("property")
+        """The config a JSON object from source describes (see from_fields)."""
         return from_fields(cls, d, source=source)
 
 

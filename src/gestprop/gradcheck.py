@@ -90,6 +90,8 @@ def check_model_case(head: str, loss: LossSpec, seed: int = 0,
 
 def run_gradcheck(seed: int = 0, eps: float = DEFAULT_EPS) -> dict:
     """All head/loss pairings; returns per-case and overall max errors."""
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     cases = {}
     for head in ("sigmoid", "softmax"):
         for loss in (LossSpec("cross_entropy"),

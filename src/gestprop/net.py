@@ -67,19 +67,22 @@ def typed(value, tp, path: str, source: str = ""):
 
 def from_fields(cls, d, path: str = "", source: str = ""):
     """The settings dataclass cls from the JSON object d found at path, each
-    value typed by its field's type. An unknown key, or a missing required
-    one (an empty string counts as missing), is a ValueError naming path and
-    source like typed's; range errors are cls's own."""
+    value typed by its field's type. A field's JSON key is its name, or the
+    "key" of its metadata. An unknown key, or a missing required one (an
+    empty string counts as missing), is a ValueError naming path and source
+    like typed's; range errors are cls's own."""
     d = typed(d, dict, path, source)
-    names = sorted(f.name for f in fields(cls))
-    unknown = sorted(set(d) - set(names))
+    keys = {f.metadata.get("key", f.name): f for f in fields(cls)}
+    unknown = sorted(set(d) - set(keys))
     if unknown:
         raise _settings_error(source, f"unknown {cls.__name__} keys {unknown}"
-                                      f"{' in ' + path if path else ''}; choose from {names}")
+                                      f"{' in ' + path if path else ''}; "
+                                      f"choose from {sorted(keys)}")
     hints = get_type_hints(cls)
-    kw = {name: typed(value, hints[name], f"{path}.{name}".lstrip("."), source)
-          for name, value in d.items()}
-    missing = [f"{path}.{f.name}".lstrip(".") for f in fields(cls)
+    kw = {keys[key].name: typed(value, hints[keys[key].name], f"{path}.{key}".lstrip("."),
+                                source)
+          for key, value in d.items()}
+    missing = [f"{path}.{key}".lstrip(".") for key, f in keys.items()
                if f.default is MISSING and f.default_factory is MISSING
                and kw.get(f.name) in (None, "")]
     if missing:

@@ -18,8 +18,12 @@ Transforms:
     pitch_feat  = max(0, ln(f0 + 1) - 4)        (f0 in Hz, 0 when unvoiced)
     energy_feat = ln(max(rms, 1e-10)) - 3
 
-Memory stays flat as recordings get longer; only the output rows grow.
-read_wav reads a WAV file's header and keeps the file open, silence_intervals
+Memory grows with recording length only by the F0 track (f0, RMS and
+voicing: 17 B per 5 ms window, 3.4 KB per audio second), the thread pool's
+futures (one of about 1.9 KB per chunk, 2.9 KB per audio second at two
+threads) and the output rows (0.8 KB per audio second); a 16 kHz clip's
+traced peak grew 4.5 MB from 240 s to 960 s on two threads. read_wav
+reads a WAV file's header and keeps the file open, silence_intervals
 records the zeroed sample ranges instead of copying the clip, and
 frame_signal decodes only the span its windows cover, read from the file
 with one positioned read (os.pread, so POSIX only) and decoded to float64
@@ -32,10 +36,12 @@ the windows in flight total at most F0_CHUNK whatever the thread count.
 Every window is transformed on its own, so the rows are bit-identical at
 any thread count; numpy's FFTs and ufunc loops release the interpreter
 lock, so the threads overlap. Each thread keeps one set of the F0
-tracker's work arrays for the whole recording. Allocated afresh, each
-chunk's few-MB transforms would be mapped and page-faulted anew by the C
-allocator, which hands out large blocks from fresh pages until a larger
-block has been freed; that cost more time than the smaller chunk saved.
+tracker's work arrays for the whole track, freed before post-processing.
+Allocated afresh, each chunk's few-MB transforms would be mapped and
+page-faulted anew by the C allocator, which hands out large blocks from
+fresh pages until a larger block has been freed; that cost more time than
+the smaller chunk saved. The track is then post-processed and downsampled
+10 * F0_CHUNK windows at a time, with the same bits as the whole at once.
 """
 
 from __future__ import annotations
@@ -422,19 +428,19 @@ def transform_energy(x):
     return np.log(np.maximum(np.asarray(x, dtype=np.float64), ENERGY_FLOOR)) - 3.0
 
 
-def interpolate_unvoiced(values: np.ndarray, voiced: np.ndarray) -> np.ndarray:
-    """Linearly interpolate across unvoiced runs, constant at the edges.
+def interpolate_unvoiced(at: np.ndarray, voiced_at: np.ndarray,
+                         voiced_values: np.ndarray) -> np.ndarray:
+    """Values at positions `at`, linear between the voiced points
+    (voiced_at, voiced_values) and constant beyond the first and last.
 
-    With no voiced frame at all the result is all zeros.
+    With no voiced point at all the result is all zeros. Each value depends
+    only on the voiced points bracketing its position, so a block of a track
+    given its own voiced points and the nearest one on each side gets the
+    bits the whole track would.
     """
-    values = np.asarray(values, dtype=np.float64)
-    voiced = np.asarray(voiced, dtype=bool)
-    if voiced.all():
-        return values.copy()
-    if not voiced.any():
-        return np.zeros_like(values)
-    idx = np.arange(len(values))
-    return np.interp(idx, idx[voiced], values[voiced])
+    if len(voiced_at) == 0:
+        return np.zeros(len(at))
+    return np.interp(at, voiced_at, voiced_values)
 
 
 def finite_diff(seq: np.ndarray, fps: float) -> np.ndarray:
@@ -478,20 +484,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def extract_prosody(clip: AudioClip) -> ProsodyTrack:
-    """Full 5-channel prosody pipeline at 20 fps.
+def _track_f0(clip: AudioClip, n_raw: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F0 (Hz, 0 where unvoiced), voicing flags and RMS of windows 0..n_raw-1.
 
-    Frames at 200 fps, estimates F0/voicing and RMS, applies the log
-    transforms, interpolates the pitch feature across unvoiced gaps, takes
-    central-difference derivatives at 200 fps, then mean-downsamples to
-    20 fps. The raw track is trimmed to a multiple of 10 rows first, so the
-    output has floor(n_samples * 20 / sr) rows, aligned with the label grid
-    at every sample rate.
+    The threads' work arrays are locals here, so they are freed when the
+    track is returned, before any post-processing.
     """
     sr = clip.sample_rate
-    n_raw = clip.n_windows - clip.n_windows % 10
-    if n_raw == 0:
-        return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
     f0, rms = np.empty(n_raw), np.empty(n_raw)
     voiced = np.empty(n_raw, dtype=bool)
     workers = min(_usable_cpus(), F0_CHUNK // 64, -(-n_raw // F0_CHUNK))
@@ -513,24 +512,57 @@ def extract_prosody(clip: AudioClip) -> ProsodyTrack:
     # the chunks not yet started, and no thread outlives the call
     with ThreadPoolExecutor(workers) as pool:
         list(pool.map(track, range(0, n_raw, step)))
+    return f0, voiced, rms
 
-    # the columns are filled in place: f0 is already 0 where unvoiced
-    raw = np.empty((n_raw, len(PROSODY_COLUMNS)))
-    raw[:, 0] = voiced
-    raw[:, 1] = interpolate_unvoiced(transform_pitch(f0), voiced)
-    raw[:, 2] = transform_energy(rms)
-    raw[:, 3] = finite_diff(raw[:, 1], RAW_FPS)
-    raw[:, 4] = finite_diff(raw[:, 2], RAW_FPS)
-    return downsample_by_mean(ProsodyTrack(fps=RAW_FPS, rows=raw))
+
+def extract_prosody(clip: AudioClip) -> ProsodyTrack:
+    """Full 5-channel prosody pipeline at 20 fps.
+
+    Frames at 200 fps, estimates F0/voicing and RMS, applies the log
+    transforms, interpolates the pitch feature across unvoiced gaps, takes
+    central-difference derivatives at 200 fps, then mean-downsamples to
+    20 fps. The raw track is trimmed to a multiple of 10 rows first, so the
+    output has floor(n_samples * 20 / sr) rows, aligned with the label grid
+    at every sample rate.
+
+    The 200 fps rows are built in blocks of 10 * F0_CHUNK, each with one row
+    of context on either side for the central differences and with the
+    nearest voiced window on either side for the interpolation, so the
+    rows are those of the whole track at once.
+    """
+    n_raw = clip.n_windows - clip.n_windows % 10
+    if n_raw == 0:
+        return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
+    f0, voiced, rms = _track_f0(clip, n_raw)
+    out = np.empty((n_raw // 10, len(PROSODY_COLUMNS)))
+    block = 10 * F0_CHUNK
+    for lo in range(0, n_raw, block):
+        hi = min(lo + block, n_raw)
+        a, b = max(lo - 1, 0), min(hi + 1, n_raw)       # with the context rows
+        # the voiced windows in a..b-1 and the nearest one on either side
+        points = np.flatnonzero(voiced[a:b]) + a
+        left, right = voiced[:a][::-1], voiced[b:]
+        if left.any():
+            points = np.insert(points, 0, a - 1 - left.argmax())
+        if right.any():
+            points = np.append(points, b + right.argmax())
+        raw = np.empty((b - a, len(PROSODY_COLUMNS)))
+        raw[:, 0] = voiced[a:b]
+        raw[:, 1] = interpolate_unvoiced(np.arange(a, b), points, transform_pitch(f0[points]))
+        raw[:, 2] = transform_energy(rms[a:b])
+        raw[:, 3] = finite_diff(raw[:, 1], RAW_FPS)
+        raw[:, 4] = finite_diff(raw[:, 2], RAW_FPS)
+        rows = raw[lo - a:hi - a]
+        out[lo // 10:hi // 10] = downsample_by_mean(ProsodyTrack(fps=RAW_FPS, rows=rows)).rows
+    return ProsodyTrack(fps=OUT_FPS, rows=out)
 
 
 def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
     """Write `frame,vuv,pitch,energy,d_pitch,d_energy` with 9 significant digits."""
-    n = track.n_frames
-    cells = np.column_stack([np.arange(n), track.rows]).ravel().tolist()
+    line = "%d" + ",%.9g" * len(PROSODY_COLUMNS) + "\n"
     with open(path, "w") as fh:
         fh.write(CSV_HEADER + "\n")
-        fh.write(("%d" + ",%.9g" * len(PROSODY_COLUMNS) + "\n") * n % tuple(cells))
+        fh.writelines(line % (i, *row.tolist()) for i, row in enumerate(track.rows))
 
 
 def read_prosody_csv(path: str | Path) -> ProsodyTrack:

@@ -248,6 +248,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
         seg_losses.append(value / len(idx))
         loss.backward()
         opt.step(flat_grad(pt))
+        del batch, probs, pt, loss          # the step's graph dies before validation scoring
         if step in eval_steps:
             record.report = score(params)
             record.curve.append((step, record.report.headline()))

@@ -164,6 +164,12 @@ def test_config_entries_that_are_not_objects_exit_2_naming_them(tmp_path, capsys
     ({"train": {"lr": "0.1"}}, 'train.lr must be a number, got "0.1"'),
     ({"train": {"loss": {"gamma": "2"}}}, 'train.loss.gamma must be a number, got "2"'),
     ({"model": {"enc_layers": 2.5}}, "model.enc_layers must be an integer, got 2.5"),
+    ({"property": 3}, "property must be a string, got 3"),
+    # the field is prop, but its JSON key, like report.json's, is property
+    ({"prop": "phase"}, "unknown ExperimentConfig keys ['prop']; choose from ['cv', "
+                        "'embeddings', 'eval_on_all_frames', 'features_dir', 'folds', "
+                        "'manifest', 'modality', 'model', 'out_dir', 'property', 'seed', "
+                        "'threshold', 'train']"),
 ])
 def test_config_values_of_the_wrong_type_exit_2_naming_the_key(pipeline, tmp_path, capsys,
                                                                settings, message):
@@ -335,3 +341,13 @@ def test_gradcheck_command(tmp_path, capsys):
     assert rc == 0
     assert "max relative error" in out
     assert (tmp_path / "gradcheck.json").exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-1e-5", "nan", "inf"])
+def test_gradcheck_eps_that_is_not_positive_and_finite_exits_2(tmp_path, capsys, eps):
+    # eps 0 divided by zero; nan ran every case and reported a nan error,
+    # which read as a broken gradient
+    assert cli.main(["gradcheck", f"--eps={eps}", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: eps must be positive and finite, got {float(eps)}\n"
+    assert captured.out == "" and not (tmp_path / "gradcheck.json").exists()

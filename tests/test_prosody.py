@@ -35,6 +35,7 @@ from gestprop.prosody import (
     write_prosody_csv,
     write_wav,
 )
+from prosody_reference import prosody_rows
 
 
 def sine(freq, dur, sr, amp=1.0):
@@ -189,20 +190,21 @@ def test_transform_energy_goldens():
 # ---------------------------------------------------------------- interpolation
 
 def test_interpolate_unvoiced():
-    vals = np.array([1.0, 0.0, 0.0, 4.0])
-    voiced = np.array([True, False, False, True])
-    assert np.allclose(interpolate_unvoiced(vals, voiced), [1, 2, 3, 4])
-
-    assert np.all(interpolate_unvoiced(np.ones(5), np.zeros(5, bool)) == 0.0)
-
-    vals = np.array([0.0, 2.0, 0.0])
-    voiced = np.array([False, True, False])
-    assert np.allclose(interpolate_unvoiced(vals, voiced), [2, 2, 2])
+    at = np.arange(4)
+    assert np.allclose(interpolate_unvoiced(at, np.array([0, 3]), np.array([1.0, 4.0])),
+                       [1, 2, 3, 4])
+    assert np.all(interpolate_unvoiced(np.arange(5), np.zeros(0, int), np.zeros(0)) == 0.0)
+    assert np.allclose(interpolate_unvoiced(np.arange(3), np.array([1]), np.array([2.0])),
+                       [2, 2, 2])
 
     # identity on fully voiced input
     rng = np.random.default_rng(0)
     v = rng.normal(size=50)
-    assert np.array_equal(interpolate_unvoiced(v, np.ones(50, bool)), v)
+    assert np.array_equal(interpolate_unvoiced(np.arange(50), np.arange(50), v), v)
+
+    # positions between voiced points outside them, as a block's are
+    assert np.allclose(interpolate_unvoiced(np.arange(10, 13), np.array([0, 20]),
+                                            np.array([0.0, 2.0])), [1.0, 1.1, 1.2])
 
 
 # ---------------------------------------------------------------- derivatives
@@ -322,13 +324,18 @@ def test_extract_prosody_silence():
     assert np.allclose(track.rows[:, 2], transform_energy(0.0))
 
 
-def test_extract_prosody_memory_stays_flat_as_the_clip_grows():
+def test_extract_prosody_memory_stays_flat_as_the_clip_grows(monkeypatch):
     # a frame matrix copied whole holds each sample 8 times (40 ms windows
-    # every 5 ms): over 100 MB more at 120 s than at 30 s
+    # every 5 ms): over 100 MB more at 120 s than at 30 s. With the 200 fps
+    # rows built whole and the work arrays alive through them, the peak grew
+    # 10.6 MB from 240 s to 960 s; built in blocks, 4.5 MB, of which the F0
+    # track (17 B a window) is 2.4 MB and the thread pool's futures 2.1 MB
+    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)   # fixes the futures' count
     rng = np.random.default_rng(5)
 
     def peak_mb(seconds):
-        clip = AudioClip(rng.normal(0, 0.1, seconds * 16000), 16000)
+        x = (rng.normal(0, 0.1, seconds * 16000) * 32767).astype(np.int16)
+        clip = AudioClip(x, 16000)
         tracemalloc.start()
         try:
             extract_prosody(clip)
@@ -336,7 +343,7 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows():
         finally:
             tracemalloc.stop()
 
-    assert peak_mb(120) - peak_mb(30) < 25.0
+    assert peak_mb(960) - peak_mb(240) < 7.0
 
 
 PEAK_RSS_CHILD = """
@@ -418,6 +425,55 @@ def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
     vuv = extract_prosody(clip).rows[:, 0]
     assert 0.2 < vuv.mean() < 0.8      # voiced and unvoiced frames both
     assert not vuv[12:32].any()        # the first silenced range
+
+
+def voicing(pattern, n, rng):
+    """Voicing flags of n windows: random runs with one unvoiced run across
+    several blocks, none, all, or only the first or the last window."""
+    if pattern == "runs":
+        toggles = np.isin(np.arange(n), rng.integers(0, n, max(n // 40, 3)))
+        voiced = np.cumsum(toggles) % 2 == 1
+        voiced[300:700] = False
+        return voiced
+    voiced = np.full(n, pattern == "all")
+    if pattern in ("first", "last"):
+        voiced[0 if pattern == "first" else -1] = True
+    return voiced
+
+
+@pytest.mark.parametrize("n_raw", [10, 1370])
+@pytest.mark.parametrize("pattern", ["runs", "none", "all", "first", "last"])
+def test_prosody_blocks_give_the_whole_track_bits(monkeypatch, pattern, n_raw):
+    # blocks of 10 * F0_CHUNK = 160 windows: 1370 leaves a short last block
+    # and 10 is shorter than one; each block interpolates between voiced
+    # windows up to 700 windows away and takes central differences across
+    # its edges
+    rng = np.random.default_rng(21)
+    voiced = voicing(pattern, n_raw, rng)
+    f0 = np.where(voiced, rng.uniform(F0_MIN, F0_MAX, n_raw), 0.0)
+    rms = rng.uniform(0.0, 0.3, n_raw) * (rng.random(n_raw) > 0.1)
+    monkeypatch.setattr(prosody, "F0_CHUNK", 16)
+    monkeypatch.setattr(prosody, "_track_f0", lambda clip, n: (f0, voiced, rms))
+    clip = AudioClip(np.zeros(n_raw * 80), 16000)
+    assert clip.n_windows == n_raw
+    got = extract_prosody(clip).rows
+    assert got.tobytes() == prosody_rows(f0, voiced, rms).tobytes()
+
+
+def test_prosody_blocks_give_the_whole_track_bits_on_a_tracked_clip(monkeypatch):
+    # 44.1 kHz stereo PCM16 with silenced ranges: 2540 windows in blocks of 640
+    sr = 44100
+    rng = np.random.default_rng(13)
+    t = np.arange(int(12.7 * sr)) / sr
+    x = rng.normal(0, 0.02, len(t)) + 0.3 * np.sin(2 * np.pi * 180.0 * t) * (t % 4 > 2.5)
+    stereo = np.stack([x, 0.5 * x + rng.normal(0, 0.01, len(t))], axis=1)
+    pcm = (np.clip(stereo, -1.0, 1.0) * 32767).astype(np.int16).reshape(-1)
+    clip = silence_intervals(AudioClip(pcm, sr, channels=2), [(0.5, 1.7), (6.05, 9.3)])
+    monkeypatch.setattr(prosody, "F0_CHUNK", 64)
+    track = prosody._track_f0(clip, clip.n_windows)
+    assert 0.1 < track[1].mean() < 0.6
+    got = extract_prosody(clip).rows
+    assert got.tobytes() == prosody_rows(*track).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
@@ -526,6 +582,33 @@ def test_prosody_csv_bytes_match_the_cell_writer(tmp_path):
     write_prosody_csv(track, tmp_path / "columns.csv")
     write_prosody_csv_by_cell(track, tmp_path / "cells.csv")
     assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+
+
+def write_prosody_csv_whole(track, path):
+    """The writer that formatted every cell into one string at once."""
+    n = track.n_frames
+    cells = np.column_stack([np.arange(n), track.rows]).ravel().tolist()
+    with open(path, "w") as fh:
+        fh.write("frame," + ",".join(PROSODY_COLUMNS) + "\n")
+        fh.write(("%d" + ",%.9g" * len(PROSODY_COLUMNS) + "\n") * n % tuple(cells))
+
+
+def test_prosody_csv_is_written_row_by_row(tmp_path):
+    # 4800 rows, 240 s at 20 fps: formatted at once, the cells and the text
+    # took a 1.62 MB traced peak
+    rng = np.random.default_rng(7)
+    rows = rng.normal(size=(4800, 5)) * 10.0 ** rng.integers(-9, 9, size=(4800, 5))
+    rows[:, 0] = rng.integers(0, 2, size=4800)
+    track = ProsodyTrack(fps=20, rows=rows)
+    tracemalloc.start()
+    try:
+        write_prosody_csv(track, tmp_path / "rows.csv")
+        peak_mb = tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    write_prosody_csv_whole(track, tmp_path / "whole.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    assert peak_mb < 0.3
 
 
 def test_prosody_csv_roundtrip(tmp_path):

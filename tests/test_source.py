@@ -83,8 +83,8 @@ def test_one_function_reads_word_vectors():
 
 
 def test_one_loader_turns_json_into_settings():
-    # ExperimentConfig.from_dict only renames "property" to prop; checkpoint
-    # specs and config files both go through net.from_fields
+    # ExperimentConfig.from_dict only names its source; checkpoint specs and
+    # config files both go through net.from_fields
     from_dicts = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
