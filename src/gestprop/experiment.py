@@ -66,7 +66,14 @@ SEARCH_SPACE = {
 
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
-PREDICT_CHUNK = 1024     # frames per inference batch, whatever the recording length
+# Frames per inference batch, whatever the recording length. A text model's
+# block holds ~19 KB a frame of text windows and first-conv columns. Smaller
+# blocks free too little for glibc to raise its trim threshold above a training
+# step's temporaries, and then every step returns its memory to the OS and
+# faults it back in: on a 2-vCPU host, 128-frame blocks made the benchmark's
+# cv_combined call at batch 128 take 324k minor faults and 2.1 s, against
+# 21.7k and 1.6 s at 192.
+PREDICT_CHUNK = 192
 # config entries on which a model report and the baselines must agree to be compared
 COMPARABLE_KEYS = ("property", "cv", "folds", "manifest", "eval_on_all_frames")
 

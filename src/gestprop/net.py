@@ -182,11 +182,16 @@ class ModelParams:
             raise ValueError(f"the model has {_n_params(spec)} parameters, "
                              f"got a vector of shape {flat.shape}")
         self.flat = flat
-        self.tensors = {}
-        end = 0
-        for name, shape, _ in _layer_dims(spec):
-            start, end = end, end + math.prod(shape)
-            self.tensors[name] = flat[start:end].reshape(shape)
+        self.tensors = _views(spec, flat)
+
+
+def _views(spec: ModelSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
+    """Named views into a vector laid out like the parameters, in _layer_dims order."""
+    views, end = {}, 0
+    for name, shape, _ in _layer_dims(spec):
+        start, end = end, end + math.prod(shape)
+        views[name] = flat[start:end].reshape(shape)
+    return views
 
 
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
@@ -269,15 +274,23 @@ def forward(spec: ModelSpec, params: ModelParams,
             text: np.ndarray | None = None,
             speaker: np.ndarray | None = None,
             training: bool = False,
-            rng: np.random.Generator | None = None) -> tuple[Tensor, dict[str, Tensor]]:
+            rng: np.random.Generator | None = None,
+            grad: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
     """Class probabilities for a batch of windows.
 
     audio: (B, audio_width(spec), 5); text: (B, 7, 301); speaker: (B, speaker_dim) one-hot.
     Returns (probs, param_tensors): probs is (B, n_labels), sigmoid per
     label or a softmax row depending on the head; param_tensors carry the
-    gradients after probs-derived losses call backward().
+    gradients after probs-derived losses call backward(). Given grad, a
+    vector laid out like params.flat, forward zeroes it and binds each
+    parameter tensor's .grad to its view, so backward() accumulates every
+    gradient there.
     """
     pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.tensors.items()}
+    if grad is not None:
+        grad.fill(-0.0)         # -0.0 + g is g bit for bit; +0.0 + -0.0 is +0.0
+        for t, view in zip(pt.values(), _views(spec, grad).values()):
+            t.grad = view
     embeddings = []
     if spec.audio is not None:
         a = _checked("audio windows", audio, (audio_width(spec), spec.audio_channels))
@@ -296,11 +309,6 @@ def forward(spec: ModelSpec, params: ModelParams,
     logits = T.linear(h, pt["head.w"], pt["head.b"])
     probs = T.sigmoid(logits) if spec.head == "sigmoid" else T.softmax(logits)
     return probs, pt
-
-
-def flat_grad(pt: dict[str, Tensor]) -> np.ndarray:
-    """The gradients forward's param_tensors hold, laid out like params.flat."""
-    return np.concatenate([t.grad.ravel() for t in pt.values()])
 
 
 def predict_probs(spec: ModelSpec, params: ModelParams,

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import PropertyReport
-from .net import ModelParams, ModelSpec, audio_width, flat_grad, forward, init_params
+from .net import ModelParams, ModelSpec, audio_width, forward, init_params
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -114,7 +114,15 @@ def loss_batch(probs: Tensor, targets: np.ndarray, loss: LossSpec,
 # ------------------------------------------------------------------ optimizer
 
 class Adam:
-    """Standard Adam with bias correction, over one flat parameter vector."""
+    """Standard Adam with bias correction, over one flat parameter vector.
+
+    A step allocates nothing: it updates m, v and flat in place through two
+    scratch vectors made here, with the operations, order and dtype of
+
+        m += (1 - beta1) * (grad - m)
+        v += (1 - beta2) * (grad * grad - v)
+        flat -= lr * (m / b1c) / (sqrt(v / b2c) + eps)
+    """
 
     def __init__(self, flat: np.ndarray, lr: float):
         self.flat = flat
@@ -122,15 +130,29 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(flat)
         self.v = np.zeros_like(flat)
+        self._a = np.empty_like(flat)
+        self._b = np.empty_like(flat)
 
     def step(self, grad: np.ndarray) -> None:
-        """Update flat in place from grad, laid out like it."""
+        """Update flat in place from grad, laid out like it in its dtype."""
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        self.m += (1.0 - ADAM_BETA1) * (grad - self.m)
-        self.v += (1.0 - ADAM_BETA2) * (grad * grad - self.v)
-        self.flat -= self.lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
+        a, b = self._a, self._b
+        np.subtract(grad, self.m, out=a)
+        a *= 1.0 - ADAM_BETA1
+        self.m += a
+        np.multiply(grad, grad, out=a)
+        a -= self.v
+        a *= 1.0 - ADAM_BETA2
+        self.v += a
+        np.divide(self.m, b1c, out=a)
+        a *= self.lr
+        np.divide(self.v, b2c, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        self.flat -= a
 
 
 # ------------------------------------------------------------------ balancing
@@ -212,6 +234,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     s_init, s_batch, s_drop, s_up = (int(c.generate_state(1)[0]) for c in ss.spawn(4))
     params = init_params(spec, seed=s_init)
     opt = Adam(params.flat, lr=config.lr)
+    grad = np.empty_like(params.flat)       # each step's gradients, laid out like flat
     rng_batch = np.random.default_rng(s_batch)
     rng_drop = np.random.default_rng(s_drop)
 
@@ -234,9 +257,9 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     for step in range(1, config.steps + 1):
         idx = pool[rng_batch.integers(0, len(pool), size=config.batch)]
         batch = provider.batch(idx, audio_width(spec))
-        probs, pt = forward(spec, params, audio=batch.get("audio"),
-                            text=batch.get("text"), speaker=batch.get("speaker"),
-                            training=True, rng=rng_drop)
+        probs, _ = forward(spec, params, audio=batch.get("audio"),
+                           text=batch.get("text"), speaker=batch.get("speaker"),
+                           training=True, rng=rng_drop, grad=grad)
         loss = loss_batch(probs, batch["labels"], config.loss,
                           provider.exclusive, class_counts)
         value = loss.item()
@@ -247,8 +270,8 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
             break
         seg_losses.append(value / len(idx))
         loss.backward()
-        opt.step(flat_grad(pt))
-        del batch, probs, pt, loss          # the step's graph dies before validation scoring
+        opt.step(grad)
+        del batch, probs, loss              # the step's graph dies before validation scoring
         if step in eval_steps:
             record.report = score(params)
             record.curve.append((step, record.report.headline()))

@@ -401,6 +401,29 @@ def test_predict_memory_is_flat_in_recording_length(tmp_path):
     assert peaks[1] - peaks[0] < 15e6, [p / 1e6 for p in peaks]
 
 
+def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
+    # a text model's block holds a frame's 7 x 301 window and its first conv's
+    # 3 x 3 x 301 columns, ~19 KB in float32; scoring five blocks' frames must
+    # peak under two 192-frame blocks of them (1024-frame blocks peaked ~20 MB)
+    config = fast_config(corpus_dir, featured, modality="both")
+    recs = corpus.load_manifest(config.manifest)
+    ds = load_dataset(recs, config.features_path(), config.embeddings)
+    provider = WindowProvider(ds, "presence", "both")
+    enc = net.EncoderSpec(layers=2, channels=32, out_dim=32)
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
+                         decoder=net.DecoderSpec(hidden=48))
+    params = net.init_params(spec, seed=0)
+    idx = np.resize(np.flatnonzero(ds.eligible), 5 * experiment.PREDICT_CHUNK + 7)
+    tracemalloc.start()
+    try:
+        probs = _predict(spec, params, provider, idx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert probs.shape == (len(idx), 1)
+    assert peak < 2 * 192 * 16 * 301 * 4, peak / 1e6
+
+
 def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
     config = fast_config(corpus_dir, tmp_path, cv="within_id",
                          features_dir=str(featured / "features"))

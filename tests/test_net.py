@@ -13,6 +13,7 @@ from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParam
                           from_fields, init_params, load_checkpoint, predict_probs,
                           receptive_field, save_checkpoint)
 from gestprop.tensor import Tensor
+from gestprop.training import LossSpec, loss_batch
 from autodiff_reference import weighted_sum
 
 RNG = np.random.default_rng(8)
@@ -401,6 +402,46 @@ def test_params_are_named_views_of_one_vector():
     assert all(np.all(a == 2.0) for a in params.tensors.values())
     with pytest.raises(ValueError, match=f"has {params.flat.size} parameters"):
         ModelParams(spec, params.flat[:-1])
+
+
+def _bound_and_unbound_grads(spec, params, batch, targets, grad):
+    """(the bound vector after one backward, the unbound path's per-tensor
+    .grads concatenated in _layer_dims order), under one dropout stream."""
+    out = []
+    for bind in (grad, None):
+        probs, pt = forward(spec, params, **batch, training=True,
+                            rng=np.random.default_rng(9), grad=bind)
+        loss_batch(probs, targets, LossSpec("focal"), spec.head == "softmax").backward()
+        out.append(pt)
+    bound, unbound = out
+    assert all(np.shares_memory(t.grad, grad) for t in bound.values())
+    return grad.copy(), np.concatenate([unbound[name].grad.ravel()
+                                        for name, _, _ in _layer_dims(spec)])
+
+
+@pytest.mark.parametrize("modality", ["audio", "text", "both"])
+@pytest.mark.parametrize("head", ["sigmoid", "softmax"])
+def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, head):
+    # forward(grad=) zeroes one vector laid out like params.flat and binds each
+    # parameter's .grad to its view; the unbound path's own .grads are the
+    # reference, compared as bytes so that a zero's sign counts too
+    enc = EncoderSpec(layers=2, channels=6, kernel=3, dropout=0.3, out_dim=8)
+    spec = ModelSpec(head=head, n_labels=3,
+                     audio=enc if modality != "text" else None,
+                     text=enc if modality != "audio" else None,
+                     decoder=DecoderSpec(hidden=10, layers=2, dropout=0.3),
+                     audio_channels=5, audio_frames=41, text_dim=13, text_slots=7,
+                     speaker_dim=3)
+    params = init_params(spec, seed=4)
+    rng = np.random.default_rng(6)
+    batch = {k: v.astype(np.float32) for k, v in batch_for(spec, 16, rng).items()}
+    targets = np.zeros((16, 3), dtype=np.float32)
+    targets[np.arange(16), rng.integers(0, 3, 16)] = 1.0
+    grad = np.full(params.flat.shape, np.nan, dtype=np.float32)
+    for _ in range(2):          # the second call zeroes what the first left
+        got, want = _bound_and_unbound_grads(spec, params, batch, targets, grad)
+        assert got.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) > 0.5 * want.size
 
 
 def test_checkpoint_format_is_a_header_then_each_parameter_in_turn(tmp_path):

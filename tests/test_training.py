@@ -1,6 +1,7 @@
 """Losses (graph vs reference), Adam, balancing, and the training loop."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -11,7 +12,8 @@ from gestprop.gradcheck import numeric_grad, relative_error
 from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
                           from_fields, init_params, predict_probs)
 from gestprop.tensor import Tensor
-from gestprop.training import (LOSS_KINDS, PROB_EPS, Adam, LossSpec, TrainConfig,
+from gestprop.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOSS_KINDS, PROB_EPS, Adam,
+                               LossSpec, TrainConfig,
                                class_balance_weights, loss_batch, train, upsample)
 
 RNG = np.random.default_rng(99)
@@ -186,6 +188,82 @@ def test_adam_updates_the_params_views():
     Adam(params.flat, lr=0.1).step(np.ones_like(params.flat))
     for name, arr in params.tensors.items():
         np.testing.assert_allclose(arr, before[name] - 0.1, rtol=0, atol=1e-6)
+
+
+def _adam_reference(flat, m, v, t, lr, grad):
+    """One Adam step as out-of-place expressions, each temporary a new array."""
+    b1c = 1.0 - ADAM_BETA1 ** t
+    b2c = 1.0 - ADAM_BETA2 ** t
+    m += (1.0 - ADAM_BETA1) * (grad - m)
+    v += (1.0 - ADAM_BETA2) * (grad * grad - v)
+    flat -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_adam_in_place_step_is_bit_identical_to_the_expressions(dtype):
+    # the step runs through two scratch vectors; the expressions are the
+    # reference, compared as bytes, so a zero's sign counts too
+    spec = ModelSpec(head="sigmoid", n_labels=2, audio=EncoderSpec(layers=2, channels=8),
+                     text=None, decoder=DecoderSpec(hidden=16))
+    params = init_params(spec, seed=0, dtype=dtype)
+    flat, head = params.flat, params.tensors["head.w"]
+    ref = [flat.copy(), np.zeros_like(flat), np.zeros_like(flat)]
+    opt = Adam(flat, lr=3e-3)
+    rng = np.random.default_rng(12)
+    for t in range(1, 26):
+        grad = (rng.normal(size=flat.shape) * 10.0 ** rng.uniform(-6, 3)).astype(dtype)
+        grad[rng.random(flat.size) < 0.1] = 0.0
+        grad[rng.random(flat.size) < 0.1] = -0.0
+        head_before = head.copy()
+        opt.step(grad)
+        _adam_reference(*ref, t, 3e-3, grad)
+        assert opt.flat is flat and not np.array_equal(head, head_before)
+        for got, want in zip((opt.flat, opt.m, opt.v), ref):
+            assert got.tobytes() == want.tobytes(), t
+
+
+def _alloc_guard_spec():
+    # 24 decoder layers of 160 units, 620k parameters: no tensor is over 5% of
+    # them, and the graph of one frame is small beside them, so a step's
+    # gradients and graph peak at about a third of the guards' bound
+    return ModelSpec(head="sigmoid", n_labels=1,
+                     audio=EncoderSpec(layers=1, channels=8, out_dim=160), text=None,
+                     decoder=DecoderSpec(hidden=160, layers=24))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_adam_step_allocates_no_parameter_sized_temporaries():
+    params = init_params(_alloc_guard_spec(), seed=0)
+    assert params.flat.size >= 100_000
+    opt = Adam(params.flat, lr=1e-3)
+    grad = np.random.default_rng(0).normal(size=params.flat.shape).astype(np.float32)
+    opt.step(grad)
+    assert _traced_peak(lambda: opt.step(grad)) < params.flat.nbytes / 4
+
+
+def test_gradients_zero_and_bind_allocate_no_parameter_sized_vector():
+    spec = _alloc_guard_spec()
+    params = init_params(spec, seed=0)
+    grad = np.empty_like(params.flat)
+    rng = np.random.default_rng(0)
+    audio = rng.normal(size=(1, audio_width(spec), spec.audio_channels)).astype(np.float32)
+
+    def step():
+        probs, _ = forward(spec, params, audio=audio, training=True, rng=rng, grad=grad)
+        loss_batch(probs, np.ones((1, 1), dtype=np.float32), LossSpec(),
+                   exclusive=False).backward()
+
+    step()
+    assert _traced_peak(step) < params.flat.nbytes / 4
+    assert np.count_nonzero(grad)
 
 
 def test_upsample_reaches_half_majority():
