@@ -102,6 +102,9 @@ def _cmd_eval(args) -> int:
     print(f"eval: {report['n_folds']} folds, headline "
           f"{agg['mean']:.3f} +- {agg['std']:.3f}; "
           f"report.json + checkpoints under {config.out_dir}")
+    for label, ok in sorted(report["predictable"].items()):
+        verdict = "clears all baselines" if ok else "not above chance"
+        print(f"  {label}: {verdict}")
     return 0
 
 
@@ -111,10 +114,6 @@ def _cmd_baselines(args) -> int:
     for kind, agg in sorted(result["baselines"].items()):
         h = agg["headline"]
         print(f"baseline {kind}: headline {h['mean']:.3f} +- {h['std']:.3f}")
-    if "predictable" in result:
-        for label, ok in sorted(result["predictable"].items()):
-            verdict = "clears all baselines" if ok else "not above chance"
-            print(f"  {label}: {verdict}")
     return 0
 
 

@@ -23,6 +23,9 @@ from pathlib import Path
 import numpy as np
 
 BASELINE_KINDS = ("always_zero", "always_one", "uniform_random", "informed_random")
+# a label is predictable when the model's mean macro-F1 clears every
+# baseline's by this much
+PREDICTABLE_MARGIN = 0.10
 
 
 @dataclass(frozen=True)
@@ -202,12 +205,11 @@ def aggregate_folds(reports: list[PropertyReport]) -> dict:
     }
 
 
-def flag_predictable(model_mean: float, baseline_means: dict,
-                     margin: float = 0.10) -> bool:
-    """True when the model clears every baseline by at least the margin."""
+def flag_predictable(model_mean: float, baseline_means: dict) -> bool:
+    """True when the model clears every baseline by at least PREDICTABLE_MARGIN."""
     if not baseline_means:
         raise ValueError("no baseline scores given")
-    return all(model_mean >= b + margin for b in baseline_means.values())
+    return all(model_mean >= b + PREDICTABLE_MARGIN for b in baseline_means.values())
 
 
 # ------------------------------------------------------------------ reports

@@ -2,12 +2,13 @@
 
 One ExperimentConfig drives every run. All artifacts land under its output
 directory: cached features in features/, per-fold checkpoints in
-checkpoints/, report.json + scores.csv for model runs, baselines.json for
-the chance systems, hpsearch.json + runrecord.csv for the search, and an
-index.json naming what each command wrote. A single master seed fans out to
-per-fold training seeds, per-baseline sampling streams and per-run search
-draws, so rerunning a command with the same config and seed reproduces every
-file byte for byte.
+checkpoints/, report.json + scores.csv for model runs (the report also
+scores the chance systems on its folds and gives each label's verdict),
+baselines.json for the chance systems alone, hpsearch.json + runrecord.csv
+for the search, and an index.json naming what each command wrote. A single
+master seed fans out to per-fold training seeds, per-baseline sampling
+streams and per-run search draws, so rerunning a command with the same config
+and seed reproduces every file byte for byte.
 
 The search is plain random search over SEARCH_SPACE: each run draws every
 setting once and cross-validates the drawn model, batch size and learning
@@ -74,8 +75,6 @@ CHECKPOINT_SUBDIR = "checkpoints"
 # cv_combined call at batch 128 take 324k minor faults and 2.1 s, against
 # 21.7k and 1.6 s at 192.
 PREDICT_CHUNK = 192
-# config entries on which a model report and the baselines must agree to be compared
-COMPARABLE_KEYS = ("property", "cv", "folds", "manifest", "eval_on_all_frames")
 
 
 @dataclass(frozen=True)
@@ -210,6 +209,35 @@ def _eval_pool(dataset, config, idx: np.ndarray) -> np.ndarray:
     return idx[dataset.has_gesture[idx].astype(bool)]
 
 
+def _score_chance(dataset, config: ExperimentConfig, plan) -> dict:
+    """Per-kind aggregates of the chance systems on the plan's folds: each
+    fold's informed_random takes its priors from the fold's training pool,
+    and every system is scored on the fold's eval pool. A fold whose
+    training pool is empty is a ValueError naming it."""
+    exclusive = SCHEMAS[config.prop].exclusive
+    labels_all = dataset.labels_for(config.prop)
+    names = SCHEMAS[config.prop].labels
+    kinds = [k for k in BASELINE_KINDS
+             if not (exclusive and k in ("always_zero", "always_one"))]
+
+    per_kind: dict[str, list] = {k: [] for k in kinds}
+    for fold in range(plan.n_folds):
+        pool = _training_pool(dataset, config.prop, plan.train[fold])
+        if not len(pool):
+            raise ValueError(f"fold {fold}: no training frames for property "
+                             f"{config.prop!r} in the annotations")
+        val_eval = _eval_pool(dataset, config, plan.val[fold])
+        truth = labels_all[val_eval].astype(np.int64)
+        priors = compute_priors(labels_all[pool])
+        for k_i, kind in enumerate(kinds):
+            rng = np.random.default_rng(
+                np.random.SeedSequence([int(config.seed), 11, fold, k_i]))
+            pred = baseline_predict(kind, len(val_eval), len(names), exclusive,
+                                    priors=priors, rng=rng)
+            per_kind[kind].append(evaluate_property(pred, truth, names, exclusive))
+    return {kind: aggregate_folds(reports) for kind, reports in per_kind.items()}
+
+
 def _predict(spec: ModelSpec, params, provider: WindowProvider,
              idx: np.ndarray) -> np.ndarray:
     """Inference-mode probabilities at the frames idx, PREDICT_CHUNK at a time.
@@ -266,11 +294,14 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
 
 
 def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) -> dict:
-    """run_cv on a loaded dataset."""
+    """run_cv on a loaded dataset. The chance systems are scored on the same
+    folds first, and a label is predictable when the model's mean macro-F1
+    clears every one of theirs by PREDICTABLE_MARGIN."""
     out = _out_dir(config.out_dir)
     if write_checkpoints:
         (out / CHECKPOINT_SUBDIR).mkdir(exist_ok=True)
     plan = _make_plan(dataset, config)
+    baselines = _score_chance(dataset, config, plan)
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=dataset.speaker_list
                               if config.cv == "within_id" else None)
@@ -312,6 +343,7 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) 
         log.info("fold %d/%d: headline %.3f", fold + 1, plan.n_folds,
                  report.headline())
 
+    aggregate = aggregate_folds(reports)
     result = {
         "kind": "cv",
         "config": config.to_dict(),
@@ -320,7 +352,13 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) 
         "receptive_field": receptive_field(spec),
         "n_folds": plan.n_folds,
         "folds": folds,
-        "aggregate": aggregate_folds(reports),
+        "aggregate": aggregate,
+        "baselines": baselines,
+        "predictable": {
+            label: flag_predictable(entry["macro_f1"]["mean"], {
+                kind: agg["labels"][label]["macro_f1"]["mean"]
+                for kind, agg in baselines.items()})
+            for label, entry in aggregate["labels"].items()},
     }
     write_json(str(out / "report.json"), result)
     write_scores_csv(str(out / "scores.csv"), result["aggregate"])
@@ -329,56 +367,16 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) 
 
 
 def run_baselines(config: ExperimentConfig) -> dict:
-    """Evaluate the four chance systems on the same folds as the model."""
+    """Score the chance systems on the folds eval uses, without training."""
     config.validate()
     out = _out_dir(config.out_dir)
     dataset = _load_corpus(config)
-    plan = _make_plan(dataset, config)
-    exclusive = SCHEMAS[config.prop].exclusive
-    labels_all = dataset.labels_for(config.prop)
-    names = SCHEMAS[config.prop].labels
-    kinds = [k for k in BASELINE_KINDS
-             if not (exclusive and k in ("always_zero", "always_one"))]
-
-    per_kind: dict[str, list] = {k: [] for k in kinds}
-    for fold in range(plan.n_folds):
-        pool = _training_pool(dataset, config.prop, plan.train[fold])
-        val_eval = _eval_pool(dataset, config, plan.val[fold])
-        truth = labels_all[val_eval].astype(np.int64)
-        priors = compute_priors(labels_all[pool]) if len(pool) else None
-        for k_i, kind in enumerate(kinds):
-            rng = np.random.default_rng(
-                np.random.SeedSequence([int(config.seed), 11, fold, k_i]))
-            pred = baseline_predict(kind, len(val_eval), len(names), exclusive,
-                                    priors=priors, rng=rng)
-            per_kind[kind].append(evaluate_property(pred, truth, names, exclusive))
-
-    baselines = {
-        kind: aggregate_folds(reports) for kind, reports in per_kind.items()
-    }
     result = {
         "kind": "baselines",
         "config": config.to_dict(),
         "seed": config.seed,
-        "baselines": baselines,
+        "baselines": _score_chance(dataset, config, _make_plan(dataset, config)),
     }
-
-    report_path = out / "report.json"
-    if report_path.exists():
-        model = json.loads(report_path.read_text())
-        ours = result["config"]
-        differ = [k for k in COMPARABLE_KEYS if model.get("config", {}).get(k) != ours[k]]
-        if differ:
-            log.warning("%s differs from this run in %s; not flagging predictability",
-                        report_path, ", ".join(differ))
-        elif model.get("aggregate", {}).get("labels"):
-            flags = {}
-            for label, entry in model["aggregate"]["labels"].items():
-                base_means = {k: baselines[k]["labels"][label]["macro_f1"]["mean"]
-                              for k in kinds}
-                flags[label] = flag_predictable(entry["macro_f1"]["mean"], base_means)
-            result["predictable"] = flags
-
     write_json(str(out / "baselines.json"), result)
     _register(out, "baselines", ["baselines.json"])
     return result

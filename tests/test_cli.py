@@ -258,6 +258,49 @@ def test_baselines_command(pipeline, capsys):
     assert "always_one" in out and "informed_random" in out
 
 
+VERDICTS = ("clears all baselines", "not above chance")
+
+
+def test_eval_prints_the_verdict_per_label_and_baselines_none(pipeline, tmp_path, capsys):
+    corpus, run, _ = pipeline
+    base = ["--manifest", str(corpus / "manifest.json"),
+            "--embeddings", str(corpus / "vectors.txt"),
+            "--out", str(tmp_path), "--features-dir", str(run / "features")]
+    flags = FAST[2:] + ["--property", "semantics"]
+    assert cli.main(["eval"] + base + flags) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(":")[0] for line in lines] == [
+        "  amount", "  direction", "  shape", "  size"]
+    assert all(line.split(": ")[1] in VERDICTS for line in lines)
+
+    assert cli.main(["baselines"] + base + flags) == 0
+    out = capsys.readouterr().out
+    assert "informed_random" in out and not any(v in out for v in VERDICTS)
+
+
+def test_empty_training_pool_exits_2_naming_fold_and_property(pipeline, tmp_path, capsys):
+    # annotations without a gesture leave phase models nothing to train on;
+    # both commands stop before scoring or training anything
+    corpus, run, _ = pipeline
+    manifest = json.loads((corpus / "manifest.json").read_text())
+    (tmp_path / "none.tsv").write_text("")
+    for entry in manifest:
+        for key in ("audio", "transcript", "interlocutor"):
+            if entry.get(key):
+                entry[key] = str(corpus / entry[key])
+        entry["annotations"] = str(tmp_path / "none.tsv")
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    base = ["--manifest", str(tmp_path / "manifest.json"),
+            "--embeddings", str(corpus / "vectors.txt"),
+            "--out", str(tmp_path / "run"), "--features-dir", str(run / "features")]
+    for command in ("baselines", "eval"):
+        assert cli.main([command] + base + FAST + ["--property", "phase"]) == 2
+        assert capsys.readouterr().err == (
+            "error: fold 0: no training frames for property 'phase' in the annotations\n")
+    assert not (tmp_path / "run" / "checkpoints" / "fold_00.ckpt").exists()
+    assert not (tmp_path / "run" / "baselines.json").exists()
+
+
 def test_hpsearch_command(pipeline, tmp_path, capsys):
     corpus, run, _ = pipeline
     base = ["--manifest", str(corpus / "manifest.json"),

@@ -7,8 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gestprop.evaluation import (BASELINE_KINDS, ConfusionCounts, LabelScores,
-                                 aggregate_folds, baseline_predict, binarize,
+from gestprop.evaluation import (BASELINE_KINDS, PREDICTABLE_MARGIN, ConfusionCounts,
+                                 LabelScores, aggregate_folds, baseline_predict, binarize,
                                  compute_priors, evaluate_property,
                                  f1_scores, flag_predictable, write_atomic,
                                  write_json, write_predictions_csv, write_scores_csv)
@@ -214,10 +214,11 @@ def test_aggregate_folds_mean_and_population_std():
 
 
 def test_flag_predictable_margin():
+    assert PREDICTABLE_MARGIN == 0.10
     baselines = {"always_zero": 0.45, "informed_random": 0.52}
-    assert flag_predictable(0.63, baselines, margin=0.10)
-    assert not flag_predictable(0.61, baselines, margin=0.10)
-    assert flag_predictable(0.62, baselines, margin=0.10)   # boundary inclusive
+    assert flag_predictable(0.63, baselines)
+    assert not flag_predictable(0.61, baselines)
+    assert flag_predictable(0.62, baselines)   # boundary inclusive
 
 
 def test_write_json_canonical(tmp_path):

@@ -95,3 +95,12 @@ def test_one_loader_turns_json_into_settings():
     assert sorted(callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                           == "from_fields")) \
         == ["experiment.from_dict", "net.load_checkpoint", "net.typed"]
+
+
+def test_one_function_scores_chance_and_one_gives_the_verdict():
+    # baselines and eval score chance with the same helper on their own fold
+    # plan, and only eval, which has the model's scores too, gives the verdict
+    assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                   == "baseline_predict") == ["experiment._score_chance"]
+    assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                   == "flag_predictable") == ["experiment._cross_validate"]
