@@ -33,7 +33,7 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
                          write_json, write_predictions_csv, write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
-from .net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, from_fields,
+from .net import (DecoderSpec, EncoderSpec, ModelSpec, from_fields, input_taps,
                   load_checkpoint, predict_probs, receptive_field, save_checkpoint, typed)
 from .training import TrainConfig, train
 
@@ -67,14 +67,9 @@ SEARCH_SPACE = {
 
 FEATURES_SUBDIR = "features"
 CHECKPOINT_SUBDIR = "checkpoints"
-# Frames per inference batch, whatever the recording length. A text model's
-# block holds ~19 KB a frame of text windows and first-conv columns. Smaller
-# blocks free too little for glibc to raise its trim threshold above a training
-# step's temporaries, and then every step returns its memory to the OS and
-# faults it back in: on a 2-vCPU host, 128-frame blocks made the benchmark's
-# cv_combined call at batch 128 take 324k minor faults and 2.1 s, against
-# 21.7k and 1.6 s at 192.
-PREDICT_CHUNK = 192
+# Frames per inference batch, whatever the recording length: one default
+# training batch, so scoring peaks no higher than a training step.
+PREDICT_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -242,12 +237,13 @@ def _predict(spec: ModelSpec, params, provider: WindowProvider,
              idx: np.ndarray) -> np.ndarray:
     """Inference-mode probabilities at the frames idx, PREDICT_CHUNK at a time.
 
-    A chunk's windows are built only when it runs, with the provider's
+    A chunk's inputs are gathered only when it runs, with the provider's
     normalization at that moment, so memory does not grow with len(idx).
     """
+    taps = input_taps(spec)
     outs = []
     for lo in range(0, len(idx), PREDICT_CHUNK):
-        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], audio_width(spec))
+        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], taps)
         outs.append(predict_probs(spec, params, audio=batch["audio"],
                                   text=batch["text"], speaker=batch["speaker"]))
     return np.concatenate(outs) if outs else np.zeros((0, spec.n_labels))
@@ -293,15 +289,16 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
     return _cross_validate(config, _load_corpus(config), write_checkpoints)
 
 
-def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool) -> dict:
+def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
+                    baselines: dict | None = None) -> dict:
     """run_cv on a loaded dataset. The chance systems are scored on the same
-    folds first, and a label is predictable when the model's mean macro-F1
-    clears every one of theirs by PREDICTABLE_MARGIN."""
+    folds first, unless given, and a label is predictable when the model's
+    mean macro-F1 clears every one of theirs by PREDICTABLE_MARGIN."""
     out = _out_dir(config.out_dir)
     if write_checkpoints:
         (out / CHECKPOINT_SUBDIR).mkdir(exist_ok=True)
     plan = _make_plan(dataset, config)
-    baselines = _score_chance(dataset, config, plan)
+    baselines = _score_chance(dataset, config, plan) if baselines is None else baselines
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=dataset.speaker_list
                               if config.cv == "within_id" else None)
@@ -386,8 +383,9 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
     """Random search over SEARCH_SPACE; the best run is the first with the
     highest mean headline.
 
-    The corpus loads once. Run i draws from its own generator, seeded by
-    (seed, i), and retrains the full CV grid under runs/NN/; one row per
+    The corpus loads once, and chance is scored once, with the search's seed,
+    on the folds every run uses. Run i draws from its own generator, seeded
+    by (seed, i), and retrains the full CV grid under runs/NN/; one row per
     (run, fold, eval step) lands in runrecord.csv.
     """
     config.validate()
@@ -395,6 +393,7 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
         raise ValueError(f"need at least 1 run, got {n_runs}")
     out = _out_dir(config.out_dir)
     dataset = _load_corpus(config)
+    baselines = _score_chance(dataset, config, _make_plan(dataset, config))
     runs, rows = [], ["run,fold,step,score,loss"]
     for i in range(n_runs):
         rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), i]))
@@ -404,7 +403,8 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
             train=replace(config.train, batch=sample["batch"], lr=sample["lr"]),
             out_dir=str(out / "runs" / f"{i:02d}"),
             features_dir=str(config.features_path()),
-            seed=_fold_seed(config.seed, 100_000 + i)), dataset, write_checkpoints=False)
+            seed=_fold_seed(config.seed, 100_000 + i)), dataset, write_checkpoints=False,
+            baselines=baselines)
         runs.append({"run": i, "sample": sample,
                      "score": float(report["aggregate"]["headline"]["mean"])})
         for f in report["folds"]:

@@ -12,10 +12,10 @@ recordings (ordered by id) into one FrameDataset: the speaker and label bits
 from the manifest and its annotations, each frame's 7-slot word window and
 the extent of its input window from the transcript, which fold plans read.
 So annotation, speaker and transcript edits need no rebuild. WindowProvider
-then serves training batches: standardized audio windows of the frames the
-model reads (at most 41, +-1 s), text windows of 7 x 301 (embedding plus
-onset offset; the offset column zeroed for the no-timing condition), an
-optional speaker one-hot, and the label matrix of the property being trained.
+then serves batches: the standardized audio frames (of +-1 s) and the text
+rows of 301 (embedding plus onset offset; the offset column zeroed for the
+no-timing condition) that each encoder's first layer reads, an optional
+speaker one-hot, and the label matrix of the property being trained.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .corpus import (AUDIO_CONTEXT_FRAMES, FPS, Recording, SCHEMAS, build_frame_
 from .evaluation import write_atomic
 from .prosody import (PROSODY_COLUMNS, ProsodyTrack, extract_prosody, read_prosody_csv,
                       read_wav, silence_intervals, write_prosody_csv)
-from .textfeat import load_embeddings, lookup_word, select_window
+from .textfeat import WINDOW_SLOTS, load_embeddings, lookup_word, select_window
 
 log = logging.getLogger(__name__)
 
@@ -192,12 +192,12 @@ def compute_norm(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class WindowProvider:
-    """Serves model-ready windows for global frame indices.
+    """Serves model inputs for global frame indices.
 
     Indices must be eligible frames (>= 20 frames from both recording
-    edges), which fold plans guarantee; audio windows are gathered straight
-    from the concatenated prosody array. Given a speaker list, batches also
-    carry a one-hot over it, looked up by speaker name.
+    edges), which fold plans guarantee; audio frames are gathered straight
+    from the concatenated prosody array, text rows from the embedding table.
+    Given a speaker list, batches also carry a one-hot over it, by name.
     """
 
     def __init__(self, dataset: FrameDataset, prop: str, modality: str,
@@ -254,29 +254,36 @@ class WindowProvider:
     def labels_at(self, idx: np.ndarray) -> np.ndarray:
         return self._labels[np.asarray(idx)]
 
-    def _audio(self, idx: np.ndarray, frames: int) -> np.ndarray:
+    def _audio(self, idx: np.ndarray, pos: np.ndarray) -> np.ndarray:
         if not self.dataset.eligible[idx].all():
             raise ValueError("audio window crosses a recording edge; "
                              "only eligible frames can be batched")
-        span = np.arange(-(frames // 2), frames // 2 + 1)
-        windows = self.dataset.prosody[np.asarray(idx)[:, None] + span[None, :]]
-        return (windows - self.norm_mean) / self.norm_std
+        frames = self.dataset.prosody[idx[:, None] + pos - AUDIO_CONTEXT_FRAMES]
+        return (frames - self.norm_mean) / self.norm_std
 
-    def _text(self, idx: np.ndarray) -> np.ndarray:
-        ids = self.dataset.word_ids[idx]                  # (B, 7)
+    def _text(self, idx: np.ndarray, pos: np.ndarray) -> np.ndarray:
+        ids = self.dataset.word_ids[idx[:, None], pos]
         rows = np.where(ids >= 0, ids, len(self._text_table) - 1)    # absent, OOV: zero row
         out = np.take(self._text_table, rows, axis=0)
         if self.modality != "text_no_timing":
-            out[:, :, -1] = self.dataset.word_offsets[idx]
+            out[:, :, -1] = self.dataset.word_offsets[idx[:, None], pos]
         return out
 
-    def batch(self, idx: np.ndarray, audio_frames: int = 2 * AUDIO_CONTEXT_FRAMES + 1) -> dict:
-        """Windows at frames idx; audio ones span audio_frames (net.audio_width)."""
+    def batch(self, idx: np.ndarray, taps: dict[str, np.ndarray] | None = None) -> dict:
+        """Windows at frames idx gathered at the positions taps names per
+        modality (net.input_taps), (B, len(taps), C); a -1, off the window,
+        reads position 0 times zero. taps None: the whole 41 and 7 steps."""
         idx = np.asarray(idx)
-        out = {"labels": self._labels[idx]}
-        out["audio"] = self._audio(idx, audio_frames) if self.uses_audio else None
-        out["text"] = self._text(idx) if self.uses_text else None
-        out["speaker"] = None
+        if taps is None:
+            taps = {"audio": np.arange(2 * AUDIO_CONTEXT_FRAMES + 1),
+                    "text": np.arange(WINDOW_SLOTS)}
+        out = {"labels": self._labels[idx], "audio": None, "text": None, "speaker": None}
+        for name, used, gather in (("audio", self.uses_audio, self._audio),
+                                   ("text", self.uses_text, self._text)):
+            if used:
+                out[name] = gather(idx, np.maximum(taps[name], 0))
+                if (taps[name] < 0).any():
+                    out[name] *= (taps[name] >= 0)[:, None]
         if self.speakers is not None:
             out["speaker"] = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
             out["speaker"][np.arange(len(idx)), self._spk_col[idx]] = 1.0

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward, init_params
+from .net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params, input_taps
 from .training import LossSpec, loss_batch
 
 DEFAULT_EPS = 1e-5
@@ -64,10 +64,9 @@ def check_model_case(head: str, loss: LossSpec, seed: int = 0,
     params = init_params(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     batch = 3
-    # the centered frames the audio encoder reads, of a full-context draw
-    lo, width = (spec.audio_frames - audio_width(spec)) // 2, audio_width(spec)
-    audio = rng.normal(size=(batch, spec.audio_frames, spec.audio_channels))[:, lo:lo + width]
-    text = rng.normal(size=(batch, spec.text_slots, spec.text_dim))
+    taps = input_taps(spec)
+    audio = rng.normal(size=(batch, len(taps["audio"]), spec.audio_channels))
+    text = rng.normal(size=(batch, len(taps["text"]), spec.text_dim))
     speaker = np.zeros((batch, spec.speaker_dim))
     speaker[np.arange(batch), rng.integers(0, spec.speaker_dim, batch)] = 1.0
     if head == "softmax":

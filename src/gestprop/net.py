@@ -211,42 +211,51 @@ def field_width(enc: EncoderSpec, steps: int) -> int:
     return min(2 * (enc.kernel // 2) * (2 ** enc.layers - 1) + 1, steps)
 
 
-def audio_width(spec: ModelSpec) -> int:
-    """Audio frames the model reads, which batches gather (all without an audio encoder)."""
-    return field_width(spec.audio, spec.audio_frames) if spec.audio else spec.audio_frames
-
-
 def receptive_field(spec: ModelSpec) -> dict:
     """Audio frames and seconds each side of the predicted frame, and text
     slots, that the encoders read; None for an absent encoder."""
-    half = audio_width(spec) // 2 if spec.audio else None
+    half = field_width(spec.audio, spec.audio_frames) // 2 if spec.audio else None
     return {"audio_half_frames": half, "audio_half_s": None if half is None else half / FPS,
             "text_slots": field_width(spec.text, spec.text_slots) if spec.text else None}
+
+
+def _grid_rows(enc: EncoderSpec, n: int, layer: int) -> np.ndarray:
+    """Rows n // 2 + 2m, |m| <= (kernel // 2) * (2**(layers-1-layer) - 1), of n."""
+    reach = enc.kernel // 2 * (2 ** (enc.layers - 1 - layer) - 1)
+    rows = n // 2 + 2 * np.arange(-reach, reach + 1)
+    return rows[(rows >= 0) & (rows < n)]
+
+
+def input_taps(spec: ModelSpec) -> dict[str, np.ndarray]:
+    """Per encoder, the window position each tap of its first layer reads, row
+    by row, -1 off the window: audio on audio_frames, text on text_slots.
+    forward takes the windows gathered at these."""
+    encoders = {"audio": (spec.audio, spec.audio_frames), "text": (spec.text, spec.text_slots)}
+    return {name: np.where((t >= 0) & (t < steps), t, -1).ravel()
+            for name, (enc, steps) in encoders.items() if enc is not None
+            for t in [_grid_rows(enc, steps, 0)[:, None] + np.arange(enc.kernel) - enc.kernel // 2]}
 
 
 def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],
                training: bool = False, rng=None) -> Tensor:
     """Conv, ReLU, then dropout per layer, read out at the center step.
 
-    x is (B, T, C) and the result (B, channels): the length-preserving
-    stack at dilations 1, 2, 4, ... read at row T // 2, computing only the
-    rows that reach that readout (its receptive-field tree). Layer i
-    computes the rows center + 2m of its input grid for
-    |m| <= (kernel // 2) * (2**(layers-1-i) - 1), clipped to the grid, at
-    dilation 1 on that grid; the grid it keeps is spaced 2**(i+1) frames,
-    so the next layer's dilation 1 is 2**(i+1) frames. A tap outside the
-    window falls off the grid's edge and reads zero, as the padding does.
-    The center of every grid is its row len // 2, as T // 2 is the window's:
-    clipping drops at most one row more on the right than on the left.
+    x is a window gathered at enc's first-layer taps (input_taps), and the
+    result (B, channels) the length-preserving stack at dilations 1, 2, 4,
+    ... read at the window's center, computing only the rows of its
+    receptive-field tree: layer i those of _grid_rows on its input grid, at
+    dilation 1 on it, keeping a grid spaced 2**(i+1) frames; layer 0 reads
+    each row's kernel taps in turn from x. A tap off the window reads zero,
+    as the padding does. Every grid's center is its row len // 2: clipping
+    drops at most one row more on the right than on the left.
     """
     h = x
-    half = enc.kernel // 2
+    k = enc.kernel
     for i in range(enc.layers):
-        reach = half * (2 ** (enc.layers - 1 - i) - 1)
         n = h.shape[1]
-        rows = n // 2 + 2 * np.arange(-reach, reach + 1)
+        rows = k // 2 + k * np.arange(n // k) if i == 0 else _grid_rows(enc, n, i)
         h = T.relu(T.conv1d_dilated(h, pt[f"{prefix}.conv{i}.w"], pt[f"{prefix}.conv{i}.b"],
-                                    rows=rows[(rows >= 0) & (rows < n)]))
+                                    rows=rows))
         h = T.dropout(h, enc.dropout, rng, training)
     return T.select_time(h, 0)
 
@@ -276,11 +285,12 @@ def forward(spec: ModelSpec, params: ModelParams,
             training: bool = False,
             rng: np.random.Generator | None = None,
             grad: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-    """Class probabilities for a batch of windows.
+    """Class probabilities for a batch of frames.
 
-    audio: (B, audio_width(spec), 5); text: (B, 7, 301); speaker: (B, speaker_dim) one-hot.
-    Returns (probs, param_tensors): probs is (B, n_labels), sigmoid per
-    label or a softmax row depending on the head; param_tensors carry the
+    audio: (B, taps, 5) and text: (B, taps, 301), windows gathered at
+    input_taps(spec); speaker: (B, speaker_dim) one-hot. Returns (probs,
+    param_tensors): probs is (B, n_labels), sigmoid per label or a softmax
+    row depending on the head; param_tensors carry the
     gradients after probs-derived losses call backward(). Given grad, a
     vector laid out like params.flat, forward zeroes it and binds each
     parameter tensor's .grad to its view, so backward() accumulates every
@@ -291,12 +301,13 @@ def forward(spec: ModelSpec, params: ModelParams,
         grad.fill(-0.0)         # -0.0 + g is g bit for bit; +0.0 + -0.0 is +0.0
         for t, view in zip(pt.values(), _views(spec, grad).values()):
             t.grad = view
+    taps = input_taps(spec)
     embeddings = []
     if spec.audio is not None:
-        a = _checked("audio windows", audio, (audio_width(spec), spec.audio_channels))
+        a = _checked("audio taps", audio, (len(taps["audio"]), spec.audio_channels))
         embeddings.append(_encode("audio", spec.audio, Tensor(a), pt, training, rng))
     if spec.text is not None:
-        x = _checked("text windows", text, (spec.text_slots, spec.text_dim))
+        x = _checked("text taps", text, (len(taps["text"]), spec.text_dim))
         embeddings.append(_encode("text", spec.text, Tensor(x), pt, training, rng))
     if spec.speaker_dim:
         embeddings.append(Tensor(_checked("speaker one-hots", speaker,
@@ -315,7 +326,8 @@ def predict_probs(spec: ModelSpec, params: ModelParams,
                   audio: np.ndarray | None = None,
                   text: np.ndarray | None = None,
                   speaker: np.ndarray | None = None) -> np.ndarray:
-    """Inference-mode probabilities of one batch of windows, as an array."""
+    """Inference-mode probabilities of one batch, as an array; the inputs
+    are forward's, gathered at input_taps(spec)."""
     return forward(spec, params, audio=audio, text=text, speaker=speaker)[0].data
 
 

@@ -16,6 +16,8 @@ inputs default to requires_grad=False, parameters to True.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -34,10 +36,11 @@ class Tensor:
         return self.data.shape
 
     def _accumulate(self, g):
-        if self.grad is None:      # a copy: g may be a view (concat)
-            self.grad = np.array(g, dtype=self.data.dtype)
-        else:
+        if self.grad is not None:
             self.grad += g
+        else:           # a fresh array is kept; a view (concat's split) or dtype change copied
+            self.grad = g if g.base is None and g.dtype == self.data.dtype \
+                else np.array(g, dtype=self.data.dtype)
 
     def backward(self):
         if self.data.size != 1:
@@ -95,8 +98,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     d = x.data
-    y = np.where(d >= 0, 1.0 / (1.0 + np.exp(-np.abs(d))),
-                 np.exp(-np.abs(d)) / (1.0 + np.exp(-np.abs(d))))
+    e = np.exp(-np.abs(d))
+    y = np.where(d >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
     out = Tensor(y, _prev=(x,))
 
     def _bw(g):
@@ -171,6 +174,27 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     return out
 
 
+@lru_cache(maxsize=256)
+def _conv_geometry(T: int, rows: tuple, k: int, dilation: int):
+    """Where the rows' taps read on a length-T input: clipped positions (R, k),
+    the tap mask (None when all are inside), whether the taps are 0..T-1 in
+    order, and per tap with a read inside, (tap, its rows, their positions),
+    as slices when the rows step evenly. Calls with one key share them."""
+    r = np.asarray(rows)
+    idx = r[:, None] + (np.arange(k) - k // 2) * dilation
+    valid = (idx >= 0) & (idx < T)
+    steps = np.unique(np.diff(r)) if len(r) > 1 else [1]
+    even = len(steps) == 1 and steps[0] > 0
+    scatter = []
+    for j in range(k):
+        ok = np.flatnonzero(valid[:, j])    # a tap reads distinct positions
+        if len(ok):
+            scatter.append((j, slice(ok[0], ok[-1] + 1), slice(
+                idx[ok[0], j], idx[ok[-1], j] + 1, steps[0])) if even else (j, ok, idx[ok, j]))
+    return (np.clip(idx, 0, T - 1), None if valid.all() else valid[None, :, :, None],
+            idx.size == T and bool((idx.ravel() == np.arange(T)).all()), tuple(scatter))
+
+
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
                    rows=None) -> Tensor:
     """Dilated 1-D convolution with zero padding, at the given output rows.
@@ -193,16 +217,14 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
             f"conv expects {c_in} input channels, got {xd.shape[2]} (weight {w.data.shape})"
         )
     B, T, _ = xd.shape
-    rows = np.arange(T) if rows is None else np.asarray(rows)
+    rows = tuple(range(T)) if rows is None else tuple(np.asarray(rows).tolist())
     R = len(rows)
-    offsets = (np.arange(k) - (k - 1) // 2) * dilation
-    idx = rows[:, None] + offsets[None, :]                  # (R, k)
-    valid = (idx >= 0) & (idx < T)
-    cols = np.take(xd, np.clip(idx, 0, T - 1), axis=1)      # (B, R, k, C_in), C-contiguous
-    if not valid.all():
-        cols *= valid[None, :, :, None]
-    w2 = w.data.reshape(k * c_in, c_out)
-    y = cols.reshape(B, R, k * c_in) @ w2 + b.data
+    idx, mask, in_order, scatter = _conv_geometry(T, rows, k, dilation)
+    cols = xd if in_order else np.take(xd, idx, axis=1)     # (B, R, k, C_in), C-contiguous
+    if mask is not None:
+        cols *= mask
+    cols = cols.reshape(B, R, k * c_in)       # in order, the input already is the columns
+    y = cols @ w.data.reshape(k * c_in, c_out) + b.data
     out = Tensor(y, _prev=(x, w, b))
 
     def _bw(g):                                             # (B, R, C_out)
@@ -212,12 +234,9 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
             cm = cols.reshape(B * R, k * c_in)
             w._accumulate((cm.T @ g.reshape(B * R, c_out)).reshape(k, c_in, c_out))
         if x.requires_grad:
-            # one scatter per tap; within a tap the input positions are
-            # distinct, so a plain indexed add cannot drop a term
-            dx = np.zeros_like(xd)
-            for j in range(k):
-                ok = valid[:, j]
-                dx[:, idx[ok, j], :] += g[:, ok, :] @ w.data[j].T
+            dx = np.zeros_like(xd)                          # one add per tap
+            for j, out_rows, positions in scatter:
+                dx[:, positions, :] += g[:, out_rows, :] @ w.data[j].T
             x._accumulate(dx)
 
     out._backward = _bw

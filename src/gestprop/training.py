@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import PropertyReport
-from .net import ModelParams, ModelSpec, audio_width, forward, init_params
+from .net import ModelParams, ModelSpec, forward, init_params, input_taps
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -220,8 +220,8 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
           seed: int, score) -> tuple[ModelParams, RunRecord]:
     """Train one model on one fold.
 
-    provider supplies `.batch(indices, audio_width(spec))` -> dict with keys
-    audio/text/speaker (windows or None) and labels, plus `.exclusive` and `.labels_at`.
+    provider supplies `.batch(indices, input_taps(spec))` -> dict with keys audio/text
+    (windows at the taps)/speaker, each maybe None, and labels, plus `.exclusive` and `.labels_at`.
     score(params) -> PropertyReport scores weights on the validation frames;
     at evenly spaced eval points its result becomes `record.report` and its
     headline extends the validation curve. `record.report` always describes
@@ -249,6 +249,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
         log.warning("class-balanced weights: %d label(s) have zero positives; using 1.0",
                     int((class_counts == 0).sum()))
 
+    taps = input_taps(spec)
     eval_steps = sorted({
         (config.steps * (i + 1)) // config.evals for i in range(config.evals)
     })
@@ -256,7 +257,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     seg_losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = pool[rng_batch.integers(0, len(pool), size=config.batch)]
-        batch = provider.batch(idx, audio_width(spec))
+        batch = provider.batch(idx, taps)
         probs, _ = forward(spec, params, audio=batch.get("audio"),
                            text=batch.get("text"), speaker=batch.get("speaker"),
                            training=True, rng=rng_drop, grad=grad)

@@ -12,7 +12,7 @@ from gestprop.experiment import (MODEL_KEYS, SEARCH_SPACE, ExperimentConfig, _mo
                                  _predict, run_baselines, run_cv, run_features,
                                  run_gradcheck, run_hpsearch, run_predict)
 from gestprop.features import WindowProvider, load_dataset
-from gestprop.training import LossSpec, TrainConfig
+from gestprop.training import Adam, LossSpec, TrainConfig, loss_batch
 
 FAST_TRAIN = TrainConfig(steps=12, batch=16, lr=2e-3, evals=2)
 FAST_MODEL = {"enc_layers": 1, "enc_channels": 8, "enc_out": 8, "dec_hidden": 8}
@@ -253,6 +253,14 @@ def test_run_hpsearch(corpus_dir, featured, tmp_path):
         assert report["config"]["model"] == {k: sample[k] for k in MODEL_KEYS}
         assert report["config"]["train"]["batch"] == sample["batch"]
         assert report["config"]["train"]["lr"] == sample["lr"]
+    # chance is scored once, with the search's seed, so every run is judged
+    # against the floors baselines gives on the same folds
+    run_baselines(config)
+    chance = json.loads((tmp_path / "baselines.json").read_text())["baselines"]
+    for run in result["runs"]:
+        report = json.loads((tmp_path / "runs" / f"{run['run']:02d}" / "report.json")
+                            .read_text())
+        assert report["baselines"] == chance
 
 
 def canned_cv(scores, n_folds, n_evals):
@@ -260,7 +268,7 @@ def canned_cv(scores, n_folds, n_evals):
     folds of n_evals curve points each, and records the configs it was given."""
     seen = []
 
-    def run(config, dataset, write_checkpoints=True):
+    def run(config, dataset, write_checkpoints=True, baselines=None):
         assert not write_checkpoints
         seen.append(config)
         folds = [{"fold": f, "curve": [[step + 1, 0.5] for step in range(n_evals)],
@@ -408,9 +416,10 @@ def test_predict_memory_is_flat_in_recording_length(tmp_path):
 
 
 def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
-    # a text model's block holds a frame's 7 x 301 window and its first conv's
-    # 3 x 3 x 301 columns, ~19 KB in float32; scoring five blocks' frames must
-    # peak under two 192-frame blocks of them (1024-frame blocks peaked ~20 MB)
+    # scoring five blocks' frames must peak under two 192-frame blocks of a
+    # frame's 7 x 301 text window and 3 x 3 x 301 first-conv columns, ~19 KB
+    # in float32, what a block held before it took the taps alone
+    # (1024-frame blocks peaked ~20 MB)
     config = fast_config(corpus_dir, featured, modality="both")
     recs = corpus.load_manifest(config.manifest)
     ds = load_dataset(recs, config.features_path(), config.embeddings)
@@ -428,6 +437,50 @@ def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
         tracemalloc.stop()
     assert probs.shape == (len(idx), 1)
     assert peak < 2 * 192 * 16 * 301 * 4, peak / 1e6
+
+
+def test_a_training_step_and_a_scoring_block_peak_near_their_text_taps(corpus_dir,
+                                                                        featured):
+    # criterion 7's model at batch 64: the text taps, 64 x 9 x 301 float32
+    # (0.69 MB), are the largest array of a step or a block, and the first
+    # conv takes them as its columns. A training step peaks under twice
+    # their bytes above its entry, and a scoring block under 1.5 times; with
+    # whole windows and a column copy the two peaked at 1.87 and 1.53 MB
+    config = fast_config(corpus_dir, featured, modality="both")
+    ds = load_dataset(corpus.load_manifest(config.manifest), config.features_path(),
+                      config.embeddings)
+    provider = WindowProvider(ds, "presence", "both")
+    provider.fit_norm(np.flatnonzero(ds.eligible))
+    enc = net.EncoderSpec(layers=2, channels=32, out_dim=32)
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
+                         decoder=net.DecoderSpec(hidden=48))
+    taps = net.input_taps(spec)
+    text_taps = 64 * len(taps["text"]) * spec.text_dim * 4
+    params = net.init_params(spec, seed=0)
+    grad = np.empty_like(params.flat)
+    opt = Adam(params.flat, lr=2e-3)
+    rng = np.random.default_rng(0)
+    idx = np.flatnonzero(ds.eligible)[:64]
+    assert len(taps["text"]) == 9 and experiment.PREDICT_CHUNK == 64
+
+    def step():
+        batch = provider.batch(idx, taps)
+        probs, _ = net.forward(spec, params, audio=batch["audio"], text=batch["text"],
+                               training=True, rng=rng, grad=grad)
+        loss_batch(probs, batch["labels"], LossSpec(), exclusive=False).backward()
+        opt.step(grad)
+
+    for fn, bound in ((step, 2.0 * text_taps),
+                      (lambda: _predict(spec, params, provider, idx), 1.5 * text_taps)):
+        fn()
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            fn()
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (peak / 1e6, bound / 1e6)
 
 
 def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):

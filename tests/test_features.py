@@ -12,8 +12,12 @@ import pytest
 from scipy.io import wavfile
 
 from gestprop import corpus, features, prosody, synth, textfeat
-from gestprop.net import EncoderSpec, ModelSpec, audio_width
+from gestprop.net import (EncoderSpec, ModelSpec, conv_stack, field_width, init_params,
+                          input_taps)
+from gestprop.tensor import Tensor
 from text_reference import assemble_text_window, read_vectors
+from window_reference import (audio_windows, conv_stack_on_windows, first_conv_columns,
+                              text_windows)
 
 
 @pytest.fixture(scope="module")
@@ -322,11 +326,15 @@ def test_audio_batches_hold_the_frames_the_model_reads(built, layers, kernel, fr
     pr = features.WindowProvider(ds, "presence", "both")
     pr.fit_norm(np.where(ds.eligible)[0])
     idx = np.where(ds.eligible)[0][[0, 7, -1]]
-    batch = pr.batch(idx, audio_width(spec))
-    assert batch["audio"].shape == (3, frames, 5)
+    taps = input_taps(spec)["audio"]
+    batch = pr.batch(idx, input_taps(spec))
+    assert batch["audio"].shape == (3, len(taps), 5)
     assert batch["audio"].flags.c_contiguous
+    assert field_width(enc, 41) == frames
     lo = 20 - frames // 2
-    assert np.array_equal(batch["audio"], pr.batch(idx)["audio"][:, lo:lo + frames])
+    assert set(taps[taps >= 0]) == set(range(lo, lo + frames))
+    whole = pr.batch(idx)["audio"]
+    assert np.array_equal(batch["audio"], whole[:, np.maximum(taps, 0)] * (taps >= 0)[:, None])
 
 
 def text_zeros_and_mask(ds, idx, modality):
@@ -355,6 +363,45 @@ def test_text_windows_are_bit_equal_to_the_masked_build(built, modality):
     assert all((window == s).any() for s in (features.ABSENT_ID, features.OOV_ID))
     assert (window >= 0).any()
     assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("modality,layers,kernel", [
+    ("text", 2, 3), ("text_no_timing", 2, 3), ("audio", 2, 3), ("both", 4, 5)])
+def test_taps_are_bit_equal_to_the_windows_then_conv_gather(built, modality, layers,
+                                                              kernel):
+    # the taps the provider gathers are the columns the first conv gathered
+    # from whole windows, and the encoders read the same from them, bit for
+    # bit; k=5 at 4 layers has taps off both windows, which read a zero (the
+    # sign of a zero is not compared: it follows the position read)
+    _, _, _, _, ds = built
+    ids = ds.word_ids.copy()
+    ids[::5, 2] = features.OOV_ID
+    ds = replace(ds, word_ids=ids)
+    enc = EncoderSpec(layers=layers, channels=4, kernel=kernel, out_dim=4)
+    spec = ModelSpec(head="sigmoid", n_labels=1, audio=enc if modality in ("audio", "both")
+                     else None, text=None if modality == "audio" else enc)
+    pr = features.WindowProvider(ds, "presence", modality)
+    pr.fit_norm(np.where(ds.eligible)[0])
+    idx = np.where(ds.eligible)[0][::3]
+    taps = input_taps(spec)
+    batch = pr.batch(idx, taps)
+    windows = {"audio": lambda: audio_windows(pr, idx, field_width(enc, 41)),
+               "text": lambda: text_windows(pr, idx)}
+    params = init_params(spec, seed=layers)
+    params.flat[:] = np.random.default_rng([layers, kernel]).normal(size=params.flat.size)
+    pt = {k: Tensor(v) for k, v in params.tensors.items()}
+    for name in taps:
+        whole = windows[name]()
+        want = first_conv_columns(whole, getattr(spec, name))
+        assert batch[name].dtype == want.dtype and np.array_equal(batch[name], want)
+        got = conv_stack(name, getattr(spec, name), Tensor(batch[name]), pt).data
+        ref = conv_stack_on_windows(name, getattr(spec, name), Tensor(whole), pt).data
+        assert got.tobytes() == ref.tobytes()
+    assert (taps.get("text", np.zeros(1)) < 0).any() == (kernel == 5)
+    assert (taps.get("audio", np.zeros(1)) < 0).any() == (kernel == 5)
+    if "text" in taps:
+        window = ds.word_ids[idx]
+        assert all((window == s).any() for s in (features.ABSENT_ID, features.OOV_ID))
 
 
 def test_norm_state_roundtrip_and_std_floor(built):

@@ -9,12 +9,13 @@ import pytest
 
 from gestprop import tensor as T
 from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParams,
-                          ModelSpec, _layer_dims, audio_width, conv_stack, forward,
-                          from_fields, init_params, load_checkpoint, predict_probs,
-                          receptive_field, save_checkpoint)
+                          ModelSpec, _layer_dims, conv_stack, field_width, forward,
+                          from_fields, init_params, input_taps, load_checkpoint,
+                          predict_probs, receptive_field, save_checkpoint)
 from gestprop.tensor import Tensor
 from gestprop.training import LossSpec, loss_batch
 from autodiff_reference import weighted_sum
+from window_reference import conv_stack_on_windows, gather_taps
 
 RNG = np.random.default_rng(8)
 
@@ -32,10 +33,11 @@ def small_spec(head="sigmoid", n_labels=4, speaker_dim=0):
 
 def batch_for(spec, n=3, rng=RNG):
     out = {}
+    taps = input_taps(spec)
     if spec.audio is not None:
-        out["audio"] = rng.normal(size=(n, audio_width(spec), spec.audio_channels))
+        out["audio"] = rng.normal(size=(n, len(taps["audio"]), spec.audio_channels))
     if spec.text is not None:
-        out["text"] = rng.normal(size=(n, spec.text_slots, spec.text_dim))
+        out["text"] = rng.normal(size=(n, len(taps["text"]), spec.text_dim))
     if spec.speaker_dim:
         sp = np.zeros((n, spec.speaker_dim))
         sp[np.arange(n), rng.integers(0, spec.speaker_dim, n)] = 1.0
@@ -129,12 +131,12 @@ def test_shape_errors_name_the_tensor():
     spec = small_spec()
     params = init_params(spec, seed=0)
     batch = batch_for(spec, 3)
-    assert batch["audio"].shape == (3, 7, 5)        # 2 layers of k=3 read +-3 frames
-    for frames in (11, 41):
-        with pytest.raises(ValueError, match=rf"audio windows must be \(B, 7, 5\), "
+    assert batch["audio"].shape == (3, 9, 5)        # 2 layers of k=3: 3 rows of 3 taps
+    for frames in (7, 41):
+        with pytest.raises(ValueError, match=rf"audio taps must be \(B, 9, 5\), "
                                              rf"got \(3, {frames}, 5\)"):
             forward(spec, params, audio=RNG.normal(size=(3, frames, 5)), text=batch["text"])
-    with pytest.raises(ValueError, match="text windows"):
+    with pytest.raises(ValueError, match="text taps"):
         forward(spec, params, audio=batch["audio"], text=batch["text"][:, :, :5])
     with pytest.raises(ValueError, match="no audio"):
         forward(spec, params, text=batch["text"])
@@ -229,8 +231,14 @@ def test_conv_stack_matches_full_length_stack(frames, layers, kernel):
               for i in range(layers)
               for p, shape in (("w", (kernel, 2 if i == 0 else 4, 4)), ("b", (4,)))}
     weights = rng.normal(size=(3, 4))
+    taps = input_taps(ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=None,
+                                audio_frames=frames))["audio"]
+
+    def tapped_stack(prefix, enc, x, pt):
+        return conv_stack(prefix, enc, gather_taps(x, taps), pt)
+
     results = []
-    for stack in (conv_stack, full_stack_center):
+    for stack in (tapped_stack, full_stack_center):
         pt = {k: Tensor(v, requires_grad=True) for k, v in arrays.items()}
         xt = Tensor(x, requires_grad=True)
         out = stack("audio", enc, xt, pt)
@@ -250,9 +258,10 @@ def test_center_readout_sees_only_center_window():
     spec = small_spec()
     pt = {k: Tensor(v) for k, v in init_params(spec, seed=4).tensors.items()}
     x = RNG.normal(size=(1, 41, 5))
+    taps = input_taps(spec)["audio"]
 
     def embed(audio):
-        return conv_stack("audio", spec.audio, Tensor(audio), pt).data
+        return conv_stack("audio", spec.audio, gather_taps(Tensor(audio), taps), pt).data
 
     for frame, changes in ((16, False), (17, True), (20, True), (23, True), (24, False)):
         moved = x.copy()
@@ -263,17 +272,19 @@ def test_center_readout_sees_only_center_window():
 @pytest.mark.parametrize("layers,kernel", [
     (layers, kernel) for layers in (1, 2, 3, 4) for kernel in (3, 5)])
 def test_conv_stack_reads_the_same_on_the_cropped_window(layers, kernel):
-    # forward takes only the audio_width frames the encoder reads; on them
-    # conv_stack must give bit for bit what it gives on the full 41 frames
+    # forward takes only the taps of the frames the encoder reads; on them
+    # conv_stack must give bit for bit what the stack gave on the full 41
     spec = ModelSpec(head="sigmoid", n_labels=1, text=None,
                      audio=EncoderSpec(layers=layers, channels=4, kernel=kernel, out_dim=4))
-    width = audio_width(spec)
+    width = field_width(spec.audio, 41)
     assert width == min(2 * (kernel // 2) * (2 ** layers - 1) + 1, 41)
     pt = {k: Tensor(v) for k, v in init_params(spec, seed=layers).tensors.items()}
     full = np.random.default_rng([layers, kernel]).normal(size=(8, 41, 5)).astype(np.float32)
     lo = (41 - width) // 2
-    cropped = conv_stack("audio", spec.audio, Tensor(full[:, lo:lo + width]), pt).data
-    want = conv_stack("audio", spec.audio, Tensor(full), pt).data
+    taps = input_taps(spec)["audio"]
+    assert set(taps[taps >= 0]) == set(range(lo, lo + width))
+    cropped = conv_stack("audio", spec.audio, gather_taps(Tensor(full), taps), pt).data
+    want = conv_stack_on_windows("audio", spec.audio, Tensor(full), pt).data
     assert np.array_equal(cropped, want)
     assert (width < 41) == ((layers, kernel) != (4, 5))   # k=5 at 4 layers reads all 41
 

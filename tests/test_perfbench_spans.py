@@ -11,8 +11,7 @@ import numpy as np
 import pytest
 
 from gestprop import tensor
-from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
-                          init_params)
+from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params, input_taps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 SPANS = PERFBENCH / "spans.py"
@@ -54,9 +53,10 @@ def test_forward_calls_the_traced_conv_once_per_layer(monkeypatch, audio_layers,
                      text=enc(text_layers), decoder=DecoderSpec(hidden=4),
                      text_dim=5)
     rng = np.random.default_rng(0)
+    taps = {name: len(t) for name, t in input_taps(spec).items()}
     forward(spec, init_params(spec, seed=0),
-            audio=rng.normal(size=(2, audio_width(spec), spec.audio_channels)),
-            text=rng.normal(size=(2, spec.text_slots, spec.text_dim)))
+            audio=rng.normal(size=(2, taps.get("audio", 0), spec.audio_channels)),
+            text=rng.normal(size=(2, taps.get("text", 0), spec.text_dim)))
     assert len(calls) == (audio_layers or 0) + (text_layers or 0)
 
 

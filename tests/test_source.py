@@ -104,3 +104,30 @@ def test_one_function_scores_chance_and_one_gives_the_verdict():
                    == "baseline_predict") == ["experiment._score_chance"]
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "flag_predictable") == ["experiment._cross_validate"]
+
+
+def _calls(node, name: str) -> bool:
+    return isinstance(node, ast.Call) \
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+
+
+def test_batches_gather_at_the_taps_one_function_names():
+    # train and _predict pass WindowProvider.batch the taps net.input_taps
+    # names, the window positions the encoders' first layers read, bound to
+    # a name in the same function or passed as the call itself
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            named = {target.id for node in ast.walk(fn)
+                     if isinstance(node, ast.Assign) and _calls(node.value, "input_taps")
+                     for target in node.targets if isinstance(target, ast.Name)}
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "batch":
+                    given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "taps"]
+                    taps = given[0] if given else None
+                    found.append((f"{path.stem}.{fn.name}",
+                                  getattr(taps, "id", None) in named
+                                  or _calls(taps, "input_taps")))
+    assert found == [("experiment._predict", True), ("training.train", True)]

@@ -228,14 +228,20 @@ def conv_fancy_index(x, w, b, dilation, rows):
     (3, 2, [0, 1, 9, 10]),           # taps off both ends
     (5, 2, list(range(11))),
     (3, 1, [5]),
+    (3, 1, [1, 4, 7]),               # taps tile the input: it is the columns
+    (5, 1, [2]),                     # one row whose taps are the input
 ])
 def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, rows):
-    x = RNG.normal(size=(4, 11, 3)).astype(dtype)
+    # rows whose taps tile 0..R*k-1 run on exactly that many steps
+    tiled = dilation == 1 and rows == list(range(kernel // 2, len(rows) * kernel, kernel))
+    steps = len(rows) * kernel if tiled else 11
+    x = RNG.normal(size=(4, steps, 3)).astype(dtype)
     w = RNG.normal(size=(kernel, 3, 5)).astype(dtype)
     b = RNG.normal(size=(5,)).astype(dtype)
     g = RNG.normal(size=(4, len(rows), 5)).astype(dtype)
     want, grads, valid = conv_fancy_index(x, w, b, dilation, rows)
-    assert valid.all() == (rows in ([3, 5, 7], [5]))     # both gathers are covered
+    assert valid.all() == (rows in ([3, 5, 7], [5], [1, 4, 7], [2]))  # every gather is covered
+    assert T._conv_geometry(steps, tuple(rows), kernel, dilation)[2] == tiled
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
     out = T.conv1d_dilated(xt, wt, bt, dilation, rows=rows)
     weighted_sum(out, g).backward()

@@ -9,7 +9,7 @@ import pytest
 
 from gestprop.evaluation import PropertyReport, binarize, evaluate_property
 from gestprop.gradcheck import numeric_grad, relative_error
-from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, audio_width, forward,
+from gestprop.net import (DecoderSpec, EncoderSpec, ModelSpec, forward, input_taps,
                           from_fields, init_params, predict_probs)
 from gestprop.tensor import Tensor
 from gestprop.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LOSS_KINDS, PROB_EPS, Adam,
@@ -254,7 +254,8 @@ def test_gradients_zero_and_bind_allocate_no_parameter_sized_vector():
     params = init_params(spec, seed=0)
     grad = np.empty_like(params.flat)
     rng = np.random.default_rng(0)
-    audio = rng.normal(size=(1, audio_width(spec), spec.audio_channels)).astype(np.float32)
+    audio = rng.normal(size=(1, len(input_taps(spec)["audio"]), spec.audio_channels)
+                       ).astype(np.float32)
 
     def step():
         probs, _ = forward(spec, params, audio=audio, training=True, rng=rng, grad=grad)
@@ -326,17 +327,18 @@ def test_train_config_roundtrip():
 
 class ArrayProvider:
     """Minimal in-memory provider for the training loop: audio holds 41
-    frames of context per frame, of which batches serve the centered
-    audio_frames, as WindowProvider does."""
+    frames of context per frame, which batches gather at the audio taps, as
+    WindowProvider does."""
 
     def __init__(self, audio, labels, exclusive=False):
         self.audio = audio
         self.labels = labels
         self.exclusive = exclusive
 
-    def batch(self, idx, audio_frames):
-        lo = (self.audio.shape[1] - audio_frames) // 2
-        return {"audio": self.audio[idx, lo:lo + audio_frames], "labels": self.labels[idx]}
+    def batch(self, idx, taps):
+        taps = taps["audio"]
+        return {"audio": self.audio[idx][:, np.maximum(taps, 0)] * (taps >= 0)[:, None],
+                "labels": self.labels[idx]}
 
     def labels_at(self, idx):
         return self.labels[idx]
@@ -351,7 +353,7 @@ def separable_provider(n=400, seed=0):
 
 def score_on(spec, provider, idx):
     """A validation scorer over the frames idx, as run_cv builds one."""
-    batch = provider.batch(idx, audio_width(spec))
+    batch = provider.batch(idx, input_taps(spec))
 
     def score(params):
         probs = predict_probs(spec, params, audio=batch["audio"])
@@ -455,9 +457,10 @@ def test_training_step_builds_20_op_nodes():
     spec = ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
                      decoder=DecoderSpec(hidden=48))
     rng = np.random.default_rng(0)
+    taps = input_taps(spec)
     probs, _ = forward(spec, init_params(spec, seed=0),
-                       audio=rng.normal(size=(4, audio_width(spec), spec.audio_channels)),
-                       text=rng.normal(size=(4, spec.text_slots, spec.text_dim)),
+                       audio=rng.normal(size=(4, len(taps["audio"]), spec.audio_channels)),
+                       text=rng.normal(size=(4, len(taps["text"]), spec.text_dim)),
                        training=True, rng=rng)
     loss = loss_batch(probs, np.ones((4, 1)), LossSpec(), exclusive=False)
     seen, stack = {}, [loss]
