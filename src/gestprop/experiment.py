@@ -246,6 +246,7 @@ def _predict(spec: ModelSpec, params, provider: WindowProvider,
         batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], taps)
         outs.append(predict_probs(spec, params, audio=batch["audio"],
                                   text=batch["text"], speaker=batch["speaker"]))
+        del batch                   # a block's taps die before the next is gathered
     return np.concatenate(outs) if outs else np.zeros((0, spec.n_labels))
 
 

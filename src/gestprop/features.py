@@ -271,19 +271,21 @@ class WindowProvider:
 
     def batch(self, idx: np.ndarray, taps: dict[str, np.ndarray] | None = None) -> dict:
         """Windows at frames idx gathered at the positions taps names per
-        modality (net.input_taps), (B, len(taps), C); a -1, off the window,
-        reads position 0 times zero. taps None: the whole 41 and 7 steps."""
+        modality (net.input_taps), (B, len(taps), C); a tap off the window
+        reads the clipped position times zero, as a conv's padding does.
+        taps None: the whole 41 and 7 steps."""
         idx = np.asarray(idx)
+        steps = {"audio": 2 * AUDIO_CONTEXT_FRAMES + 1, "text": WINDOW_SLOTS}
         if taps is None:
-            taps = {"audio": np.arange(2 * AUDIO_CONTEXT_FRAMES + 1),
-                    "text": np.arange(WINDOW_SLOTS)}
+            taps = {name: np.arange(n) for name, n in steps.items()}
         out = {"labels": self._labels[idx], "audio": None, "text": None, "speaker": None}
         for name, used, gather in (("audio", self.uses_audio, self._audio),
                                    ("text", self.uses_text, self._text)):
             if used:
-                out[name] = gather(idx, np.maximum(taps[name], 0))
-                if (taps[name] < 0).any():
-                    out[name] *= (taps[name] >= 0)[:, None]
+                out[name] = gather(idx, np.clip(taps[name], 0, steps[name] - 1))
+                inside = (taps[name] >= 0) & (taps[name] < steps[name])
+                if not inside.all():
+                    out[name] *= inside[:, None]
         if self.speakers is not None:
             out["speaker"] = np.zeros((len(idx), len(self.speakers)), dtype=np.float32)
             out["speaker"][np.arange(len(idx)), self._spk_col[idx]] = 1.0

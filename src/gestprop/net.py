@@ -228,12 +228,12 @@ def _grid_rows(enc: EncoderSpec, n: int, layer: int) -> np.ndarray:
 
 def input_taps(spec: ModelSpec) -> dict[str, np.ndarray]:
     """Per encoder, the window position each tap of its first layer reads, row
-    by row, -1 off the window: audio on audio_frames, text on text_slots.
-    forward takes the windows gathered at these."""
+    by row: audio on audio_frames, text on text_slots, a tap off the window
+    outside 0..steps-1. forward takes the windows gathered at these."""
     encoders = {"audio": (spec.audio, spec.audio_frames), "text": (spec.text, spec.text_slots)}
-    return {name: np.where((t >= 0) & (t < steps), t, -1).ravel()
-            for name, (enc, steps) in encoders.items() if enc is not None
-            for t in [_grid_rows(enc, steps, 0)[:, None] + np.arange(enc.kernel) - enc.kernel // 2]}
+    return {name: (_grid_rows(enc, steps, 0)[:, None] + np.arange(enc.kernel)
+                   - enc.kernel // 2).ravel()
+            for name, (enc, steps) in encoders.items() if enc is not None}
 
 
 def conv_stack(prefix: str, enc: EncoderSpec, x: Tensor, pt: dict[str, Tensor],

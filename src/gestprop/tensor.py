@@ -16,8 +16,6 @@ inputs default to requires_grad=False, parameters to True.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -174,27 +172,6 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None,
     return out
 
 
-@lru_cache(maxsize=256)
-def _conv_geometry(T: int, rows: tuple, k: int, dilation: int):
-    """Where the rows' taps read on a length-T input: clipped positions (R, k),
-    the tap mask (None when all are inside), whether the taps are 0..T-1 in
-    order, and per tap with a read inside, (tap, its rows, their positions),
-    as slices when the rows step evenly. Calls with one key share them."""
-    r = np.asarray(rows)
-    idx = r[:, None] + (np.arange(k) - k // 2) * dilation
-    valid = (idx >= 0) & (idx < T)
-    steps = np.unique(np.diff(r)) if len(r) > 1 else [1]
-    even = len(steps) == 1 and steps[0] > 0
-    scatter = []
-    for j in range(k):
-        ok = np.flatnonzero(valid[:, j])    # a tap reads distinct positions
-        if len(ok):
-            scatter.append((j, slice(ok[0], ok[-1] + 1), slice(
-                idx[ok[0], j], idx[ok[-1], j] + 1, steps[0])) if even else (j, ok, idx[ok, j]))
-    return (np.clip(idx, 0, T - 1), None if valid.all() else valid[None, :, :, None],
-            idx.size == T and bool((idx.ravel() == np.arange(T)).all()), tuple(scatter))
-
-
 def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
                    rows=None) -> Tensor:
     """Dilated 1-D convolution with zero padding, at the given output rows.
@@ -217,13 +194,18 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
             f"conv expects {c_in} input channels, got {xd.shape[2]} (weight {w.data.shape})"
         )
     B, T, _ = xd.shape
-    rows = tuple(range(T)) if rows is None else tuple(np.asarray(rows).tolist())
+    rows = np.arange(T) if rows is None else np.asarray(rows)
     R = len(rows)
-    idx, mask, in_order, scatter = _conv_geometry(T, rows, k, dilation)
-    cols = xd if in_order else np.take(xd, idx, axis=1)     # (B, R, k, C_in), C-contiguous
-    if mask is not None:
-        cols *= mask
-    cols = cols.reshape(B, R, k * c_in)       # in order, the input already is the columns
+    offsets = (np.arange(k) - (k - 1) // 2) * dilation
+    idx = rows[:, None] + offsets[None, :]                  # (R, k)
+    valid = (idx >= 0) & (idx < T)
+    if idx.size == T and (idx.ravel() == np.arange(T)).all():
+        cols = xd                   # the taps are the input in order: it is the columns
+    else:
+        cols = np.take(xd, np.clip(idx, 0, T - 1), axis=1)  # (B, R, k, C_in), C-contiguous
+        if not valid.all():
+            cols *= valid[None, :, :, None]
+    cols = cols.reshape(B, R, k * c_in)
     y = cols @ w.data.reshape(k * c_in, c_out) + b.data
     out = Tensor(y, _prev=(x, w, b))
 
@@ -234,9 +216,12 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
             cm = cols.reshape(B * R, k * c_in)
             w._accumulate((cm.T @ g.reshape(B * R, c_out)).reshape(k, c_in, c_out))
         if x.requires_grad:
-            dx = np.zeros_like(xd)                          # one add per tap
-            for j, out_rows, positions in scatter:
-                dx[:, positions, :] += g[:, out_rows, :] @ w.data[j].T
+            # one scatter per tap; within a tap the input positions are
+            # distinct, so a plain indexed add cannot drop a term
+            dx = np.zeros_like(xd)
+            for j in range(k):
+                ok = valid[:, j]
+                dx[:, idx[ok, j], :] += g[:, ok, :] @ w.data[j].T
             x._accumulate(dx)
 
     out._backward = _bw

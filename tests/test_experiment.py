@@ -416,10 +416,10 @@ def test_predict_memory_is_flat_in_recording_length(tmp_path):
 
 
 def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
-    # scoring five blocks' frames must peak under two 192-frame blocks of a
-    # frame's 7 x 301 text window and 3 x 3 x 301 first-conv columns, ~19 KB
-    # in float32, what a block held before it took the taps alone
-    # (1024-frame blocks peaked ~20 MB)
+    # scoring five blocks' frames must peak under two blocks of a frame's
+    # taps, 9 x 301 text and 9 x 5 audio values, ~11 KB in float32: a block
+    # holds them and its first conv takes them as its columns. Unchunked,
+    # the five blocks' taps alone would be 2.5 times that
     config = fast_config(corpus_dir, featured, modality="both")
     recs = corpus.load_manifest(config.manifest)
     ds = load_dataset(recs, config.features_path(), config.embeddings)
@@ -428,6 +428,8 @@ def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
     spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
                          decoder=net.DecoderSpec(hidden=48))
     params = net.init_params(spec, seed=0)
+    taps = net.input_taps(spec)
+    block = experiment.PREDICT_CHUNK * (len(taps["text"]) * 301 + len(taps["audio"]) * 5) * 4
     idx = np.resize(np.flatnonzero(ds.eligible), 5 * experiment.PREDICT_CHUNK + 7)
     tracemalloc.start()
     try:
@@ -436,7 +438,7 @@ def test_scoring_memory_is_two_blocks_of_text_windows(corpus_dir, featured):
     finally:
         tracemalloc.stop()
     assert probs.shape == (len(idx), 1)
-    assert peak < 2 * 192 * 16 * 301 * 4, peak / 1e6
+    assert peak < 2 * block, (peak / 1e6, block / 1e6)
 
 
 def test_a_training_step_and_a_scoring_block_peak_near_their_text_taps(corpus_dir,

@@ -332,9 +332,10 @@ def test_audio_batches_hold_the_frames_the_model_reads(built, layers, kernel, fr
     assert batch["audio"].flags.c_contiguous
     assert field_width(enc, 41) == frames
     lo = 20 - frames // 2
-    assert set(taps[taps >= 0]) == set(range(lo, lo + frames))
+    pos = np.clip(taps, 0, 40)
+    assert set(pos) == set(range(lo, lo + frames))
     whole = pr.batch(idx)["audio"]
-    assert np.array_equal(batch["audio"], whole[:, np.maximum(taps, 0)] * (taps >= 0)[:, None])
+    assert batch["audio"].tobytes() == (whole[:, pos] * (pos == taps)[:, None]).tobytes()
 
 
 def text_zeros_and_mask(ds, idx, modality):
@@ -371,8 +372,8 @@ def test_taps_are_bit_equal_to_the_windows_then_conv_gather(built, modality, lay
                                                               kernel):
     # the taps the provider gathers are the columns the first conv gathered
     # from whole windows, and the encoders read the same from them, bit for
-    # bit; k=5 at 4 layers has taps off both windows, which read a zero (the
-    # sign of a zero is not compared: it follows the position read)
+    # bit, signed zeros included; k=5 at 4 layers has taps off both windows,
+    # which read the clipped position times zero, as the conv's gather did
     _, _, _, _, ds = built
     ids = ds.word_ids.copy()
     ids[::5, 2] = features.OOV_ID
@@ -393,12 +394,15 @@ def test_taps_are_bit_equal_to_the_windows_then_conv_gather(built, modality, lay
     for name in taps:
         whole = windows[name]()
         want = first_conv_columns(whole, getattr(spec, name))
-        assert batch[name].dtype == want.dtype and np.array_equal(batch[name], want)
+        assert batch[name].dtype == want.dtype and batch[name].tobytes() == want.tobytes()
+        right = want[:, taps[name] >= whole.shape[1]]      # zeros signed like the edge
+        assert (np.signbit(right).any() and (right == 0).all()) == (kernel == 5)
         got = conv_stack(name, getattr(spec, name), Tensor(batch[name]), pt).data
         ref = conv_stack_on_windows(name, getattr(spec, name), Tensor(whole), pt).data
         assert got.tobytes() == ref.tobytes()
-    assert (taps.get("text", np.zeros(1)) < 0).any() == (kernel == 5)
-    assert (taps.get("audio", np.zeros(1)) < 0).any() == (kernel == 5)
+    for name, steps in (("audio", 41), ("text", 7)):
+        off = taps.get(name, np.zeros(1))
+        assert (off < 0).any() == (off >= steps).any() == (kernel == 5)
     if "text" in taps:
         window = ds.word_ids[idx]
         assert all((window == s).any() for s in (features.ABSENT_ID, features.OOV_ID))

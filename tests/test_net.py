@@ -282,7 +282,7 @@ def test_conv_stack_reads_the_same_on_the_cropped_window(layers, kernel):
     full = np.random.default_rng([layers, kernel]).normal(size=(8, 41, 5)).astype(np.float32)
     lo = (41 - width) // 2
     taps = input_taps(spec)["audio"]
-    assert set(taps[taps >= 0]) == set(range(lo, lo + width))
+    assert set(np.clip(taps, 0, 40)) == set(range(lo, lo + width))
     cropped = conv_stack("audio", spec.audio, gather_taps(Tensor(full), taps), pt).data
     want = conv_stack_on_windows("audio", spec.audio, Tensor(full), pt).data
     assert np.array_equal(cropped, want)

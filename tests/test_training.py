@@ -336,8 +336,8 @@ class ArrayProvider:
         self.exclusive = exclusive
 
     def batch(self, idx, taps):
-        taps = taps["audio"]
-        return {"audio": self.audio[idx][:, np.maximum(taps, 0)] * (taps >= 0)[:, None],
+        pos = np.clip(taps["audio"], 0, 40)
+        return {"audio": self.audio[idx][:, pos] * (pos == taps["audio"])[:, None],
                 "labels": self.labels[idx]}
 
     def labels_at(self, idx):

@@ -63,9 +63,10 @@ def conv_stack_on_windows(prefix, enc, x, pt):
 
 def gather_taps(x, taps):
     """x (B, T, C) at the positions taps, as a graph node: (B, len(taps), C),
-    a tap of -1 zero. The backward adds each tap's gradient at its position."""
-    inside = taps >= 0
-    pos = np.maximum(taps, 0)
+    a tap off 0..T-1 reading the clipped position times zero. The backward
+    adds each tap's gradient at its position."""
+    inside = (taps >= 0) & (taps < x.shape[1])
+    pos = np.clip(taps, 0, x.shape[1] - 1)
     out = Tensor(x.data[:, pos] * inside[:, None], _prev=(x,))
 
     def _bw(g):
