@@ -269,15 +269,12 @@ class WindowProvider:
             out[:, :, -1] = self.dataset.word_offsets[idx[:, None], pos]
         return out
 
-    def batch(self, idx: np.ndarray, taps: dict[str, np.ndarray] | None = None) -> dict:
+    def batch(self, idx: np.ndarray, taps: dict[str, np.ndarray]) -> dict:
         """Windows at frames idx gathered at the positions taps names per
         modality (net.input_taps), (B, len(taps), C); a tap off the window
-        reads the clipped position times zero, as a conv's padding does.
-        taps None: the whole 41 and 7 steps."""
+        reads the clipped position times zero, as a conv's padding does."""
         idx = np.asarray(idx)
         steps = {"audio": 2 * AUDIO_CONTEXT_FRAMES + 1, "text": WINDOW_SLOTS}
-        if taps is None:
-            taps = {name: np.arange(n) for name, n in steps.items()}
         out = {"labels": self._labels[idx], "audio": None, "text": None, "speaker": None}
         for name, used, gather in (("audio", self.uses_audio, self._audio),
                                    ("text", self.uses_text, self._text)):

@@ -19,38 +19,39 @@ Transforms:
     energy_feat = ln(max(rms, 1e-10)) - 3
 
 Memory grows with recording length only by the F0 track (f0, RMS and
-voicing: 17 B per 5 ms window, 3.4 KB per audio second), the thread pool's
-futures (one of about 1.9 KB per chunk, 2.9 KB per audio second at two
-threads) and the output rows (0.8 KB per audio second); a 16 kHz clip's
-traced peak grew 4.5 MB from 240 s to 960 s on two threads. read_wav
-reads a WAV file's header and keeps the file open, silence_intervals
-records the zeroed sample ranges instead of copying the clip, and
-frame_signal decodes only the span its windows cover, read from the file
-with one positioned read (os.pread, so POSIX only) and decoded to float64
-(PCM16 / 32768, channels averaged, silenced ranges zeroed, non-finite
-samples rejected). No page of the file stays mapped.
+voicing: 17 B per 5 ms window, 3.4 KB per audio second) and the output rows
+(0.8 KB per audio second); a 16 kHz clip's traced peak grew 2.5 MB from
+240 s to 960 s tracked in this process alone, and 2.1 MB beside one forked
+worker. read_wav reads a WAV file's header and keeps the file open,
+silence_intervals records the zeroed sample ranges instead of copying the
+clip, and frame_signal decodes only the span its windows cover, read from
+the file with one positioned read (os.pread, so POSIX only) and decoded to
+float64 (PCM16 / 32768, channels averaged, silenced ranges zeroed,
+non-finite samples rejected). No page of the file stays mapped.
 
-extract_prosody tracks F0 on one thread per CPU the process may use (at
-most F0_CHUNK // 64), each taking F0_CHUNK // threads windows at a time, so
-the windows in flight total at most F0_CHUNK whatever the thread count.
-Every window is transformed on its own, so the rows are bit-identical at
-any thread count; numpy's FFTs and ufunc loops release the interpreter
-lock, so the threads overlap. Each thread keeps one set of the F0
-tracker's work arrays for the whole track, freed before post-processing.
-Allocated afresh, each chunk's few-MB transforms would be mapped and
-page-faulted anew by the C allocator, which hands out large blocks from
-fresh pages until a larger block has been freed; that cost more time than
-the smaller chunk saved. The track is then post-processed and downsampled
-10 * F0_CHUNK windows at a time, with the same bits as the whole at once.
+extract_prosody tracks F0 in one process per CPU this one may use, at most
+F0_CHUNK // 64 and no more than gives each a range of F0_FORK_MIN windows.
+This process tracks the first contiguous range of windows; a child forked
+for each other range (fork, like pread, is POSIX only) tracks that one.
+Threads did not overlap: numpy's cumsum holds the interpreter lock. Each
+worker takes F0_CHUNK // workers windows at a time, so the windows in
+flight total at most F0_CHUNK whatever the worker count. Every window is
+transformed on its own, so the rows are bit-identical at any worker count.
+Each worker keeps one set of the F0 tracker's work arrays for its whole
+range, freed before post-processing. Allocated afresh, each chunk's few-MB
+transforms would be mapped and page-faulted anew by the C allocator, which
+hands out large blocks from fresh pages until a larger block has been
+freed; that cost more time than the smaller chunk saved. The track is then
+post-processed and downsampled 10 * F0_CHUNK windows at a time, with the
+same bits as the whole at once.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
-import queue
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -68,6 +69,7 @@ F0_MIN = 75.0
 F0_MAX = 600.0
 VOICING_THRESHOLD = 0.15
 F0_CHUNK = 256           # analysis frames in flight at once; bounds the F0 tracker's memory
+F0_FORK_MIN = 1024       # fewest windows worth a forked F0 worker (see _track_f0)
 ENERGY_GATE = 1e-4
 ENERGY_FLOOR = 1e-10
 
@@ -81,7 +83,9 @@ class WavData:
     Holds one open descriptor, shared by the clips silence_intervals makes
     from the clip read_wav returned and closed when the last of them is
     collected. A span is one os.pread into a fresh array; pread moves no
-    shared file position, so threads read spans at once with no lock.
+    shared file position, so processes forked from this one read spans at
+    once. The descriptor means nothing to another process, so a WavData is
+    not pickled.
     """
 
     def __init__(self, path: str | Path, fd: int, offset: int, dtype: np.dtype,
@@ -92,6 +96,10 @@ class WavData:
 
     def __len__(self) -> int:
         return self.size
+
+    def __reduce__(self):
+        raise TypeError(f"{self.path}: an open WAV file is not pickled; "
+                        "read_wav it in the process that reads it")
 
     def __getitem__(self, span: slice) -> np.ndarray:
         """Stored values span.start..span.stop-1, read into a fresh array."""
@@ -277,13 +285,13 @@ def _lag_range(sample_rate: int) -> tuple[int, int]:
 def _f0_buffers(rows: int, frame_len: int, sample_rate: int) -> dict[str, np.ndarray]:
     """Work arrays of the F0 tracker for up to `rows` frames of frame_len.
 
-    extract_prosody makes one set per thread per recording and hands it to
-    every chunk that thread tracks, so no chunk allocates its multi-MB
-    transforms afresh.
+    Each F0 worker makes one set per recording and hands it to every chunk
+    it tracks, so no chunk allocates its multi-MB transforms afresh. The
+    last frame_len - W columns of "padded" stay zero (W: see _cmndf_track).
     """
     tau_max = _lag_range(sample_rate)[1]
     spectrum = (rows, frame_len // 2 + 1)
-    return {"energy": np.empty((rows, frame_len)),
+    return {"energy": np.empty((rows, frame_len)), "padded": np.zeros((rows, frame_len)),
             "spec": np.empty(spectrum, complex), "spec_w": np.empty(spectrum, complex),
             "d": np.empty((rows, tau_max)), "cum_d": np.empty((rows, tau_max))}
 
@@ -303,9 +311,11 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
     samples, d(t) = sum_{j<W} (x_j - x_{j+t})^2, expands to e0 + e_t - 2 r(t)
     (YIN, de Cheveigne & Kawahara 2002, steps 2-3). The energies e0 and e_t
     are differences of the running sum; r(t) = sum_{j<W} x_j x_{j+t} is a
-    circular FFT correlation of length L. It needs no zero padding: with
-    j < W and t <= tau_max, j + t <= L - 1 never wraps, so lags 0..tau_max
-    of the circular correlation equal the linear ones.
+    circular FFT correlation of length L of the frame with its first W
+    samples, copied into buf["padded"], whose zero tail fills them to L. It
+    needs no longer transform: with j < W and t <= tau_max, j + t <= L - 1
+    never wraps, so lags 0..tau_max of the circular correlation equal the
+    linear ones.
     """
     L = frames.shape[1]
     tau_min, tau_max = _lag_range(sample_rate)
@@ -320,7 +330,9 @@ def _cmndf_track(frames: np.ndarray, energy: np.ndarray, sample_rate: int,
     d = np.subtract(energy[:, W:], energy[:, :tau_max], out=buf["d"])
     d += energy[:, W - 1:W]
 
-    xcorr = np.fft.rfft(frames[:, :W], L, out=buf["spec_w"])
+    padded = buf["padded"]                 # its columns W.. stay zero
+    padded[:, :W] = frames[:, :W]
+    xcorr = np.fft.rfft(padded, out=buf["spec_w"])
     np.conjugate(xcorr, out=xcorr)
     xcorr *= np.fft.rfft(frames, L, out=buf["spec"])
     corr = np.fft.irfft(xcorr, L, out=energy)[:, 1:tau_max + 1]
@@ -484,35 +496,72 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _track_range(clip: AudioClip, lo: int, hi: int,
+                 step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """F0 (Hz, 0 where unvoiced), voicing flags and RMS of windows lo..hi-1,
+    tracked `step` windows at a time through one set of work arrays."""
+    sr = clip.sample_rate
+    f0, rms = np.empty(hi - lo), np.empty(hi - lo)
+    voiced = np.empty(hi - lo, dtype=bool)
+    buffers = _f0_buffers(min(step, hi - lo), _frame_len(sr), sr)
+    for a in range(lo, hi, step):
+        b = min(a + step, hi)
+        f0[a - lo:b - lo], voiced[a - lo:b - lo], rms[a - lo:b - lo] = \
+            _f0_track(frame_signal(clip, a, b), sr, buffers)
+    return f0, voiced, rms
+
+
+def _track_child(send, clip: AudioClip, lo: int, hi: int, step: int) -> None:
+    """A forked worker: sends _track_range's result, or the error it raised."""
+    try:
+        part = _track_range(clip, lo, hi, step)
+    except Exception as exc:
+        part = exc
+    send.send(part)
+
+
 def _track_f0(clip: AudioClip, n_raw: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS of windows 0..n_raw-1.
 
-    The threads' work arrays are locals here, so they are freed when the
-    track is returned, before any post-processing.
+    This process tracks the first of one contiguous range per worker; a
+    child forked for each other range, handed the clip by the fork and not
+    pickled, sends that range's track back through a pipe. A child cost
+    ~9 ms to start, set up and join on 2 vCPUs: one and two workers both
+    took 18 ms on 1024 windows, and two won from 2048 on. Errors are raised
+    in range order, and every child is joined before this returns or raises.
     """
-    sr = clip.sample_rate
-    f0, rms = np.empty(n_raw), np.empty(n_raw)
-    voiced = np.empty(n_raw, dtype=bool)
-    workers = min(_usable_cpus(), F0_CHUNK // 64, -(-n_raw // F0_CHUNK))
+    workers = min(_usable_cpus(), F0_CHUNK // 64, max(n_raw // F0_FORK_MIN, 1))
     step = F0_CHUNK // workers
-    free = queue.SimpleQueue()          # one set of work arrays per thread
-    for _ in range(workers):
-        free.put(_f0_buffers(min(step, n_raw), _frame_len(sr), sr))
-
-    def track(lo: int) -> None:
-        hi = min(lo + step, n_raw)
-        buffers = free.get()
-        try:
-            frames = frame_signal(clip, lo, hi)
-            f0[lo:hi], voiced[lo:hi], rms[lo:hi] = _f0_track(frames, sr, buffers)
-        finally:
-            free.put(buffers)
-
-    # chunks write disjoint slices; the first error, in chunk order, cancels
-    # the chunks not yet started, and no thread outlives the call
-    with ThreadPoolExecutor(workers) as pool:
-        list(pool.map(track, range(0, n_raw, step)))
-    return f0, voiced, rms
+    bounds = [n_raw * i // workers for i in range(workers + 1)]
+    fork = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            recv, send = fork.Pipe(duplex=False)
+            child = fork.Process(target=_track_child, args=(send, clip, lo, hi, step))
+            child.start()
+            send.close()
+            children.append((child, recv))
+        parts = [_track_range(clip, 0, bounds[1], step)]
+        for (child, recv), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
+            try:
+                part = recv.recv()
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"the F0 worker for windows {lo}..{hi - 1} exited "
+                                   f"with code {child.exitcode}") from None
+            if isinstance(part, Exception):
+                raise part
+            parts.append(part)
+    except BaseException:
+        for child, _ in children:
+            child.kill()
+        raise
+    finally:
+        for child, recv in children:
+            child.join()
+            recv.close()
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def extract_prosody(clip: AudioClip) -> ProsodyTrack:

@@ -16,8 +16,8 @@ from gestprop.net import (EncoderSpec, ModelSpec, conv_stack, field_width, init_
                           input_taps)
 from gestprop.tensor import Tensor
 from text_reference import assemble_text_window, read_vectors
-from window_reference import (audio_windows, conv_stack_on_windows, first_conv_columns,
-                              text_windows)
+from window_reference import (WHOLE, audio_windows, conv_stack_on_windows,
+                              first_conv_columns, text_windows)
 
 
 @pytest.fixture(scope="module")
@@ -310,7 +310,7 @@ def test_audio_windows_are_centered_and_standardized(built):
     assert np.allclose(pr.norm_std, rows.std(axis=0), atol=1e-6)
 
     g = int(np.where(ds.eligible)[0][40])
-    batch = pr.batch(np.array([g]))
+    batch = pr.batch(np.array([g]), WHOLE)
     assert batch["audio"].shape == (1, 41, 5)
     want = (ds.prosody[g - 20:g + 21] - pr.norm_mean) / pr.norm_std
     assert np.allclose(batch["audio"][0], want, atol=1e-6)
@@ -334,7 +334,7 @@ def test_audio_batches_hold_the_frames_the_model_reads(built, layers, kernel, fr
     lo = 20 - frames // 2
     pos = np.clip(taps, 0, 40)
     assert set(pos) == set(range(lo, lo + frames))
-    whole = pr.batch(idx)["audio"]
+    whole = pr.batch(idx, WHOLE)["audio"]
     assert batch["audio"].tobytes() == (whole[:, pos] * (pos == taps)[:, None]).tobytes()
 
 
@@ -358,7 +358,7 @@ def test_text_windows_are_bit_equal_to_the_masked_build(built, modality):
     ids[::5, 2] = features.OOV_ID                    # unknown words keep their offsets
     ds = replace(ds, word_ids=ids)
     idx = np.arange(0, ds.n_frames, 3)
-    got = features.WindowProvider(ds, "semantics", modality).batch(idx)["text"]
+    got = features.WindowProvider(ds, "semantics", modality).batch(idx, WHOLE)["text"]
     want = text_zeros_and_mask(ds, idx, modality)
     window = ds.word_ids[idx]
     assert all((window == s).any() for s in (features.ABSENT_ID, features.OOV_ID))
@@ -430,7 +430,7 @@ def test_text_batch_matches_assemble_oracle(built):
     pr = features.WindowProvider(ds, "semantics", "text")
     rec0 = next(r for r in recs if r.rec_id == ds.rec_ids[0])
     for f in (25, 80, 150):
-        got = pr.batch(np.array([f]))["text"][0]
+        got = pr.batch(np.array([f]), WHOLE)["text"][0]
         want = assemble_text_window(read_vectors(emb), rec0.words, f / 20.0)
         assert np.allclose(got, want, atol=1e-5)
 
@@ -438,8 +438,8 @@ def test_text_batch_matches_assemble_oracle(built):
 def test_text_no_timing_zeroes_offset_column(built):
     _, _, _, _, ds = built
     idx = np.where(ds.word_ids[:, 3] >= 0)[0][:16]   # frames with a current word
-    timed = features.WindowProvider(ds, "semantics", "text").batch(idx)["text"]
-    plain = features.WindowProvider(ds, "semantics", "text_no_timing").batch(idx)["text"]
+    timed, plain = (features.WindowProvider(ds, "semantics", modality).batch(idx, WHOLE)["text"]
+                    for modality in ("text", "text_no_timing"))
     assert np.abs(timed[:, :, 300]).max() > 0
     assert np.all(plain[:, :, 300] == 0.0)
     assert np.array_equal(timed[:, :, :300], plain[:, :, :300])
@@ -456,7 +456,7 @@ def test_oov_words_keep_offset_but_zero_embedding(built, tmp_path):
     assert len(hit[0]) > 0
     f, s = int(hit[0][0]), int(hit[1][0])
     text = features.WindowProvider(ds, "semantics", "text").batch(
-        np.array([f]))["text"][0]
+        np.array([f]), WHOLE)["text"][0]
     assert np.all(text[s, :300] == 0.0)
     assert text[s, 300] == pytest.approx(ds.word_offsets[f, s])
     assert ds.word_offsets[f, s] != 0.0 or s == 3
@@ -465,9 +465,9 @@ def test_oov_words_keep_offset_but_zero_embedding(built, tmp_path):
 def test_modalities_gate_streams(built):
     _, _, _, _, ds = built
     g = np.where(ds.eligible)[0][:4]
-    audio = features.WindowProvider(ds, "presence", "audio").batch(g)
-    text = features.WindowProvider(ds, "presence", "text").batch(g)
-    both = features.WindowProvider(ds, "presence", "both").batch(g)
+    audio = features.WindowProvider(ds, "presence", "audio").batch(g, WHOLE)
+    text = features.WindowProvider(ds, "presence", "text").batch(g, WHOLE)
+    both = features.WindowProvider(ds, "presence", "both").batch(g, WHOLE)
     assert audio["audio"] is not None and audio["text"] is None
     assert text["audio"] is None and text["text"] is not None
     assert both["audio"] is not None and both["text"] is not None
@@ -479,9 +479,9 @@ def test_ineligible_frame_rejected_for_audio(built):
     _, _, _, _, ds = built
     pr = features.WindowProvider(ds, "presence", "audio")
     with pytest.raises(ValueError, match="eligible"):
-        pr.batch(np.array([0]))
+        pr.batch(np.array([0]), WHOLE)
     # text-only windows are defined everywhere
-    features.WindowProvider(ds, "presence", "text").batch(np.array([0]))
+    features.WindowProvider(ds, "presence", "text").batch(np.array([0]), WHOLE)
 
 
 def test_speaker_onehot(built):
@@ -489,7 +489,7 @@ def test_speaker_onehot(built):
     pr = features.WindowProvider(ds, "presence", "both", speakers=ds.speaker_list)
     assert pr.speaker_dim == len(ds.speaker_list) == 2
     idx = np.where(ds.eligible)[0]
-    batch = pr.batch(idx[[0, -1]])
+    batch = pr.batch(idx[[0, -1]], WHOLE)
     order = ds.speaker_list
     for j, g in enumerate(idx[[0, -1]]):
         k = order.index(ds.speakers[g])
@@ -498,7 +498,7 @@ def test_speaker_onehot(built):
         assert np.array_equal(batch["speaker"][j], want)
     plain = features.WindowProvider(ds, "presence", "both")
     assert plain.speaker_dim == 0
-    assert plain.batch(idx[:2])["speaker"] is None
+    assert plain.batch(idx[:2], WHOLE)["speaker"] is None
 
 
 def _copy_corpus(root, tmp_path):
@@ -598,7 +598,7 @@ def test_no_word_with_a_vector_gives_zero_embeddings_and_real_offsets(built, tmp
     assert np.array_equal(bare.word_ids,
                           np.where(present, features.OOV_ID, features.ABSENT_ID))
     idx = np.arange(bare.n_frames)
-    text = features.WindowProvider(bare, "semantics", "text").batch(idx)["text"]
+    text = features.WindowProvider(bare, "semantics", "text").batch(idx, WHOLE)["text"]
     assert text.shape == (bare.n_frames, 7, 301)
     assert not text[:, :, :300].any()
     assert np.array_equal(text[:, :, 300], ds.word_offsets)

@@ -1,5 +1,7 @@
 import math
+import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from gestprop import prosody
 from gestprop.prosody import (
     F0_CHUNK,
+    F0_FORK_MIN,
     F0_MAX,
     F0_MIN,
     PROSODY_COLUMNS,
@@ -328,9 +331,8 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows(monkeypatch):
     # a frame matrix copied whole holds each sample 8 times (40 ms windows
     # every 5 ms): over 100 MB more at 120 s than at 30 s. With the 200 fps
     # rows built whole and the work arrays alive through them, the peak grew
-    # 10.6 MB from 240 s to 960 s; built in blocks, 4.5 MB, of which the F0
-    # track (17 B a window) is 2.4 MB and the thread pool's futures 2.1 MB
-    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)   # fixes the futures' count
+    # 10.6 MB from 240 s to 960 s; built in blocks, 4.5 MB. A worker handed
+    # the clip in a task, not by the fork, pickles its samples: 50 MB more
     rng = np.random.default_rng(5)
 
     def peak_mb(seconds):
@@ -343,28 +345,35 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows(monkeypatch):
         finally:
             tracemalloc.stop()
 
-    assert peak_mb(960) - peak_mb(240) < 7.0
+    for workers in (1, 2):              # the whole track in this process, then beside a fork
+        monkeypatch.setattr(prosody, "_usable_cpus", lambda workers=workers: workers)
+        assert peak_mb(960) - peak_mb(240) < 7.0
+    assert multiprocessing.active_children() == []
 
 
 PEAK_RSS_CHILD = """
-import resource, sys
+import os, resource, sys
 from gestprop import prosody
-path = sys.argv[1]
-mapped = []
+path, log = sys.argv[1:]
+prosody._usable_cpus = lambda: 2
 track_chunk = prosody._f0_track
 
 def f0_track(*args):
+    # runs in every F0 worker, forked ones too: one line per chunk
     try:
         with open("/proc/self/maps") as fh:
-            mapped.append(path in fh.read())
+            mapped = path in fh.read()
     except FileNotFoundError:
-        pass
+        mapped = False
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()} {mapped}\\n")
     return track_chunk(*args)
 
 prosody._f0_track = f0_track
 prosody.extract_prosody(prosody.read_wav(path))
-peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(peak if sys.platform == "darwin" else peak * 1024, any(mapped))
+scale = 1 if sys.platform == "darwin" else 1024
+print(*(resource.getrusage(who).ru_maxrss * scale
+        for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
 """
 
 # a child keeps the peak of the process that started it in ru_maxrss, so the
@@ -375,7 +384,8 @@ LAUNCHER = ("import subprocess, sys; "
 
 def test_extract_prosody_resident_memory_stays_flat_as_the_wav_grows(tmp_path):
     # tracemalloc does not see file pages: mapped, every page the chunks
-    # decoded stayed resident, so the peak grew by the whole file
+    # decoded stayed resident, so the peak grew by the whole file. The
+    # forked F0 worker's peak is bounded too, and it maps no page either
     from scipy.io import wavfile
     env = dict(os.environ, PYTHONPATH=str(Path(prosody.__file__).parents[1]),
                **{k: "1" for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -383,22 +393,24 @@ def test_extract_prosody_resident_memory_stays_flat_as_the_wav_grows(tmp_path):
     rng = np.random.default_rng(8)
 
     def peak_bytes(seconds):
-        path = tmp_path / f"{seconds}.wav"
+        path, log = tmp_path / f"{seconds}.wav", tmp_path / f"{seconds}.log"
         wavfile.write(path, 16000, rng.normal(0, 0.1, seconds * 16000).astype(np.float32))
-        out = subprocess.run([sys.executable, "-c", LAUNCHER, PEAK_RSS_CHILD, str(path)],
+        out = subprocess.run([sys.executable, "-c", LAUNCHER, PEAK_RSS_CHILD, str(path),
+                              str(log)],
                              env=env, capture_output=True, text=True, timeout=300,
                              check=True)
-        peak, mapped = out.stdout.split()
-        assert mapped == "False"          # no page of the WAV is mapped
-        return int(peak)
+        chunks = [line.split() for line in log.read_text().splitlines()]
+        assert len({pid for pid, _ in chunks}) == 2       # this process and one fork
+        assert {mapped for _, mapped in chunks} == {"False"}    # no page of the WAV
+        return np.array(out.stdout.split(), dtype=np.int64)
 
     file_growth = (240 - 30) * 16000 * 4
-    assert peak_bytes(240) - peak_bytes(30) < file_growth
+    assert np.all(peak_bytes(240) - peak_bytes(30) < file_growth)
 
 
 def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
     # each window is transformed on its own, so neither the chunk size, the
-    # thread count nor the reused buffers' stale rows past a short last
+    # worker count nor the reused buffers' stale rows past a short last
     # chunk change a bit; 2540 windows leave a short last chunk at every
     # size below (85, 128, 256 and 1024 windows per chunk)
     sr = 44100
@@ -409,18 +421,24 @@ def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
     pcm = (np.clip(stereo, -1.0, 1.0) * 32767).astype(np.int16).reshape(-1)
     clip = silence_intervals(AudioClip(pcm, sr, channels=2), [(0.5, 1.7), (6.05, 6.3)])
     assert clip.n_windows == 2540
+    monkeypatch.setattr(prosody, "F0_FORK_MIN", 512)      # up to 4 workers on 2540
+    track_range = prosody._track_range
+    own = []                    # the range this process tracks, not a forked worker
+
+    def tracked(clip, lo, hi, step):
+        own.append((lo, hi, step))
+        return track_range(clip, lo, hi, step)
+
+    monkeypatch.setattr(prosody, "_track_range", tracked)
     threads = threading.active_count()
     rows = {}
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)        # threads hand over often: a shared buffer shows
-    try:
-        for cpus, chunk in [(1, 256), (2, 256), (3, 256), (1, 1024)]:
-            monkeypatch.setattr(prosody, "_usable_cpus", lambda cpus=cpus: cpus)
-            monkeypatch.setattr(prosody, "F0_CHUNK", chunk)
-            rows[cpus, chunk] = extract_prosody(clip).rows.tobytes()
-            assert threading.active_count() == threads      # the pool is joined
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus, chunk in [(1, 256), (2, 256), (3, 256), (1, 1024)]:
+        monkeypatch.setattr(prosody, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(prosody, "F0_CHUNK", chunk)
+        rows[cpus, chunk] = extract_prosody(clip).rows.tobytes()
+        assert own.pop() == (0, 2540 // cpus, chunk // cpus)
+        assert multiprocessing.active_children() == []     # every worker is joined
+        assert threading.active_count() == threads
     assert len(set(rows.values())) == 1
     vuv = extract_prosody(clip).rows[:, 0]
     assert 0.2 < vuv.mean() < 0.8      # voiced and unvoiced frames both
@@ -478,15 +496,66 @@ def test_prosody_blocks_give_the_whole_track_bits_on_a_tracked_clip(monkeypatch)
 
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_extract_prosody_names_a_nan_sample_mid_clip(monkeypatch, cpus):
+    # 12000 windows; two workers split them at sample 480_000
     monkeypatch.setattr(prosody, "_usable_cpus", lambda: cpus)
-    x = np.random.default_rng(4).normal(0, 0.1, 60 * 16000).astype(np.float32)
-    x[456_789] = np.nan
     threads = threading.active_count()
+    for nans, named in [([456_789], 456_789),            # in this process's range
+                        ([800_000], 800_000),            # in the forked worker's
+                        ([456_789, 800_000], 456_789)]:
+        x = np.random.default_rng(4).normal(0, 0.1, 60 * 16000).astype(np.float32)
+        x[nans] = np.nan
+        with pytest.raises(ValueError, match="non-finite samples") as err:
+            extract_prosody(AudioClip(x, 16000))
+        lo, hi = map(int, re.search(r"in (\d+)\.\.(\d+)", str(err.value)).groups())
+        assert lo <= named <= hi and hi - lo < F0_CHUNK * 80 + 640     # one chunk's span
+        assert multiprocessing.active_children() == []
+        assert threading.active_count() == threads
+
+
+def test_worker_errors_are_raised_in_range_order(monkeypatch):
+    # three workers split 12000 windows at samples 320_000 and 640_000; the
+    # third range reaches its NaN first, yet the second range's is named
+    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 3)
+    x = np.random.default_rng(4).normal(0, 0.1, 60 * 16000).astype(np.float32)
+    x[[600_000, 660_000]] = np.nan
     with pytest.raises(ValueError, match="non-finite samples") as err:
         extract_prosody(AudioClip(x, 16000))
     lo, hi = map(int, re.search(r"in (\d+)\.\.(\d+)", str(err.value)).groups())
-    assert lo <= 456_789 <= hi and hi - lo < F0_CHUNK * 80 + 640     # one chunk's span
-    assert threading.active_count() == threads
+    assert lo <= 600_000 <= hi
+    assert multiprocessing.active_children() == []
+
+
+def test_a_clip_below_the_fork_threshold_starts_no_process(monkeypatch):
+    # a worker's start and join cost more than it saves below F0_FORK_MIN
+    # windows a range
+    def refuse(process):
+        raise OSError("no process may start")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
+    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)
+    x = np.random.default_rng(6).normal(0, 0.1, (2 * F0_FORK_MIN + 10) * 80)
+    short = AudioClip(x[:2 * F0_FORK_MIN * 80], 16000)     # 2040 windows after the trim
+    assert extract_prosody(short).n_frames == 2 * F0_FORK_MIN // 10
+    with pytest.raises(OSError, match="no process may start"):     # 2050 windows
+        extract_prosody(AudioClip(x, 16000))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_worker_that_dies_is_named(monkeypatch):
+    track_range = prosody._track_range
+
+    def die_in_the_fork(clip, lo, hi, step):
+        if lo > 0:
+            os._exit(3)
+        return track_range(clip, lo, hi, step)
+
+    monkeypatch.setattr(prosody, "_track_range", die_in_the_fork)
+    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)
+    clip = AudioClip(np.random.default_rng(6).normal(0, 0.1, 2050 * 80), 16000)
+    assert 2 * F0_FORK_MIN <= clip.n_windows == 2050
+    with pytest.raises(RuntimeError, match=r"windows 1025\.\.2049 exited with code 3"):
+        extract_prosody(clip)
+    assert multiprocessing.active_children() == []
 
 
 def test_extract_prosody_deterministic():
@@ -505,6 +574,15 @@ def test_wav_roundtrip(tmp_path):
     back = read_wav(p)
     assert back.sample_rate == 16000
     assert np.max(np.abs(back.decode() - clip.decode())) < 1e-6
+
+
+def test_an_open_wav_is_not_pickled(tmp_path):
+    # its descriptor means nothing in another process; forked workers
+    # inherit the clip instead
+    path = tmp_path / "a.wav"
+    write_wav(path, sine(220, 0.1, 16000))
+    with pytest.raises(TypeError, match="not pickled"):
+        pickle.dumps(read_wav(path))
 
 
 def test_a_clip_reads_the_file_it_opened(tmp_path):

@@ -12,6 +12,10 @@ import numpy as np
 from gestprop import tensor as T
 from gestprop.corpus import AUDIO_CONTEXT_FRAMES
 from gestprop.tensor import Tensor
+from gestprop.textfeat import WINDOW_SLOTS
+
+# every step of the whole windows, as WindowProvider.batch taps
+WHOLE = {"audio": np.arange(2 * AUDIO_CONTEXT_FRAMES + 1), "text": np.arange(WINDOW_SLOTS)}
 
 
 def audio_windows(provider, idx, frames=2 * AUDIO_CONTEXT_FRAMES + 1):
