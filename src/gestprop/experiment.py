@@ -10,6 +10,15 @@ master seed fans out to per-fold training seeds, per-baseline sampling
 streams and per-run search draws, so rerunning a command with the same config
 and seed reproduces every file byte for byte.
 
+A cross-validation (eval, and each search run) trains one contiguous range
+of folds per CPU this process may use, at most one per fold: the first
+here, each other in a child forked after the corpus loads
+(forked.run_ranges), which sends back each fold's weights, run record and
+normalization. Every fold has its own seed, pool, normalization and scorer,
+and this process writes every file in fold order, so the output is
+byte-identical at any worker count. Without a BLAS thread control the folds
+train here.
+
 The search is plain random search over SEARCH_SPACE: each run draws every
 setting once and cross-validates the drawn model, batch size and learning
 rate like eval does.
@@ -25,6 +34,7 @@ from typing import get_type_hints
 
 import numpy as np
 
+from . import forked
 from . import gradcheck as gradcheck_mod
 from .corpus import SCHEMAS, load_manifest, make_folds_between, make_folds_within
 from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
@@ -33,8 +43,9 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
                          write_json, write_predictions_csv, write_scores_csv)
 from .features import (MODALITIES, WindowProvider, build_features,
                        feature_paths, load_dataset)
-from .net import (DecoderSpec, EncoderSpec, ModelSpec, from_fields, input_taps,
-                  load_checkpoint, predict_probs, receptive_field, save_checkpoint, typed)
+from .net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec, from_fields,
+                  input_taps, load_checkpoint, predict_probs, receptive_field,
+                  save_checkpoint, typed)
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -305,23 +316,35 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
                               if config.cv == "within_id" else None)
     spec = _model_spec(config, provider, dataset.emb_matrix.shape[1] + 1)
 
+    def train_folds(lo: int, hi: int) -> list:
+        """(n_train, params.flat, RunRecord, norm state) of folds lo..hi-1."""
+        done = []
+        for fold in range(lo, hi):
+            pool = _training_pool(dataset, config.prop, plan.train[fold])
+            provider.fit_norm(plan.train[fold])
+            score = _scorer(spec, provider, _eval_pool(dataset, config, plan.val[fold]),
+                            config)
+            params, record = train(spec, provider, pool, config.train,
+                                   _fold_seed(config.seed, fold), score)
+            done.append((len(pool), params.flat, record, provider.norm_state()))
+        return done
+
+    workers = min(forked.usable_cpus(), plan.n_folds) \
+        if forked.blas_threads() is not None else 1
+    trained = [done for part in forked.run_ranges(train_folds, plan.n_folds, workers,
+                                                   "fold worker for folds")
+               for done in part]
     folds, reports, files = [], [], []
-    for fold in range(plan.n_folds):
-        train_idx = plan.train[fold]
-        val_idx = plan.val[fold]
-        pool = _training_pool(dataset, config.prop, train_idx)
-        provider.fit_norm(train_idx)
+    for fold, (n_train, flat, record, norm) in enumerate(trained):
         seed = _fold_seed(config.seed, fold)
-        params, record = train(spec, provider, pool, config.train, seed, _scorer(
-            spec, provider, _eval_pool(dataset, config, val_idx), config))
         report = record.report
         reports.append(report)
 
         entry = {
             "fold": fold,
             "seed": seed,
-            "n_train": int(len(pool)),
-            "n_val": int(len(val_idx)),
+            "n_train": n_train,
+            "n_val": int(len(plan.val[fold])),
             "curve": [[int(s), float(v)] for s, v in record.curve],
             "loss_curve": [float(v) for v in record.loss_curve],
             "final_score": record.final_score,
@@ -330,9 +353,9 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
         }
         if write_checkpoints:
             name = f"{CHECKPOINT_SUBDIR}/fold_{fold:02d}.ckpt"
-            save_checkpoint(out / name, spec, params, meta={
+            save_checkpoint(out / name, spec, ModelParams(spec, flat), meta={
                 "fold": fold, "seed": seed, "property": config.prop,
-                "modality": config.modality, "norm": provider.norm_state(),
+                "modality": config.modality, "norm": norm,
                 "speakers": provider.speakers, "config": config.to_dict(),
             })
             entry["checkpoint"] = name

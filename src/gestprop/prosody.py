@@ -32,10 +32,9 @@ non-finite samples rejected). No page of the file stays mapped.
 extract_prosody tracks F0 in one process per CPU this one may use, at most
 F0_CHUNK // 64 and no more than gives each a range of F0_FORK_MIN windows.
 This process tracks the first contiguous range of windows; a child forked
-for each other range (fork, like pread, is POSIX only) tracks that one.
-Threads did not overlap: numpy's cumsum holds the interpreter lock. Each
-worker takes F0_CHUNK // workers windows at a time, so the windows in
-flight total at most F0_CHUNK whatever the worker count. Every window is
+for each other range (forked.run_ranges) tracks that one. Each worker
+takes F0_CHUNK // workers windows at a time, so the windows in flight
+total at most F0_CHUNK whatever the worker count. Every window is
 transformed on its own, so the rows are bit-identical at any worker count.
 Each worker keeps one set of the F0 tracker's work arrays for its whole
 range, freed before post-processing. Allocated afresh, each chunk's few-MB
@@ -49,7 +48,6 @@ same bits as the whole at once.
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import weakref
 from dataclasses import dataclass, replace
@@ -58,6 +56,7 @@ from pathlib import Path
 import numpy as np
 from scipy.io import wavfile
 
+from . import forked
 from .evaluation import write_atomic
 
 log = logging.getLogger(__name__)
@@ -488,14 +487,6 @@ def downsample_by_mean(track: ProsodyTrack, factor: int = 10) -> ProsodyTrack:
     return ProsodyTrack(fps=track.fps // factor, rows=merged)
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def _track_range(clip: AudioClip, lo: int, hi: int,
                  step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS of windows lo..hi-1,
@@ -511,56 +502,17 @@ def _track_range(clip: AudioClip, lo: int, hi: int,
     return f0, voiced, rms
 
 
-def _track_child(send, clip: AudioClip, lo: int, hi: int, step: int) -> None:
-    """A forked worker: sends _track_range's result, or the error it raised."""
-    try:
-        part = _track_range(clip, lo, hi, step)
-    except Exception as exc:
-        part = exc
-    send.send(part)
-
-
 def _track_f0(clip: AudioClip, n_raw: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """F0 (Hz, 0 where unvoiced), voicing flags and RMS of windows 0..n_raw-1.
 
-    This process tracks the first of one contiguous range per worker; a
-    child forked for each other range, handed the clip by the fork and not
-    pickled, sends that range's track back through a pipe. A child cost
-    ~9 ms to start, set up and join on 2 vCPUs: one and two workers both
-    took 18 ms on 1024 windows, and two won from 2048 on. Errors are raised
-    in range order, and every child is joined before this returns or raises.
+    One contiguous range of windows per worker (forked.run_ranges), each
+    child handed the clip by the fork and not pickled. One and two workers
+    both took 18 ms on 1024 windows on 2 vCPUs, and two won from 2048 on.
     """
-    workers = min(_usable_cpus(), F0_CHUNK // 64, max(n_raw // F0_FORK_MIN, 1))
+    workers = min(forked.usable_cpus(), F0_CHUNK // 64, max(n_raw // F0_FORK_MIN, 1))
     step = F0_CHUNK // workers
-    bounds = [n_raw * i // workers for i in range(workers + 1)]
-    fork = multiprocessing.get_context("fork")
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            recv, send = fork.Pipe(duplex=False)
-            child = fork.Process(target=_track_child, args=(send, clip, lo, hi, step))
-            child.start()
-            send.close()
-            children.append((child, recv))
-        parts = [_track_range(clip, 0, bounds[1], step)]
-        for (child, recv), lo, hi in zip(children, bounds[1:-1], bounds[2:]):
-            try:
-                part = recv.recv()
-            except EOFError:
-                child.join()
-                raise RuntimeError(f"the F0 worker for windows {lo}..{hi - 1} exited "
-                                   f"with code {child.exitcode}") from None
-            if isinstance(part, Exception):
-                raise part
-            parts.append(part)
-    except BaseException:
-        for child, _ in children:
-            child.kill()
-        raise
-    finally:
-        for child, recv in children:
-            child.join()
-            recv.close()
+    parts = forked.run_ranges(lambda lo, hi: _track_range(clip, lo, hi, step),
+                              n_raw, workers, "F0 worker for windows")
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 

@@ -1,13 +1,16 @@
 """Experiment runner: config handling, CV reports, baselines, random search."""
 
 import json
+import multiprocessing
+import os
+import shutil
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gestprop import corpus, experiment, net, synth
+from gestprop import corpus, experiment, forked, net, synth
 from gestprop.experiment import (MODEL_KEYS, SEARCH_SPACE, ExperimentConfig, _model_spec,
                                  _predict, run_baselines, run_cv, run_features,
                                  run_gradcheck, run_hpsearch, run_predict)
@@ -530,3 +533,123 @@ def test_run_gradcheck_writes_report(tmp_path):
     assert result["max_error"] < 1e-4
     saved = json.loads((tmp_path / "gradcheck.json").read_text())
     assert saved["max_error"] == result["max_error"]
+
+
+def outputs_at(workers: int, monkeypatch, out, command) -> dict:
+    """Every file command() writes under out with `workers` usable CPUs."""
+    monkeypatch.setattr(forked, "usable_cpus", lambda: workers)
+    shutil.rmtree(out, ignore_errors=True)
+    command()
+    assert multiprocessing.active_children() == []
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("kw,diverged", [
+    (dict(prop="presence", modality="both", folds=3), [False] * 3),
+    (dict(prop="category", modality="text", cv="within_id", folds=3), [False] * 3),
+    (dict(modality="audio", folds=4, train=replace(FAST_TRAIN, upsample=True),
+          model={**FAST_MODEL, "enc_dropout": 0.3, "dec_dropout": 0.2}), [False] * 4),
+    (dict(modality="audio", folds=4, train=replace(FAST_TRAIN, lr=1e9)),
+     [True, True, False, True]),
+], ids=["presence-both", "category-within_id", "upsample-dropout", "diverging"])
+def test_fold_workers_write_the_files_one_process_writes(corpus_dir, featured, tmp_path,
+                                                         monkeypatch, kw, diverged):
+    # each fold trains with its own seed, pool, normalization and scorer
+    # wherever it runs, and this process writes every file in fold order
+    out = tmp_path / "run"
+    config = fast_config(corpus_dir, out, features_dir=str(featured / "features"), **kw)
+    with np.errstate(over="ignore", invalid="ignore"):
+        files = [outputs_at(workers, monkeypatch, out, lambda: run_cv(config))
+                 for workers in (1, 2, 3)]
+    assert files[0] == files[1] == files[2]
+    assert {"report.json", "scores.csv", "index.json", "checkpoints/fold_00.ckpt"} \
+        <= set(files[0])
+    assert [f["failed"] for f in json.loads(files[0]["report.json"])["folds"]] == diverged
+
+
+def test_fold_workers_give_the_search_one_process_gives(corpus_dir, featured, tmp_path,
+                                                        monkeypatch):
+    out = tmp_path / "search"
+    config = fast_config(corpus_dir, out, features_dir=str(featured / "features"), folds=3)
+    files = [outputs_at(workers, monkeypatch, out, lambda: run_hpsearch(config, n_runs=2))
+             for workers in (1, 2, 3)]
+    for name in ("hpsearch.json", "runrecord.csv"):
+        assert files[0][name] == files[1][name] == files[2][name]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_fold_errors_are_raised_in_fold_order(corpus_dir, featured, tmp_path,
+                                              monkeypatch, workers):
+    # at 3 workers folds 2 and 4 fail in two different children
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=5)
+    fold = {experiment._fold_seed(config.seed, f): f for f in range(5)}.get    # by seed
+    train = experiment.train
+
+    def failing(spec, provider, pool, cfg, seed, score):
+        if fold(seed) in (2, 4):
+            raise ValueError(f"fold {fold(seed)} failed")
+        return train(spec, provider, pool, cfg, seed, score)
+
+    monkeypatch.setattr(experiment, "train", failing)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: workers)
+    with pytest.raises(ValueError, match="fold 2 failed"):
+        run_cv(config)
+    assert multiprocessing.active_children() == []
+
+
+def test_a_fold_worker_that_dies_is_named(corpus_dir, featured, tmp_path, monkeypatch):
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=3)
+    parent, train = os.getpid(), experiment.train
+
+    def die_in_the_fork(*args):
+        if os.getpid() != parent:
+            os._exit(3)
+        return train(*args)
+
+    monkeypatch.setattr(experiment, "train", die_in_the_fork)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 3)
+    with pytest.raises(RuntimeError, match=r"fold worker for folds 1\.\.1 exited with code 3"):
+        run_cv(config)
+    assert multiprocessing.active_children() == []
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_fold_workers_run_blas_on_one_thread(corpus_dir, featured, tmp_path, monkeypatch):
+    # two processes' BLAS helper threads would contend for the CPUs; without
+    # a thread control the folds train in this process
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=3)
+    log, train = tmp_path / "threads.log", experiment.train
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()} {forked.blas_threads()}\n")
+        return train(*args)
+
+    def threads_seen():
+        seen = [line.split() for line in log.read_text().splitlines()]
+        log.unlink()
+        return len({pid for pid, _ in seen}), {n for _, n in seen}
+
+    monkeypatch.setattr(experiment, "train", logged)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 3)
+    control = forked._blas_control()
+    if control is None:
+        run_cv(config, write_checkpoints=False)
+        assert threads_seen() == (1, {"None"})
+        return
+    before = control[0]()
+    try:
+        control[1](2)
+        run_cv(config, write_checkpoints=False)
+        assert threads_seen() == (3, {"1"})
+        assert forked.blas_threads() == 2
+    finally:
+        control[1](before)
+    monkeypatch.setattr(forked, "_blas_control", lambda: None)
+    run_cv(config, write_checkpoints=False)
+    assert threads_seen() == (1, {"None"})
+    assert multiprocessing.active_children() == []

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gestprop import tensor
+from gestprop import forked, tensor
 from gestprop.net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params, input_taps
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -77,6 +77,9 @@ def test_tiny_workloads_pass(monkeypatch, tmp_path, workload):
         result = worker.measure(Namespace(workload=workload, root=root, size="tiny",
                                           seconds=0, trace=0, spans=None))
         if workload == "cv_combined":
+            # the tracer records spans only in its own process, so the traced
+            # call trains every fold here; the untraced one above forks
+            monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
             traced = worker.measure(Namespace(workload=workload, root=root, size="tiny",
                                               seconds=0, trace=1,
                                               spans=str(tmp_path / "spans.json")))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gestprop import prosody
+from gestprop import forked, prosody
 from gestprop.prosody import (
     F0_CHUNK,
     F0_FORK_MIN,
@@ -346,16 +346,16 @@ def test_extract_prosody_memory_stays_flat_as_the_clip_grows(monkeypatch):
             tracemalloc.stop()
 
     for workers in (1, 2):              # the whole track in this process, then beside a fork
-        monkeypatch.setattr(prosody, "_usable_cpus", lambda workers=workers: workers)
+        monkeypatch.setattr(forked, "usable_cpus", lambda workers=workers: workers)
         assert peak_mb(960) - peak_mb(240) < 7.0
     assert multiprocessing.active_children() == []
 
 
 PEAK_RSS_CHILD = """
 import os, resource, sys
-from gestprop import prosody
+from gestprop import forked, prosody
 path, log = sys.argv[1:]
-prosody._usable_cpus = lambda: 2
+forked.usable_cpus = lambda: 2
 track_chunk = prosody._f0_track
 
 def f0_track(*args):
@@ -433,7 +433,7 @@ def test_extract_prosody_rows_do_not_depend_on_the_chunk(monkeypatch):
     threads = threading.active_count()
     rows = {}
     for cpus, chunk in [(1, 256), (2, 256), (3, 256), (1, 1024)]:
-        monkeypatch.setattr(prosody, "_usable_cpus", lambda cpus=cpus: cpus)
+        monkeypatch.setattr(forked, "usable_cpus", lambda cpus=cpus: cpus)
         monkeypatch.setattr(prosody, "F0_CHUNK", chunk)
         rows[cpus, chunk] = extract_prosody(clip).rows.tobytes()
         assert own.pop() == (0, 2540 // cpus, chunk // cpus)
@@ -497,7 +497,7 @@ def test_prosody_blocks_give_the_whole_track_bits_on_a_tracked_clip(monkeypatch)
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_extract_prosody_names_a_nan_sample_mid_clip(monkeypatch, cpus):
     # 12000 windows; two workers split them at sample 480_000
-    monkeypatch.setattr(prosody, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: cpus)
     threads = threading.active_count()
     for nans, named in [([456_789], 456_789),            # in this process's range
                         ([800_000], 800_000),            # in the forked worker's
@@ -515,7 +515,7 @@ def test_extract_prosody_names_a_nan_sample_mid_clip(monkeypatch, cpus):
 def test_worker_errors_are_raised_in_range_order(monkeypatch):
     # three workers split 12000 windows at samples 320_000 and 640_000; the
     # third range reaches its NaN first, yet the second range's is named
-    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 3)
     x = np.random.default_rng(4).normal(0, 0.1, 60 * 16000).astype(np.float32)
     x[[600_000, 660_000]] = np.nan
     with pytest.raises(ValueError, match="non-finite samples") as err:
@@ -532,7 +532,7 @@ def test_a_clip_below_the_fork_threshold_starts_no_process(monkeypatch):
         raise OSError("no process may start")
 
     monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", refuse)
-    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     x = np.random.default_rng(6).normal(0, 0.1, (2 * F0_FORK_MIN + 10) * 80)
     short = AudioClip(x[:2 * F0_FORK_MIN * 80], 16000)     # 2040 windows after the trim
     assert extract_prosody(short).n_frames == 2 * F0_FORK_MIN // 10
@@ -550,7 +550,7 @@ def test_a_worker_that_dies_is_named(monkeypatch):
         return track_range(clip, lo, hi, step)
 
     monkeypatch.setattr(prosody, "_track_range", die_in_the_fork)
-    monkeypatch.setattr(prosody, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
     clip = AudioClip(np.random.default_rng(6).normal(0, 0.1, 2050 * 80), 16000)
     assert 2 * F0_FORK_MIN <= clip.n_windows == 2050
     with pytest.raises(RuntimeError, match=r"windows 1025\.\.2049 exited with code 3"):

@@ -134,17 +134,19 @@ def test_batches_gather_at_the_taps_one_function_names():
 
 
 def test_prosody_forks_its_workers_in_one_function():
-    # the F0 workers are processes forked by one function, from an explicit
-    # fork context; no thread or queue is left in prosody
-    tree = ast.parse((SRC / "prosody.py").read_text(encoding="utf-8"))
-    imported = {alias.name.split(".")[0] for node in ast.walk(tree)
-                if isinstance(node, ast.Import) for alias in node.names} \
-        | {node.module.split(".")[0] for node in ast.walk(tree)
-           if isinstance(node, ast.ImportFrom) and node.module}
+    # the F0 workers and the fold workers are processes forked by one
+    # function, from an explicit fork context; no module uses a thread or queue
+    imported, contexts = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported |= {alias.name.split(".")[0] for node in ast.walk(tree)
+                     if isinstance(node, ast.Import) for alias in node.names} \
+            | {node.module.split(".")[0] for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module}
+        contexts += [[getattr(arg, "value", None) for arg in node.args]
+                     for node in ast.walk(tree) if _calls(node, "get_context")]
     assert not imported & {"threading", "queue", "concurrent", "_thread"}
     starts = ("Process", "Pool", "ProcessPoolExecutor", "Popen", "fork", "get_context")
     assert sorted(set(callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
-                              in starts))) == ["prosody._track_f0"]
-    contexts = [[getattr(arg, "value", None) for arg in node.args]
-                for node in ast.walk(tree) if _calls(node, "get_context")]
+                              in starts))) == ["forked.run_ranges"]
     assert contexts == [["fork"]]
