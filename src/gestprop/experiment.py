@@ -41,11 +41,12 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
                          baseline_predict, binarize, compute_priors,
                          evaluate_property, flag_predictable, write_atomic,
                          write_json, write_predictions_csv, write_scores_csv)
-from .features import (MODALITIES, WindowProvider, build_features,
+from .features import (MODALITIES, WINDOW_STEPS, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec, from_fields,
                   input_taps, load_checkpoint, predict_probs, receptive_field,
                   save_checkpoint, typed)
+from .prosody import PROSODY_COLUMNS
 from .training import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -457,7 +458,9 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
     """Per-frame probability traces for every recording, one CSV each.
 
     The config's property and modality must be those the checkpoint was
-    trained for; the check runs before any corpus data is read.
+    trained for, its input shapes those the data gives and its speaker list
+    as long as its speaker input; the checks run before any corpus data is
+    read.
     """
     config.validate()
     spec, params, meta = load_checkpoint(checkpoint)
@@ -465,18 +468,28 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
         if meta.get(key, value) != value:
             raise ValueError(f"{checkpoint}: the model was trained for {key} "
                              f"{meta[key]!r}, not {value!r}")
+    served = {"audio_channels": len(PROSODY_COLUMNS), "audio_frames": WINDOW_STEPS["audio"],
+              "text_slots": WINDOW_STEPS["text"]}
+    for key, value in served.items():
+        if getattr(spec, key) != value:
+            raise ValueError(f"{checkpoint}: the model reads {key} {getattr(spec, key)}, "
+                             f"but the data gives {value}")
+    speakers = meta.get("speakers") or []
+    if len(speakers) != spec.speaker_dim:
+        raise ValueError(f"{checkpoint}: the model takes {spec.speaker_dim} speaker(s), "
+                         f"but its meta lists {len(speakers)}")
     if spec.audio is not None and "norm" not in meta:
         raise ValueError(f"{checkpoint}: an audio model needs a norm in its meta")
     out = _out_dir(config.out_dir)
     (out / "predictions").mkdir(exist_ok=True)
     dataset = _load_corpus(config)
-    provider = WindowProvider(dataset, config.prop, config.modality,
-                              speakers=meta.get("speakers") if spec.speaker_dim else None)
-    if spec.audio is not None:
-        try:
+    try:
+        provider = WindowProvider(dataset, config.prop, config.modality,
+                                  speakers=speakers or None)
+        if spec.audio is not None:
             provider.set_norm(meta["norm"])
-        except ValueError as exc:
-            raise ValueError(f"{checkpoint}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{checkpoint}: {exc}") from None
     names = SCHEMAS[config.prop].labels
 
     written = []

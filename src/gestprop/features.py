@@ -39,6 +39,8 @@ ABSENT_ID = -1     # empty window slot: zero embedding, zero offset
 OOV_ID = -2        # word present but unknown: zero embedding, real offset
 
 MODALITIES = ("audio", "text", "text_no_timing", "both")
+# window positions a batch serves per modality: +-1 s of frames, the word slots
+WINDOW_STEPS = {"audio": 2 * AUDIO_CONTEXT_FRAMES + 1, "text": WINDOW_SLOTS}
 
 
 def feature_paths(feature_dir: str | Path, rec_id: int) -> dict[str, Path]:
@@ -274,13 +276,12 @@ class WindowProvider:
         modality (net.input_taps), (B, len(taps), C); a tap off the window
         reads the clipped position times zero, as a conv's padding does."""
         idx = np.asarray(idx)
-        steps = {"audio": 2 * AUDIO_CONTEXT_FRAMES + 1, "text": WINDOW_SLOTS}
         out = {"labels": self._labels[idx], "audio": None, "text": None, "speaker": None}
         for name, used, gather in (("audio", self.uses_audio, self._audio),
                                    ("text", self.uses_text, self._text)):
             if used:
-                out[name] = gather(idx, np.clip(taps[name], 0, steps[name] - 1))
-                inside = (taps[name] >= 0) & (taps[name] < steps[name])
+                out[name] = gather(idx, np.clip(taps[name], 0, WINDOW_STEPS[name] - 1))
+                inside = (taps[name] >= 0) & (taps[name] < WINDOW_STEPS[name])
                 if not inside.all():
                     out[name] *= inside[:, None]
         if self.speakers is not None:

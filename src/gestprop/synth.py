@@ -17,6 +17,10 @@ intervals are planted at random inside events, and the audio becomes
 event-independent tone segments. All interval times are quantized to 1 ms
 before any synthesis so the written files are exactly reproducible.
 
+Fixed generation constants: audio at SAMPLE_RATE (16 kHz), about
+WORDS_PER_SEC (3) words a second, each a trigger word with probability
+TRIGGER_PROB (0.15), and EMBEDDING_DIM (300)-wide word vectors.
+
 Output layout: manifest.json, vectors.txt (word embeddings), coupling.json
 (ground truth for self-verification), and one directory per recording with
 audio.wav, transcript.tsv, annotations.tsv, and optional interlocutor.tsv.
@@ -49,6 +53,11 @@ TRIGGER_WORDS = {
     "size": ("big", "small", "huge"),
 }
 
+SAMPLE_RATE = 16000
+WORDS_PER_SEC = 3.0
+TRIGGER_PROB = 0.15
+EMBEDDING_DIM = 300
+
 TRIGGER_HALF_WINDOW = 0.4      # semantics extends +-0.4 s around a trigger onset
 
 PHASE_PLAN = (                  # (phase, lo, hi) duration bounds in seconds
@@ -70,19 +79,17 @@ TONE_FREQ_RANGE = (140.0, 260.0)
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Knobs of the generator; presets cover the standard experiments."""
+    """What the presets and the `synth` command set: corpus size and which
+    couplings are planted. Sample rate, word rate, trigger probability and
+    embedding width are the module constants SAMPLE_RATE, WORDS_PER_SEC,
+    TRIGGER_PROB and EMBEDDING_DIM."""
 
     name: str
     n_speakers: int = 8
     duration: float = 120.0
-    sample_rate: int = 16000
-    words_per_sec: float = 3.0
-    trigger_prob: float = 0.15
     text_coupling: bool = True
     audio_coupling: bool = True
     interlocutor: bool = False
-    noise_rate: float = 0.0
-    embedding_dim: int = 300
 
     def __post_init__(self):
         if self.n_speakers < 1:
@@ -90,17 +97,6 @@ class SynthSpec:
         if not 12.0 <= self.duration < math.inf:
             raise ValueError("duration must be finite and cover at least one event cycle, "
                              f"got {self.duration}")
-        if not 0.0 < self.words_per_sec < math.inf:
-            raise ValueError("words_per_sec must be positive and finite, "
-                             f"got {self.words_per_sec}")
-        if self.sample_rate < 8000:
-            raise ValueError(f"sample rate too low for pitch tracking: {self.sample_rate}")
-        if not 0.0 <= self.trigger_prob <= 1.0:
-            raise ValueError(f"trigger_prob must be in [0, 1], got {self.trigger_prob}")
-        if not 0.0 <= self.noise_rate <= 1.0:
-            raise ValueError(f"noise_rate must be in [0, 1], got {self.noise_rate}")
-        if self.embedding_dim < 1:
-            raise ValueError(f"embedding_dim must be positive, got {self.embedding_dim}")
 
 
 PRESETS = {
@@ -138,41 +134,21 @@ def _sample_events(spec: SynthSpec, rng: np.random.Generator) -> list[dict]:
             cur += d
         if cur > spec.duration - 1.0:
             break
-        if spec.noise_rate > 0.0:
-            segments = _jitter_segments(segments, spec.noise_rate, rng)
         segments = [(p, _ms(s), _ms(e)) for p, s, e in segments]
-        for (_, _, e0), (_, s1, _) in zip(segments, segments[1:]):
-            if s1 < e0:
-                raise ValueError(f"overlapping exclusive phases at {e0}/{s1}")
         events.append({"start": segments[0][1], "end": segments[-1][2],
                        "segments": segments})
         t = cur + rng.uniform(*GAP_RANGE)
     return events
 
 
-def _jitter_segments(segments: list, noise_rate: float,
-                     rng: np.random.Generator) -> list:
-    """Label noise: shift internal phase boundaries, keeping order."""
-    out = [list(s) for s in segments]
-    for i in range(len(out) - 1):
-        if rng.random() >= noise_rate:
-            continue
-        lo = out[i][1] + 0.02
-        hi = out[i + 1][2] - 0.02
-        b = float(np.clip(out[i][2] + rng.uniform(-0.15, 0.15), lo, hi))
-        out[i][2] = b
-        out[i + 1][1] = b
-    return out
-
-
 def _sample_words(spec: SynthSpec, rng: np.random.Generator):
-    """Filler stream with occasional trigger words; ~words_per_sec rate."""
+    """Filler stream with occasional trigger words; ~WORDS_PER_SEC rate."""
     words, triggers = [], {label: [] for label in TRIGGER_WORDS}
-    step = 1.0 / spec.words_per_sec
+    step = 1.0 / WORDS_PER_SEC
     t = 0.3 + rng.uniform(0.0, 0.2)
     while t < spec.duration - 0.6:
         dur = rng.uniform(0.5 * step, 0.85 * step)
-        if rng.random() < spec.trigger_prob:
+        if rng.random() < TRIGGER_PROB:
             label = sorted(TRIGGER_WORDS)[rng.integers(0, len(TRIGGER_WORDS))]
             word = TRIGGER_WORDS[label][rng.integers(0, len(TRIGGER_WORDS[label]))]
             triggers[label].append(_ms(t))
@@ -212,14 +188,12 @@ def _semantic_intervals(spec: SynthSpec, events: list[dict], triggers: dict,
 
 def _render_audio(spec: SynthSpec, events: list[dict],
                   rng: np.random.Generator) -> np.ndarray:
-    sr = spec.sample_rate
+    sr = SAMPLE_RATE
     n = int(round(spec.duration * sr))
     signal = rng.normal(0.0, NOISE_FLOOR, size=n)
 
     def add_tone(start: float, end: float, freq: float, amp: float):
         i0, i1 = int(round(start * sr)), min(int(round(end * sr)), n)
-        if i1 <= i0:
-            return
         ts = (np.arange(i0, i1) - i0) / sr
         signal[i0:i1] += amp * np.sin(2.0 * np.pi * freq * ts)
 
@@ -253,14 +227,14 @@ def _interlocutor_intervals(spec: SynthSpec, events: list[dict],
     return out
 
 
-def _write_embeddings(path: Path, spec: SynthSpec, rng: np.random.Generator):
+def _write_embeddings(path: Path, rng: np.random.Generator):
     vocab = list(FILLER_WORDS)
     for label in sorted(TRIGGER_WORDS):
         vocab.extend(TRIGGER_WORDS[label])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(vocab)} {spec.embedding_dim}\n")
+        fh.write(f"{len(vocab)} {EMBEDDING_DIM}\n")
         for word in vocab:
-            vec = rng.normal(0.0, 0.4, size=spec.embedding_dim)
+            vec = rng.normal(0.0, 0.4, size=EMBEDDING_DIM)
             fh.write(word + " " + " ".join(f"{v:.6f}" for v in vec) + "\n")
 
 
@@ -270,8 +244,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     root_ss = np.random.SeedSequence([int(seed)])
-    _write_embeddings(out / "vectors.txt", spec,
-                      np.random.default_rng(root_ss.spawn(1)[0]))
+    _write_embeddings(out / "vectors.txt", np.random.default_rng(root_ss.spawn(1)[0]))
 
     manifest, coupling = [], []
     for i in range(spec.n_speakers):
@@ -297,7 +270,7 @@ def generate_synthetic_corpus(spec: SynthSpec, seed: int,
             tiers.append(AnnotationTier("R.G.Right Phrase", cat_right))
 
         write_wav(rec_dir / "audio.wav",
-                  AudioClip(_render_audio(spec, events, rng), spec.sample_rate))
+                  AudioClip(_render_audio(spec, events, rng), SAMPLE_RATE))
         write_transcript(words, rec_dir / "transcript.tsv")
         write_annotations(tiers, rec_dir / "annotations.tsv")
         entry = {"id": i, "speaker": f"s{i:02d}",

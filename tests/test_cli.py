@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gestprop import cli, net
+from gestprop import cli, experiment, net
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,48 @@ def test_predict_rejects_a_norm_it_cannot_apply(pipeline, tmp_path, capsys, norm
     err = capsys.readouterr().err
     assert "bad_norm.ckpt: " in err and why in err
     assert not (tmp_path / "predictions" / "rec_00000.csv").exists()
+
+
+def predict_before_load(pipeline, tmp_path, monkeypatch, spec, meta) -> int:
+    """predict's exit code for a checkpoint of spec and meta; the corpus
+    must not load."""
+    corpus, run, _ = pipeline
+    ckpt = tmp_path / "reheaded.ckpt"
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0), meta)
+    loads = []
+    monkeypatch.setattr(experiment, "_load_corpus", loads.append)
+    rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
+                   "--embeddings", str(corpus / "vectors.txt"),
+                   "--out", str(tmp_path), "--features-dir", str(run / "features"),
+                   "--checkpoint", str(ckpt)])
+    assert loads == []
+    return rc
+
+
+UNIT_NORM = {"mean": [0.0] * 5, "std": [1.0] * 5}
+
+
+@pytest.mark.parametrize("key,value,served", [
+    ("audio_channels", 3, 5), ("audio_frames", 9, 41), ("text_slots", 5, 7)])
+def test_predict_refuses_input_shapes_the_data_does_not_give(
+        pipeline, tmp_path, capsys, monkeypatch, key, value, served):
+    # the provider gathers 5 channels over 41 frames and 7 word slots, so a
+    # model built for other windows would read the wrong frames
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, **{key: value})
+    meta = {"property": "presence", "modality": "both", "norm": UNIT_NORM}
+    assert predict_before_load(pipeline, tmp_path, monkeypatch, spec, meta) == 2
+    assert (f"reheaded.ckpt: the model reads {key} {value}, but the data gives {served}"
+            in capsys.readouterr().err)
+
+
+def test_predict_refuses_a_speaker_input_without_speaker_names(
+        pipeline, tmp_path, capsys, monkeypatch):
+    # without names the one-hot columns cannot be mapped to the corpus's speakers
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, speaker_dim=2)
+    meta = {"property": "presence", "modality": "both", "norm": UNIT_NORM}
+    assert predict_before_load(pipeline, tmp_path, monkeypatch, spec, meta) == 2
+    assert ("reheaded.ckpt: the model takes 2 speaker(s), but its meta lists 0"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("settings,named", [

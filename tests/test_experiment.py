@@ -513,7 +513,8 @@ def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
     unknown = tmp_path / "unknown.ckpt"
     net.save_checkpoint(unknown, spec, params,
                         {**meta, "speakers": [meta["speakers"][0], "zed"]})
-    with pytest.raises(ValueError, match=f"unknown speakers \\['{meta['speakers'][1]}'\\]"):
+    with pytest.raises(ValueError,
+                       match=f"unknown.ckpt: unknown speakers \\['{meta['speakers'][1]}'\\]"):
         run_predict(config, unknown)
 
 

@@ -133,19 +133,22 @@ def test_batches_gather_at_the_taps_one_function_names():
     assert found == [("experiment._predict", True), ("training.train", True)]
 
 
-def test_prosody_forks_its_workers_in_one_function():
+def test_workers_are_forked_in_one_function():
     # the F0 workers and the fold workers are processes forked by one
-    # function, from an explicit fork context; no module uses a thread or queue
-    imported, contexts = set(), []
+    # function, from an explicit fork context; no module uses a thread or
+    # queue, and only forked reaches for multiprocessing or ctypes
+    imported, contexts = {}, []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported |= {alias.name.split(".")[0] for node in ast.walk(tree)
-                     if isinstance(node, ast.Import) for alias in node.names} \
+        imported[path.stem] = {alias.name.split(".")[0] for node in ast.walk(tree)
+                               if isinstance(node, ast.Import) for alias in node.names} \
             | {node.module.split(".")[0] for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module}
         contexts += [[getattr(arg, "value", None) for arg in node.args]
                      for node in ast.walk(tree) if _calls(node, "get_context")]
-    assert not imported & {"threading", "queue", "concurrent", "_thread"}
+    assert not set().union(*imported.values()) & {"threading", "queue", "concurrent", "_thread"}
+    assert sorted(stem for stem, names in imported.items()
+                  if names & {"ctypes", "multiprocessing"}) == ["forked"]
     starts = ("Process", "Pool", "ProcessPoolExecutor", "Popen", "fork", "get_context")
     assert sorted(set(callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                               in starts))) == ["forked.run_ranges"]

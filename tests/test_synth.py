@@ -8,7 +8,7 @@ import pytest
 
 from gestprop.corpus import (PHASE, SEMANTICS, build_frame_table, rasterize)
 from gestprop.prosody import read_wav
-from gestprop import synth
+from gestprop import cli, synth
 from gestprop.synth import (PRESETS, SynthSpec, TRIGGER_WORDS,
                             generate_synthetic_corpus, preset)
 from text_reference import embed_word, read_vectors
@@ -143,14 +143,6 @@ def test_embeddings_cover_transcripts(small_corpus):
             assert np.any(embed_word(table, w) != 0.0)
 
 
-def test_label_noise_keeps_phases_exclusive(tmp_path):
-    spec = dataclasses.replace(SMALL, noise_rate=0.5)
-    recs = generate_synthetic_corpus(spec, seed=6, out_dir=tmp_path)
-    for rec in recs:
-        phase = rasterize(rec, PHASE, int(spec.duration * 20))
-        assert np.all(phase.sum(axis=1) <= 1)
-
-
 def test_presets_and_validation():
     assert set(PRESETS) == {"text_coupling", "audio_coupling", "combined"}
     assert preset("text_coupling").audio_coupling is False
@@ -160,19 +152,28 @@ def test_presets_and_validation():
     assert combined.interlocutor
     with pytest.raises(ValueError, match="preset"):
         preset("nope")
-    with pytest.raises(ValueError, match="trigger_prob"):
-        SynthSpec(name="x", trigger_prob=1.5)
     with pytest.raises(ValueError, match="duration"):
         SynthSpec(name="x", duration=5.0)
 
 
-@pytest.mark.parametrize("field,value", [("duration", float("nan")), ("duration", float("inf")),
-                                         ("words_per_sec", float("nan")),
-                                         ("words_per_sec", 0.0), ("words_per_sec", -1.0)])
+@pytest.mark.parametrize("field,value", [("duration", float("nan")), ("duration", float("inf"))])
 def test_spec_rejects_non_finite_or_non_positive_floats(field, value):
     # either would keep an event or word loop from reaching the recording's end
     with pytest.raises(ValueError, match=field):
         SynthSpec(name="x", **{field: value})
+
+
+def test_every_spec_field_is_set_by_a_preset_or_the_synth_command(monkeypatch):
+    # a setting that nothing varies is a module constant, not a field
+    seen = []
+    monkeypatch.setattr(cli, "generate_synthetic_corpus",
+                        lambda spec, seed, out_dir: seen.append(spec) or [])
+    assert cli.main(["synth", "--preset", "combined", "--out", "unused",
+                     "--speakers", "3", "--duration", "20"]) == 0
+    names = [f.name for f in dataclasses.fields(SynthSpec)]
+    by_command = {n for n in names if getattr(seen[0], n) != getattr(PRESETS["combined"], n)}
+    by_presets = {n for n in names if len({getattr(p, n) for p in PRESETS.values()}) > 1}
+    assert by_command | by_presets == set(names)
 
 
 def test_stroke_rarity(small_corpus):
