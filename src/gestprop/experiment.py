@@ -44,8 +44,8 @@ from .evaluation import (BASELINE_KINDS, PropertyReport, aggregate_folds,
 from .features import (MODALITIES, WINDOW_STEPS, WindowProvider, build_features,
                        feature_paths, load_dataset)
 from .net import (DecoderSpec, EncoderSpec, ModelParams, ModelSpec, from_fields,
-                  input_taps, load_checkpoint, predict_probs, receptive_field,
-                  save_checkpoint, typed)
+                  load_checkpoint, predict_probs, receptive_field, save_checkpoint,
+                  typed)
 from .prosody import PROSODY_COLUMNS
 from .training import TrainConfig, train
 
@@ -245,17 +245,16 @@ def _score_chance(dataset, config: ExperimentConfig, plan) -> dict:
     return {kind: aggregate_folds(reports) for kind, reports in per_kind.items()}
 
 
-def _predict(spec: ModelSpec, params, provider: WindowProvider,
+def _predict(spec: ModelSpec, params: ModelParams, provider: WindowProvider,
              idx: np.ndarray) -> np.ndarray:
     """Inference-mode probabilities at the frames idx, PREDICT_CHUNK at a time.
 
     A chunk's inputs are gathered only when it runs, with the provider's
     normalization at that moment, so memory does not grow with len(idx).
     """
-    taps = input_taps(spec)
     outs = []
     for lo in range(0, len(idx), PREDICT_CHUNK):
-        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], taps)
+        batch = provider.batch(idx[lo:lo + PREDICT_CHUNK], params.taps)
         outs.append(predict_probs(spec, params, audio=batch["audio"],
                                   text=batch["text"], speaker=batch["speaker"]))
         del batch                   # a block's taps die before the next is gathered
@@ -460,7 +459,8 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
     The config's property and modality must be those the checkpoint was
     trained for, its input shapes those the data gives and its speaker list
     as long as its speaker input; the checks run before any corpus data is
-    read.
+    read. A text model's rows must be as wide as the word vectors plus the
+    timing column, checked once they are read, before any frame is scored.
     """
     config.validate()
     spec, params, meta = load_checkpoint(checkpoint)
@@ -488,6 +488,11 @@ def run_predict(config: ExperimentConfig, checkpoint: str | Path) -> list[str]:
                                   speakers=speakers or None)
         if spec.audio is not None:
             provider.set_norm(meta["norm"])
+        width = dataset.emb_matrix.shape[1]
+        if spec.text is not None and spec.text_dim != width + 1:
+            raise ValueError(f"the model reads text rows {spec.text_dim} wide, but the "
+                             f"vectors in {config.embeddings} give {width} + 1 timing "
+                             f"= {width + 1}")
     except ValueError as exc:
         raise ValueError(f"{checkpoint}: {exc}") from None
     names = SCHEMAS[config.prop].labels

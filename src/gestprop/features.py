@@ -244,6 +244,8 @@ class WindowProvider:
 
     def set_norm(self, state: dict) -> None:
         """Use saved statistics: finite, one per channel, every std > 0."""
+        if not isinstance(state, dict):
+            raise ValueError(f"norm must be a JSON object with a mean and a std, got {state!r}")
         mean = np.asarray(state.get("mean"), dtype=np.float32)
         std = np.asarray(state.get("std"), dtype=np.float32)
         n = len(PROSODY_COLUMNS)
@@ -272,9 +274,9 @@ class WindowProvider:
         return out
 
     def batch(self, idx: np.ndarray, taps: dict[str, np.ndarray]) -> dict:
-        """Windows at frames idx gathered at the positions taps names per
-        modality (net.input_taps), (B, len(taps), C); a tap off the window
-        reads the clipped position times zero, as a conv's padding does."""
+        """Windows at frames idx gathered at a model's ModelParams.taps, the
+        positions taps names per modality, (B, len(taps), C); a tap off the
+        window reads the clipped position times zero, as a conv's padding does."""
         idx = np.asarray(idx)
         out = {"labels": self._labels[idx], "audio": None, "text": None, "speaker": None}
         for name, used, gather in (("audio", self.uses_audio, self._audio),

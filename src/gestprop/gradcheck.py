@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params, input_taps
+from .net import DecoderSpec, EncoderSpec, ModelSpec, forward, init_params
 from .training import LossSpec, loss_batch
 
 DEFAULT_EPS = 1e-5
@@ -64,9 +64,8 @@ def check_model_case(head: str, loss: LossSpec, seed: int = 0,
     params = init_params(spec, seed=seed, dtype=np.float64)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
     batch = 3
-    taps = input_taps(spec)
-    audio = rng.normal(size=(batch, len(taps["audio"]), spec.audio_channels))
-    text = rng.normal(size=(batch, len(taps["text"]), spec.text_dim))
+    audio = rng.normal(size=(batch, len(params.taps["audio"]), spec.audio_channels))
+    text = rng.normal(size=(batch, len(params.taps["text"]), spec.text_dim))
     speaker = np.zeros((batch, spec.speaker_dim))
     speaker[np.arange(batch), rng.integers(0, spec.speaker_dim, batch)] = 1.0
     if head == "softmax":
@@ -78,13 +77,11 @@ def check_model_case(head: str, loss: LossSpec, seed: int = 0,
     exclusive = head == "softmax"
 
     def value() -> float:
-        probs, _ = forward(spec, params, audio=audio, text=text, speaker=speaker)
-        return loss_batch(probs, targets, loss, exclusive, counts).item()
+        probs = forward(spec, params, audio=audio, text=text, speaker=speaker)
+        return loss_batch(probs, targets, loss, exclusive, counts)
 
-    grad = np.empty_like(params.flat)
-    probs, _ = forward(spec, params, audio=audio, text=text, speaker=speaker, grad=grad)
-    loss_batch(probs, targets, loss, exclusive, counts).backward()
-    return relative_error(grad, numeric_grad(value, params.flat, eps))
+    value().backward()              # into params.grad, zero in fresh params
+    return relative_error(params.grad, numeric_grad(lambda: value().item(), params.flat, eps))
 
 
 def run_gradcheck(seed: int = 0, eps: float = DEFAULT_EPS) -> dict:

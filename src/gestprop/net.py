@@ -174,24 +174,27 @@ def _n_params(spec: ModelSpec) -> int:
 
 
 class ModelParams:
-    """Every parameter in one vector, in _layer_dims order; .tensors are
-    named views into it, so an update of .flat updates them all."""
+    """A model's parameters and the layout forward runs on, built once:
+    .flat, every parameter in one vector in _layer_dims order; .tensors,
+    named views into it, so an update of .flat updates them all; .grad, one
+    vector laid out like .flat, zero at first; .leaves, the graph's parameter
+    tensors on .tensors, each with its .grad bound to its view of .grad, so
+    backward() adds every gradient there; .taps, input_taps(spec), read-only."""
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
         if flat.shape != (_n_params(spec),):
             raise ValueError(f"the model has {_n_params(spec)} parameters, "
                              f"got a vector of shape {flat.shape}")
-        self.flat = flat
-        self.tensors = _views(spec, flat)
-
-
-def _views(spec: ModelSpec, flat: np.ndarray) -> dict[str, np.ndarray]:
-    """Named views into a vector laid out like the parameters, in _layer_dims order."""
-    views, end = {}, 0
-    for name, shape, _ in _layer_dims(spec):
-        start, end = end, end + math.prod(shape)
-        views[name] = flat[start:end].reshape(shape)
-    return views
+        self.flat, self.grad = flat, np.zeros_like(flat)
+        self.tensors, self.leaves, end = {}, {}, 0
+        for name, shape, _ in _layer_dims(spec):
+            start, end = end, end + math.prod(shape)
+            self.tensors[name] = flat[start:end].reshape(shape)
+            self.leaves[name] = leaf = Tensor(self.tensors[name], requires_grad=True)
+            leaf.grad = self.grad[start:end].reshape(shape)
+        self.taps = input_taps(spec)
+        for arr in self.taps.values():
+            arr.setflags(write=False)
 
 
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
@@ -229,7 +232,7 @@ def _grid_rows(enc: EncoderSpec, n: int, layer: int) -> np.ndarray:
 def input_taps(spec: ModelSpec) -> dict[str, np.ndarray]:
     """Per encoder, the window position each tap of its first layer reads, row
     by row: audio on audio_frames, text on text_slots, a tap off the window
-    outside 0..steps-1. forward takes the windows gathered at these."""
+    outside 0..steps-1. ModelParams holds them as .taps."""
     encoders = {"audio": (spec.audio, spec.audio_frames), "text": (spec.text, spec.text_slots)}
     return {name: (_grid_rows(enc, steps, 0)[:, None] + np.arange(enc.kernel)
                    - enc.kernel // 2).ravel()
@@ -283,25 +286,13 @@ def forward(spec: ModelSpec, params: ModelParams,
             text: np.ndarray | None = None,
             speaker: np.ndarray | None = None,
             training: bool = False,
-            rng: np.random.Generator | None = None,
-            grad: np.ndarray | None = None) -> tuple[Tensor, dict[str, Tensor]]:
-    """Class probabilities for a batch of frames.
-
-    audio: (B, taps, 5) and text: (B, taps, 301), windows gathered at
-    input_taps(spec); speaker: (B, speaker_dim) one-hot. Returns (probs,
-    param_tensors): probs is (B, n_labels), sigmoid per label or a softmax
-    row depending on the head; param_tensors carry the
-    gradients after probs-derived losses call backward(). Given grad, a
-    vector laid out like params.flat, forward zeroes it and binds each
-    parameter tensor's .grad to its view, so backward() accumulates every
-    gradient there.
-    """
-    pt = {name: Tensor(arr, requires_grad=True) for name, arr in params.tensors.items()}
-    if grad is not None:
-        grad.fill(-0.0)         # -0.0 + g is g bit for bit; +0.0 + -0.0 is +0.0
-        for t, view in zip(pt.values(), _views(spec, grad).values()):
-            t.grad = view
-    taps = input_taps(spec)
+            rng: np.random.Generator | None = None) -> Tensor:
+    """Class probabilities (B, n_labels) of a batch of frames: a sigmoid per
+    label or a softmax row, by the head. audio: (B, taps, 5) and text: (B,
+    taps, 301) are windows gathered at params.taps; speaker: (B, speaker_dim)
+    one-hot. The graph's parameter tensors are params.leaves, so backward()
+    on a loss of probs adds its gradients into params.grad."""
+    pt, taps = params.leaves, params.taps
     embeddings = []
     if spec.audio is not None:
         a = _checked("audio taps", audio, (len(taps["audio"]), spec.audio_channels))
@@ -318,8 +309,7 @@ def forward(spec: ModelSpec, params: ModelParams,
         h = T.relu(T.linear(h, pt[f"dec.fc{i}.w"], pt[f"dec.fc{i}.b"]))
         h = T.dropout(h, spec.decoder.dropout, rng, training)
     logits = T.linear(h, pt["head.w"], pt["head.b"])
-    probs = T.sigmoid(logits) if spec.head == "sigmoid" else T.softmax(logits)
-    return probs, pt
+    return T.sigmoid(logits) if spec.head == "sigmoid" else T.softmax(logits)
 
 
 def predict_probs(spec: ModelSpec, params: ModelParams,
@@ -327,8 +317,8 @@ def predict_probs(spec: ModelSpec, params: ModelParams,
                   text: np.ndarray | None = None,
                   speaker: np.ndarray | None = None) -> np.ndarray:
     """Inference-mode probabilities of one batch, as an array; the inputs
-    are forward's, gathered at input_taps(spec)."""
-    return forward(spec, params, audio=audio, text=text, speaker=speaker)[0].data
+    are forward's, gathered at params.taps."""
+    return forward(spec, params, audio=audio, text=text, speaker=speaker).data
 
 
 # ------------------------------------------------------------------ checkpoints

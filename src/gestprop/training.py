@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evaluation import PropertyReport
-from .net import ModelParams, ModelSpec, forward, init_params, input_taps
+from .net import ModelParams, ModelSpec, forward, init_params
 from .tensor import Tensor
 
 log = logging.getLogger(__name__)
@@ -220,8 +220,9 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
           seed: int, score) -> tuple[ModelParams, RunRecord]:
     """Train one model on one fold.
 
-    provider supplies `.batch(indices, input_taps(spec))` -> dict with keys audio/text
+    provider supplies `.batch(indices, params.taps)` -> dict with keys audio/text
     (windows at the taps)/speaker, each maybe None, and labels, plus `.exclusive` and `.labels_at`.
+    A step zeroes params.grad, backward() adds its gradients there, and Adam steps on it.
     score(params) -> PropertyReport scores weights on the validation frames;
     at evenly spaced eval points its result becomes `record.report` and its
     headline extends the validation curve. `record.report` always describes
@@ -234,7 +235,6 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     s_init, s_batch, s_drop, s_up = (int(c.generate_state(1)[0]) for c in ss.spawn(4))
     params = init_params(spec, seed=s_init)
     opt = Adam(params.flat, lr=config.lr)
-    grad = np.empty_like(params.flat)       # each step's gradients, laid out like flat
     rng_batch = np.random.default_rng(s_batch)
     rng_drop = np.random.default_rng(s_drop)
 
@@ -249,7 +249,6 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
         log.warning("class-balanced weights: %d label(s) have zero positives; using 1.0",
                     int((class_counts == 0).sum()))
 
-    taps = input_taps(spec)
     eval_steps = sorted({
         (config.steps * (i + 1)) // config.evals for i in range(config.evals)
     })
@@ -257,10 +256,10 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
     seg_losses: list[float] = []
     for step in range(1, config.steps + 1):
         idx = pool[rng_batch.integers(0, len(pool), size=config.batch)]
-        batch = provider.batch(idx, taps)
-        probs, _ = forward(spec, params, audio=batch.get("audio"),
-                           text=batch.get("text"), speaker=batch.get("speaker"),
-                           training=True, rng=rng_drop, grad=grad)
+        batch = provider.batch(idx, params.taps)
+        params.grad.fill(-0.0)          # -0.0 + g is g bit for bit; +0.0 + -0.0 is +0.0
+        probs = forward(spec, params, audio=batch.get("audio"), text=batch.get("text"),
+                        speaker=batch.get("speaker"), training=True, rng=rng_drop)
         loss = loss_batch(probs, batch["labels"], config.loss,
                           provider.exclusive, class_counts)
         value = loss.item()
@@ -271,7 +270,7 @@ def train(spec: ModelSpec, provider, train_idx: np.ndarray, config: TrainConfig,
             break
         seg_losses.append(value / len(idx))
         loss.backward()
-        opt.step(grad)
+        opt.step(params.grad)
         del batch, probs, loss              # the step's graph dies before validation scoring
         if step in eval_steps:
             record.report = score(params)

@@ -101,6 +101,7 @@ def test_predict_takes_property_and_modality_from_the_checkpoint(
     ({"mean": [0.5], "std": [2.0]}, "got mean [0.5] and std [2.0]"),
     ({"mean": [0.0] * 5, "std": [1.0, 1.0, 0.0, 1.0, 1.0]}, "stds > 0"),
     ({"mean": [0.0, float("nan"), 0.0, 0.0, 0.0], "std": [1.0] * 5}, "got mean [0.0, nan"),
+    ([1, 2], "norm must be a JSON object with a mean and a std, got [1, 2]"),
 ])
 def test_predict_rejects_a_norm_it_cannot_apply(pipeline, tmp_path, capsys, norm, why):
     # one mean would broadcast over all five channels and a zero std gives
@@ -162,6 +163,25 @@ def test_predict_refuses_a_speaker_input_without_speaker_names(
     assert predict_before_load(pipeline, tmp_path, monkeypatch, spec, meta) == 2
     assert ("reheaded.ckpt: the model takes 2 speaker(s), but its meta lists 0"
             in capsys.readouterr().err)
+
+
+def test_predict_refuses_text_rows_the_vectors_do_not_give(
+        pipeline, tmp_path, capsys):
+    # the width is the word vectors' plus the timing column; it is known once
+    # the vectors are read, and no block may be scored before it is checked
+    corpus, run, _ = pipeline
+    spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=None, text_dim=51)
+    ckpt = tmp_path / "narrow.ckpt"
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0),
+                        {"property": "presence", "modality": "text"})
+    vectors = corpus / "vectors.txt"
+    rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
+                   "--embeddings", str(vectors), "--out", str(tmp_path),
+                   "--features-dir", str(run / "features"), "--checkpoint", str(ckpt)])
+    assert rc == 2
+    assert (f"narrow.ckpt: the model reads text rows 51 wide, but the vectors in "
+            f"{vectors} give 300 + 1 timing = 301") in capsys.readouterr().err
+    assert not (tmp_path / "predictions" / "rec_00000.csv").exists()
 
 
 @pytest.mark.parametrize("settings,named", [

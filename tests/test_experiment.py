@@ -459,10 +459,9 @@ def test_a_training_step_and_a_scoring_block_peak_near_their_text_taps(corpus_di
     enc = net.EncoderSpec(layers=2, channels=32, out_dim=32)
     spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
                          decoder=net.DecoderSpec(hidden=48))
-    taps = net.input_taps(spec)
-    text_taps = 64 * len(taps["text"]) * spec.text_dim * 4
     params = net.init_params(spec, seed=0)
-    grad = np.empty_like(params.flat)
+    taps = params.taps
+    text_taps = 64 * len(taps["text"]) * spec.text_dim * 4
     opt = Adam(params.flat, lr=2e-3)
     rng = np.random.default_rng(0)
     idx = np.flatnonzero(ds.eligible)[:64]
@@ -470,10 +469,11 @@ def test_a_training_step_and_a_scoring_block_peak_near_their_text_taps(corpus_di
 
     def step():
         batch = provider.batch(idx, taps)
-        probs, _ = net.forward(spec, params, audio=batch["audio"], text=batch["text"],
-                               training=True, rng=rng, grad=grad)
+        params.grad.fill(-0.0)
+        probs = net.forward(spec, params, audio=batch["audio"], text=batch["text"],
+                            training=True, rng=rng)
         loss_batch(probs, batch["labels"], LossSpec(), exclusive=False).backward()
-        opt.step(grad)
+        opt.step(params.grad)
 
     for fn, bound in ((step, 2.0 * text_taps),
                       (lambda: _predict(spec, params, provider, idx), 1.5 * text_taps)):

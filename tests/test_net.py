@@ -86,13 +86,13 @@ def test_parameter_names_and_shapes():
 def test_forward_shapes_and_ranges():
     spec = small_spec("sigmoid")
     params = init_params(spec, seed=1)
-    probs, _ = forward(spec, params, **batch_for(spec, 5))
+    probs = forward(spec, params, **batch_for(spec, 5))
     assert probs.shape == (5, 4)
     assert np.all((probs.data > 0) & (probs.data < 1))
 
     soft = small_spec("softmax", n_labels=5)
     sparams = init_params(soft, seed=1)
-    sprobs, _ = forward(soft, sparams, **batch_for(soft, 5))
+    sprobs = forward(soft, sparams, **batch_for(soft, 5))
     assert np.allclose(sprobs.data.sum(axis=1), 1.0, atol=1e-6)
 
 
@@ -100,8 +100,8 @@ def test_forward_deterministic_without_dropout():
     spec = small_spec()
     params = init_params(spec, seed=2)
     batch = batch_for(spec, 4)
-    a, _ = forward(spec, params, **batch)
-    b, _ = forward(spec, params, **batch)
+    a = forward(spec, params, **batch)
+    b = forward(spec, params, **batch)
     assert np.array_equal(a.data, b.data)
 
 
@@ -114,16 +114,13 @@ def test_dropout_needs_rng_and_changes_output():
     batch = batch_for(spec, 4)
     with pytest.raises(ValueError, match="rng"):
         forward(spec, params, **batch, training=True)
-    a, _ = forward(spec, params, **batch, training=True,
-                   rng=np.random.default_rng(0))
-    b, _ = forward(spec, params, **batch, training=True,
-                   rng=np.random.default_rng(0))
-    c, _ = forward(spec, params, **batch, training=True,
-                   rng=np.random.default_rng(1))
+    a = forward(spec, params, **batch, training=True, rng=np.random.default_rng(0))
+    b = forward(spec, params, **batch, training=True, rng=np.random.default_rng(0))
+    c = forward(spec, params, **batch, training=True, rng=np.random.default_rng(1))
     assert np.array_equal(a.data, b.data)
     assert not np.array_equal(a.data, c.data)
-    eval_a, _ = forward(spec, params, **batch)
-    eval_b, _ = forward(spec, params, **batch)
+    eval_a = forward(spec, params, **batch)
+    eval_b = forward(spec, params, **batch)
     assert np.array_equal(eval_a.data, eval_b.data)
 
 
@@ -415,27 +412,27 @@ def test_params_are_named_views_of_one_vector():
         ModelParams(spec, params.flat[:-1])
 
 
-def _bound_and_unbound_grads(spec, params, batch, targets, grad):
-    """(the bound vector after one backward, the unbound path's per-tensor
-    .grads concatenated in _layer_dims order), under one dropout stream."""
-    out = []
-    for bind in (grad, None):
-        probs, pt = forward(spec, params, **batch, training=True,
-                            rng=np.random.default_rng(9), grad=bind)
+def _bound_and_unbound_grads(spec, params, batch, targets):
+    """(params.grad after one backward, the per-tensor .grads of a second
+    ModelParams on the same .flat with its leaves' .grad unbound,
+    concatenated in _layer_dims order), under one dropout stream."""
+    unbound = ModelParams(spec, params.flat)
+    for leaf in unbound.leaves.values():
+        leaf.grad = None
+    for p in (params, unbound):
+        probs = forward(spec, p, **batch, training=True, rng=np.random.default_rng(9))
         loss_batch(probs, targets, LossSpec("focal"), spec.head == "softmax").backward()
-        out.append(pt)
-    bound, unbound = out
-    assert all(np.shares_memory(t.grad, grad) for t in bound.values())
-    return grad.copy(), np.concatenate([unbound[name].grad.ravel()
-                                        for name, _, _ in _layer_dims(spec)])
+    assert all(np.shares_memory(t.grad, params.grad) for t in params.leaves.values())
+    return params.grad.copy(), np.concatenate([unbound.leaves[name].grad.ravel()
+                                               for name, _, _ in _layer_dims(spec)])
 
 
 @pytest.mark.parametrize("modality", ["audio", "text", "both"])
 @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
 def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, head):
-    # forward(grad=) zeroes one vector laid out like params.flat and binds each
-    # parameter's .grad to its view; the unbound path's own .grads are the
-    # reference, compared as bytes so that a zero's sign counts too
+    # ModelParams binds each leaf's .grad to its view of one vector laid out
+    # like .flat; leaves whose .grad starts unbound are the reference,
+    # compared as bytes so that a zero's sign counts too
     enc = EncoderSpec(layers=2, channels=6, kernel=3, dropout=0.3, out_dim=8)
     spec = ModelSpec(head=head, n_labels=3,
                      audio=enc if modality != "text" else None,
@@ -448,11 +445,22 @@ def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, he
     batch = {k: v.astype(np.float32) for k, v in batch_for(spec, 16, rng).items()}
     targets = np.zeros((16, 3), dtype=np.float32)
     targets[np.arange(16), rng.integers(0, 3, 16)] = 1.0
-    grad = np.full(params.flat.shape, np.nan, dtype=np.float32)
-    for _ in range(2):          # the second call zeroes what the first left
-        got, want = _bound_and_unbound_grads(spec, params, batch, targets, grad)
+    params.grad[:] = np.nan
+    for _ in range(2):          # train's per-step fill erases the previous step's gradient
+        params.grad.fill(-0.0)
+        got, want = _bound_and_unbound_grads(spec, params, batch, targets)
         assert got.tobytes() == want.tobytes()
     assert np.count_nonzero(want) > 0.5 * want.size
+
+
+def test_the_taps_are_read_only():
+    # every forward and batch of a model reads one params.taps; a write to
+    # it would move the windows of every later step
+    params = init_params(small_spec(), seed=0)
+    assert set(params.taps) == {"audio", "text"}
+    for taps in params.taps.values():
+        with pytest.raises(ValueError, match="read-only"):
+            taps[0] = 0
 
 
 def test_checkpoint_format_is_a_header_then_each_parameter_in_turn(tmp_path):

@@ -111,26 +111,40 @@ def _calls(node, name: str) -> bool:
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
 
 
+def _functions(tree, module: str):
+    """(module.function or module.Class.method, node) for each top-level
+    function and method; a nested function counts as the one around it."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{module}.{top.name}.{fn.name}", fn) for fn in top.body
+                        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{module}.{top.name}", top
+
+
 def test_batches_gather_at_the_taps_one_function_names():
-    # train and _predict pass WindowProvider.batch the taps net.input_taps
-    # names, the window positions the encoders' first layers read, bound to
-    # a name in the same function or passed as the call itself
-    found = []
+    # a model's layout (its taps, and its graph leaves with their .grad bound
+    # to views of one vector) is built once, in ModelParams; forward has one
+    # mode, with no gradient vector to bind; train and _predict gather their
+    # batches at the model's params.taps
+    layout, batches, forward_args = [], [], None
     for path in sorted(SRC.glob("*.py")):
-        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            named = {target.id for node in ast.walk(fn)
-                     if isinstance(node, ast.Assign) and _calls(node.value, "input_taps")
-                     for target in node.targets if isinstance(target, ast.Name)}
+        for name, fn in _functions(ast.parse(path.read_text(encoding="utf-8")), path.stem):
+            if name == "net.forward":
+                forward_args = [a.arg for a in fn.args.args + fn.args.kwonlyargs]
             for node in ast.walk(fn):
+                binds = isinstance(node, ast.Assign) and path.stem != "tensor" \
+                    and any(getattr(t, "attr", None) == "grad" for t in node.targets)
+                if binds or _calls(node, "input_taps"):
+                    layout.append(name)
                 if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "batch":
                     given = node.args[1:2] + [k.value for k in node.keywords if k.arg == "taps"]
-                    taps = given[0] if given else None
-                    found.append((f"{path.stem}.{fn.name}",
-                                  getattr(taps, "id", None) in named
-                                  or _calls(taps, "input_taps")))
-    assert found == [("experiment._predict", True), ("training.train", True)]
+                    taps = ast.unparse(given[0]) if given else None
+                    batches.append((name, taps))
+    assert set(layout) == {"net.ModelParams.__init__"}
+    assert forward_args is not None and "grad" not in forward_args
+    assert batches == [("experiment._predict", "params.taps"),
+                       ("training.train", "params.taps")]
 
 
 def test_workers_are_forked_in_one_function():

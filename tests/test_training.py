@@ -252,19 +252,19 @@ def test_adam_step_allocates_no_parameter_sized_temporaries():
 def test_gradients_zero_and_bind_allocate_no_parameter_sized_vector():
     spec = _alloc_guard_spec()
     params = init_params(spec, seed=0)
-    grad = np.empty_like(params.flat)
     rng = np.random.default_rng(0)
-    audio = rng.normal(size=(1, len(input_taps(spec)["audio"]), spec.audio_channels)
+    audio = rng.normal(size=(1, len(params.taps["audio"]), spec.audio_channels)
                        ).astype(np.float32)
 
-    def step():
-        probs, _ = forward(spec, params, audio=audio, training=True, rng=rng, grad=grad)
+    def step():                 # train's step: zero params.grad, then add into it
+        params.grad.fill(-0.0)
+        probs = forward(spec, params, audio=audio, training=True, rng=rng)
         loss_batch(probs, np.ones((1, 1), dtype=np.float32), LossSpec(),
                    exclusive=False).backward()
 
     step()
     assert _traced_peak(step) < params.flat.nbytes / 4
-    assert np.count_nonzero(grad)
+    assert np.count_nonzero(params.grad)
 
 
 def test_upsample_reaches_half_majority():
@@ -458,10 +458,10 @@ def test_training_step_builds_20_op_nodes():
                      decoder=DecoderSpec(hidden=48))
     rng = np.random.default_rng(0)
     taps = input_taps(spec)
-    probs, _ = forward(spec, init_params(spec, seed=0),
-                       audio=rng.normal(size=(4, len(taps["audio"]), spec.audio_channels)),
-                       text=rng.normal(size=(4, len(taps["text"]), spec.text_dim)),
-                       training=True, rng=rng)
+    probs = forward(spec, init_params(spec, seed=0),
+                    audio=rng.normal(size=(4, len(taps["audio"]), spec.audio_channels)),
+                    text=rng.normal(size=(4, len(taps["text"]), spec.text_dim)),
+                    training=True, rng=rng)
     loss = loss_batch(probs, np.ones((4, 1)), LossSpec(), exclusive=False)
     seen, stack = {}, [loss]
     while stack:
