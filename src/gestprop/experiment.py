@@ -327,6 +327,7 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
             params, record = train(spec, provider, pool, config.train,
                                    _fold_seed(config.seed, fold), score)
             done.append((len(pool), params.flat, record, provider.norm_state()))
+            del params          # its gradient vector dies before the next fold trains
         return done
 
     workers = min(forked.usable_cpus(), plan.n_folds) \

@@ -175,26 +175,30 @@ def _n_params(spec: ModelSpec) -> int:
 
 class ModelParams:
     """A model's parameters and the layout forward runs on, built once:
-    .flat, every parameter in one vector in _layer_dims order; .tensors,
-    named views into it, so an update of .flat updates them all; .grad, one
+    .flat, every parameter in one vector in _layer_dims order; .grad, one
     vector laid out like .flat, zero at first; .leaves, the graph's parameter
-    tensors on .tensors, each with its .grad bound to its view of .grad, so
-    backward() adds every gradient there; .taps, input_taps(spec), read-only."""
+    tensors, each on its view of .flat with its .grad bound to its view of
+    .grad, so an update of .flat updates them all and backward() adds every
+    gradient into .grad; .taps, input_taps(spec), read-only."""
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
         if flat.shape != (_n_params(spec),):
             raise ValueError(f"the model has {_n_params(spec)} parameters, "
                              f"got a vector of shape {flat.shape}")
         self.flat, self.grad = flat, np.zeros_like(flat)
-        self.tensors, self.leaves, end = {}, {}, 0
+        self.leaves, end = {}, 0
         for name, shape, _ in _layer_dims(spec):
             start, end = end, end + math.prod(shape)
-            self.tensors[name] = flat[start:end].reshape(shape)
-            self.leaves[name] = leaf = Tensor(self.tensors[name], requires_grad=True)
+            self.leaves[name] = leaf = Tensor(flat[start:end].reshape(shape), requires_grad=True)
             leaf.grad = self.grad[start:end].reshape(shape)
         self.taps = input_taps(spec)
         for arr in self.taps.values():
             arr.setflags(write=False)
+
+    @property
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Each parameter by name: its leaf's view of .flat."""
+        return {name: leaf.data for name, leaf in self.leaves.items()}
 
 
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
@@ -204,7 +208,7 @@ def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
     for name, shape, fan_in in _layer_dims(spec):
         if fan_in is not None:
             a = np.sqrt(6.0 / fan_in)
-            params.tensors[name][...] = rng.uniform(-a, a, size=shape)
+            params.leaves[name].data[...] = rng.uniform(-a, a, size=shape)
     return params
 
 

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import shutil
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -598,6 +599,26 @@ def test_fold_errors_are_raised_in_fold_order(corpus_dir, featured, tmp_path,
     with pytest.raises(ValueError, match="fold 2 failed"):
         run_cv(config)
     assert multiprocessing.active_children() == []
+
+
+def test_a_fold_frees_its_model_before_the_next_fold_trains(corpus_dir, featured, tmp_path,
+                                                            monkeypatch):
+    # a fold keeps only its .flat: a finished fold's ModelParams, and with it
+    # its gradient vector, would raise the peak of every later fold's training
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=3)
+    train, finished = experiment.train, []
+
+    def tracked(*args):
+        assert all(ref() is None for ref in finished)
+        params, record = train(*args)
+        finished.append(weakref.ref(params))
+        return params, record
+
+    monkeypatch.setattr(experiment, "train", tracked)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 1)
+    run_cv(config)
+    assert len(finished) == 3
 
 
 def test_a_fold_worker_that_dies_is_named(corpus_dir, featured, tmp_path, monkeypatch):

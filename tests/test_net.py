@@ -1,19 +1,22 @@
 """Model construction, forward pass and checkpoints."""
 
+import copy
 import json
 import re
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from gestprop import tensor as T
+from gestprop import training
 from gestprop.net import (CHECKPOINT_MAGIC, DecoderSpec, EncoderSpec, ModelParams,
                           ModelSpec, _layer_dims, conv_stack, field_width, forward,
                           from_fields, init_params, input_taps, load_checkpoint,
                           predict_probs, receptive_field, save_checkpoint)
 from gestprop.tensor import Tensor
-from gestprop.training import LossSpec, loss_batch
+from gestprop.training import loss_batch
 from autodiff_reference import weighted_sum
 from window_reference import conv_stack_on_windows, gather_taps
 
@@ -412,27 +415,30 @@ def test_params_are_named_views_of_one_vector():
         ModelParams(spec, params.flat[:-1])
 
 
-def _bound_and_unbound_grads(spec, params, batch, targets):
-    """(params.grad after one backward, the per-tensor .grads of a second
-    ModelParams on the same .flat with its leaves' .grad unbound,
-    concatenated in _layer_dims order), under one dropout stream."""
-    unbound = ModelParams(spec, params.flat)
-    for leaf in unbound.leaves.values():
-        leaf.grad = None
-    for p in (params, unbound):
-        probs = forward(spec, p, **batch, training=True, rng=np.random.default_rng(9))
-        loss_batch(probs, targets, LossSpec("focal"), spec.head == "softmax").backward()
-    assert all(np.shares_memory(t.grad, params.grad) for t in params.leaves.values())
-    return params.grad.copy(), np.concatenate([unbound.leaves[name].grad.ravel()
-                                               for name, _, _ in _layer_dims(spec)])
+class _GatheredProvider:
+    """Frames whose windows are already gathered at a spec's taps, for train."""
+
+    def __init__(self, windows, labels, exclusive):
+        self.windows, self.labels, self.exclusive = windows, labels, exclusive
+
+    def batch(self, idx, taps):
+        return {**{k: v[idx] for k, v in self.windows.items()}, "labels": self.labels[idx]}
+
+    def labels_at(self, idx):
+        return self.labels[idx]
 
 
 @pytest.mark.parametrize("modality", ["audio", "text", "both"])
 @pytest.mark.parametrize("head", ["sigmoid", "softmax"])
-def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, head):
+def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, head,
+                                                                    monkeypatch):
     # ModelParams binds each leaf's .grad to its view of one vector laid out
-    # like .flat; leaves whose .grad starts unbound are the reference,
-    # compared as bytes so that a zero's sign counts too
+    # like .flat, and train fills that vector with -0.0 before each step
+    # (-0.0 + g is g bit for bit): with it NaN at first, every step's
+    # gradient Adam sees equals, as bytes, the per-tensor .grads of a second
+    # ModelParams on that step's weights whose leaves' .grad start unbound,
+    # under one dropout stream. The fill is checked as bytes on its own, as
+    # numpy's sums and BLAS yield no -0.0 that a +0.0 fill would flip
     enc = EncoderSpec(layers=2, channels=6, kernel=3, dropout=0.3, out_dim=8)
     spec = ModelSpec(head=head, n_labels=3,
                      audio=enc if modality != "text" else None,
@@ -440,17 +446,49 @@ def test_gradients_bound_into_one_vector_equal_the_per_tensor_grads(modality, he
                      decoder=DecoderSpec(hidden=10, layers=2, dropout=0.3),
                      audio_channels=5, audio_frames=41, text_dim=13, text_slots=7,
                      speaker_dim=3)
-    params = init_params(spec, seed=4)
     rng = np.random.default_rng(6)
-    batch = {k: v.astype(np.float32) for k, v in batch_for(spec, 16, rng).items()}
-    targets = np.zeros((16, 3), dtype=np.float32)
-    targets[np.arange(16), rng.integers(0, 3, 16)] = 1.0
-    params.grad[:] = np.nan
-    for _ in range(2):          # train's per-step fill erases the previous step's gradient
-        params.grad.fill(-0.0)
-        got, want = _bound_and_unbound_grads(spec, params, batch, targets)
-        assert got.tobytes() == want.tobytes()
-    assert np.count_nonzero(want) > 0.5 * want.size
+    windows = {k: v.astype(np.float32) for k, v in batch_for(spec, 32, rng).items()}
+    labels = np.zeros((32, 3))
+    labels[np.arange(32), rng.integers(0, 3, 32)] = 1.0
+    steps = []
+    init, step = training.init_params, training.Adam.step
+
+    def nan_init(*args, **kw):
+        params = init(*args, **kw)
+        params.grad[:] = np.nan
+        return params
+
+    def recording_forward(spec, params, **kw):
+        steps.append({"filled": params.grad.tobytes(), "flat": params.flat.copy(),
+                      "kw": {**kw, "rng": copy.deepcopy(kw["rng"])}})
+        return forward(spec, params, **kw)
+
+    def recording_loss(probs, *args):
+        steps[-1]["loss"] = args
+        return loss_batch(probs, *args)
+
+    def recording_step(opt, grad):
+        steps[-1]["grad"] = grad.tobytes()
+        step(opt, grad)
+
+    monkeypatch.setattr(training, "init_params", nan_init)
+    monkeypatch.setattr(training, "forward", recording_forward)
+    monkeypatch.setattr(training, "loss_batch", recording_loss)
+    monkeypatch.setattr(training.Adam, "step", recording_step)
+    training.train(spec, _GatheredProvider(windows, labels, head == "softmax"), np.arange(32),
+                   training.TrainConfig(steps=3, batch=16, lr=1e-2, evals=1), seed=4,
+                   score=lambda params: SimpleNamespace(headline=lambda: 0.0))
+    assert len(steps) == 3
+    for got in steps:
+        unbound = ModelParams(spec, got["flat"])
+        for leaf in unbound.leaves.values():
+            leaf.grad = None
+        loss_batch(forward(spec, unbound, **got["kw"]), *got["loss"]).backward()
+        want = np.concatenate([unbound.leaves[name].grad.ravel()
+                               for name, _, _ in _layer_dims(spec)])
+        assert got["filled"] == np.full_like(want, -0.0).tobytes()
+        assert got["grad"] == want.tobytes()
+        assert np.count_nonzero(want) > 0.5 * want.size
 
 
 def test_the_taps_are_read_only():
