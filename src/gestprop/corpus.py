@@ -235,10 +235,18 @@ def _read_interval(path, lineno: int, start_ms: str, end_ms: str) -> tuple[float
 
 
 def read_annotations(path: str | Path) -> list[AnnotationTier]:
-    """Read `tier<TAB>start_ms<TAB>end_ms<TAB>label` rows grouped by tier."""
+    """Read `tier<TAB>start_ms<TAB>end_ms<TAB>label` rows grouped by tier. A
+    label that a schema whose tier name matches cannot encode is a ValueError
+    naming the file and line."""
     tiers: dict[str, AnnotationTier] = {}
     for lineno, (name, start_ms, end_ms, label) in read_rows(path, 4):
         start, end = _read_interval(path, lineno, start_ms, end_ms)
+        for prop in TIER_KEYS:
+            if _tier_matches(name, SCHEMAS[prop]):
+                try:
+                    encode_labels(label, SCHEMAS[prop])
+                except ValueError as exc:
+                    raise ValueError(f"{path}: line {lineno}: {exc}") from None
         tier = tiers.setdefault(name, AnnotationTier(name=name, intervals=[]))
         tier.intervals.append((start, end, label))
     return list(tiers.values())

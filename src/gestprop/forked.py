@@ -1,6 +1,8 @@
-"""Work split over processes forked for it, one per CPU this one may use.
+"""Work split into contiguous ranges, each in a process forked for it.
 
-run_ranges runs the first of its contiguous ranges in this process and each
+The F0 tracker asks for at most one range per CPU this process may use;
+cross-validation for the fewest, at least one per CPU, whose fold ranges
+are all as long. run_ranges runs the first range in this process and each
 other one in a child forked for it (fork is POSIX only). The work reaches a
 child through the fork, never pickled, and the child sends its result back
 through a pipe. Threads did not overlap on this work: numpy's cumsum in the

@@ -12,11 +12,19 @@ training.loss_batch.
 
 Gradients are only computed for branches that contain a requires_grad leaf;
 inputs default to requires_grad=False, parameters to True.
+
+A conv layer that computes R > 1 rows per frame multiplies its forward in
+blocks of whole frames, each one 2-D product of at most SMALL_GEMM (10^6)
+multiply-adds. That bound is OpenBLAS's: below it every output is one
+sequential dot, so a block gives each frame the floats its own (R, k*C_in)
+product would; above it the blocked kernel sums in another order.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+SMALL_GEMM = 10**6         # largest M*K*N OpenBLAS multiplies in its small-matrix kernel
 
 
 class Tensor:
@@ -180,6 +188,12 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
     Output row t sees input positions t + (j - (k-1)/2) * dilation; those
     outside [0, T) read zero. rows are the distinct output positions to
     compute, in order; the default, all T of them, keeps the length.
+
+    At R > 1 rows the forward multiplies blocks of as many frames as keep
+    rows * (k * C_in) * C_out <= SMALL_GEMM (OpenBLAS's small-matrix bound),
+    one frame where a single one is over it: bit-equal to one product per
+    frame, in fewer calls. At one row it keeps that per-frame product, which
+    numpy runs as a matrix-vector product and sums in another order.
     """
     xd = x.data
     if xd.ndim != 3:
@@ -206,7 +220,16 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
         if not valid.all():
             cols *= valid[None, :, :, None]
     cols = cols.reshape(B, R, k * c_in)
-    y = cols @ w.data.reshape(k * c_in, c_out) + b.data
+    wm = w.data.reshape(k * c_in, c_out)
+    if R == 1:                  # numpy multiplies each frame as a matrix-vector product
+        y = cols @ wm + b.data
+    else:
+        y = np.empty((B, R, c_out), np.result_type(cols, wm, b.data))
+        step = max(SMALL_GEMM // (R * k * c_in * c_out), 1)     # frames per product
+        for lo in range(0, B, step):
+            np.matmul(cols[lo:lo + step].reshape(-1, k * c_in), wm,
+                      out=y[lo:lo + step].reshape(-1, c_out))
+        y += b.data
     out = Tensor(y, _prev=(x, w, b))
 
     def _bw(g):                                             # (B, R, C_out)

@@ -60,15 +60,18 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
 
     Returns the kept words in file order and their vectors as one float32
     (V, dim) matrix. Lines are `word v1 .. vd` separated by spaces. An
-    optional first line `<count> <dim>` (two integer tokens) is treated as a
-    header. Every line is checked, kept or not: malformed lines and
-    non-finite values raise ValueError naming the line number, and
-    duplicate words keep the last vector with a warning.
+    optional first line `<count> <dim>` (two integer tokens) is a header:
+    every vector line must then have dim values, and there must be count of
+    them. Without one, the first vector line sets the width. Every line is
+    checked, kept or not: malformed lines and non-finite values raise
+    ValueError naming the line number, and duplicate words keep the last
+    vector with a warning.
     """
     wanted = {form for word in words for form in (word, word.lower())}
     kept: dict[str, np.ndarray] = {}
     seen: set[str] = set()
-    dim = None
+    dim = count = None
+    n_vectors = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.rstrip("\n")
@@ -77,7 +80,7 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
             parts = line.split(" ")
             if lineno == 1 and len(parts) == 2:
                 try:
-                    int(parts[0]), int(parts[1])
+                    count, dim = int(parts[0]), int(parts[1])
                     continue                      # header line
                 except ValueError:
                     pass
@@ -96,13 +99,16 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
                 raise ValueError(
                     f"{path}: line {lineno}: expected {dim} values, got {len(vec)}"
                 )
+            n_vectors += 1
             if word in seen:
                 log.warning("duplicate vector for %r (line %d); keeping the last", word, lineno)
             seen.add(word)
             if word in wanted:
                 kept[word] = vec.astype(np.float32)
-    if dim is None:
+    if not n_vectors:
         raise ValueError(f"{path}: no vectors found")
+    if count is not None and n_vectors != count:
+        raise ValueError(f"{path}: the header gives {count} vectors, the file has {n_vectors}")
     matrix = np.stack(list(kept.values())) if kept else np.zeros((0, dim), np.float32)
     return list(kept), matrix
 

@@ -343,6 +343,27 @@ def test_annotations_reject_non_finite_times(tmp_path, row):
         read_annotations(p)
 
 
+@pytest.mark.parametrize("tier,label,error", [
+    ("R.G.Left.Phase", "strokee", "unknown phase label token 'strokee' in 'strokee'"),
+    ("R.G.Left.Phase", "stroke-retraction",
+     "phase is exclusive but 'stroke-retraction' sets 2 bits"),
+    ("R.G.Left Phrase", "beat-iconc", "unknown category label token 'iconc'"),
+    ("Semantic", "shape-stroke", "unknown semantics label token 'stroke'"),
+])
+def test_annotations_reject_labels_their_tier_cannot_encode(tmp_path, tier, label, error):
+    # rasterize used to raise these while loading, naming neither file nor line
+    p = tmp_path / "ann.tsv"
+    p.write_text(f"Gaze\t0\t500\tleft\n{tier}\t500\t900\t{label}\n")
+    with pytest.raises(ValueError, match=f"ann\\.tsv: line 2: {error}"):
+        read_annotations(p)
+
+
+def test_annotations_keep_any_label_on_a_tier_no_schema_reads(tmp_path):
+    p = tmp_path / "ann.tsv"
+    p.write_text("Gaze\t0\t500\tleft-right-up\n")
+    assert read_annotations(p)[0].intervals[0][2] == "left-right-up"
+
+
 @pytest.mark.parametrize("row", ["nan\t1000", "1000\tnan", "1000\tinf", "-inf\t1000"])
 def test_interlocutor_rejects_non_finite_times(tmp_path, row):
     p = tmp_path / "il.tsv"

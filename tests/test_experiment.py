@@ -554,7 +554,8 @@ def outputs_at(workers: int, monkeypatch, out, command) -> dict:
           model={**FAST_MODEL, "enc_dropout": 0.3, "dec_dropout": 0.2}), [False] * 4),
     (dict(modality="audio", folds=4, train=replace(FAST_TRAIN, lr=1e9)),
      [True, True, False, True]),
-], ids=["presence-both", "category-within_id", "upsample-dropout", "diverging"])
+    (dict(modality="text", folds=5), [False] * 5),
+], ids=["presence-both", "category-within_id", "upsample-dropout", "diverging", "five-folds"])
 def test_fold_workers_write_the_files_one_process_writes(corpus_dir, featured, tmp_path,
                                                          monkeypatch, kw, diverged):
     # each fold trains with its own seed, pool, normalization and scorer
@@ -583,7 +584,8 @@ def test_fold_workers_give_the_search_one_process_gives(corpus_dir, featured, tm
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_fold_errors_are_raised_in_fold_order(corpus_dir, featured, tmp_path,
                                               monkeypatch, workers):
-    # at 3 workers folds 2 and 4 fail in two different children
+    # at 2 and 3 usable CPUs the 5 folds train one per process, so folds 2
+    # and 4 fail in two different children
     config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
                          folds=5)
     fold = {experiment._fold_seed(config.seed, f): f for f in range(5)}.get    # by seed
@@ -637,6 +639,29 @@ def test_a_fold_worker_that_dies_is_named(corpus_dir, featured, tmp_path, monkey
         run_cv(config)
     assert multiprocessing.active_children() == []
     assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("folds,processes", [(5, 5), (4, 2)])
+def test_fold_workers_split_the_folds_evenly(corpus_dir, featured, tmp_path, monkeypatch,
+                                             folds, processes):
+    # the fewest workers, at least one per usable CPU, whose fold ranges are
+    # all as long: 5 folds on 2 CPUs would otherwise split 2 + 3
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=folds)
+    log, train = tmp_path / "pids.log", experiment.train
+
+    def logged(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return train(*args)
+
+    monkeypatch.setattr(experiment, "train", logged)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    run_cv(config, write_checkpoints=False)
+    pids = log.read_text().split()
+    assert len(pids) == folds
+    assert len(set(pids)) == (processes if forked.blas_threads() is not None else 1)
+    assert multiprocessing.active_children() == []
 
 
 def test_fold_workers_run_blas_on_one_thread(corpus_dir, featured, tmp_path, monkeypatch):

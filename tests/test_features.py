@@ -449,8 +449,9 @@ def test_oov_words_keep_offset_but_zero_embedding(built, tmp_path):
     root, recs, fdir, emb, _ = built
     target = next(w.word for w in recs[0].words)
     slim = tmp_path / "slim.txt"
-    slim.write_text("".join(line for line in emb.read_text().splitlines(keepends=True)
-                            if line.split(" ", 1)[0] != target))
+    _, *lines = emb.read_text().splitlines(keepends=True)
+    kept = [line for line in lines if line.split(" ", 1)[0] != target]
+    slim.write_text("".join([f"{len(kept)} 300\n"] + kept))      # the header counts them
     ds = features.load_dataset(recs, fdir, slim)
     hit = np.where(ds.word_ids == features.OOV_ID)
     assert len(hit[0]) > 0
@@ -558,12 +559,13 @@ def test_unused_vectors_change_no_window_and_cost_no_memory(built, tmp_path):
     # a published vectors file holds a million words the corpus never uses;
     # holding their vectors grew the load's peak by 30.7 MB per 5,000 words
     _, recs, fdir, emb, _ = built
-    header, *lines = emb.read_text().splitlines(keepends=True)
+    _, *lines = emb.read_text().splitlines(keepends=True)
     rng = np.random.default_rng(4)
     unused = [f"zzunused{i:04d} " + " ".join(f"{v:.6f}" for v in row) + "\n"
               for i, row in enumerate(rng.normal(0.0, 0.4, size=(5000, 300)))]
     padded = tmp_path / "padded.txt"
-    padded.write_text("".join([header] + unused[:2500] + lines + unused[2500:]))
+    padded.write_text("".join([f"{len(lines) + len(unused)} 300\n"]
+                              + unused[:2500] + lines + unused[2500:]))
 
     def load(path):
         tracemalloc.start()

@@ -222,23 +222,31 @@ def conv_fancy_index(x, w, b, dilation, rows):
     return y, grads, valid
 
 
+SMALL = (4, 3, 5)                    # batch, C_in, C_out
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("kernel,dilation,rows", [
-    (3, 1, [3, 5, 7]),               # every tap inside: no mask multiply
-    (3, 2, [0, 1, 9, 10]),           # taps off both ends
-    (5, 2, list(range(11))),
-    (3, 1, [5]),
-    (3, 1, [1, 4, 7]),               # taps tile the input: it is the columns
-    (5, 1, [2]),                     # one row whose taps are the input
+@pytest.mark.parametrize("kernel,dilation,rows,dims", [
+    # every tap inside: no mask multiply
+    pytest.param(3, 1, [3, 5, 7], SMALL, id="3-1-rows0"),
+    pytest.param(3, 2, [0, 1, 9, 10], SMALL, id="3-2-rows1"),   # taps off both ends
+    pytest.param(5, 2, list(range(11)), SMALL, id="5-2-rows2"),
+    pytest.param(3, 1, [5], SMALL, id="3-1-rows3"),
+    # taps tile the input: it is the columns
+    pytest.param(3, 1, [1, 4, 7], SMALL, id="3-1-rows4"),
+    pytest.param(5, 1, [2], SMALL, id="5-1-rows5"),       # one row whose taps are the input
+    # 11 frames per product: 6 products, the last of 9 frames
+    pytest.param(3, 1, [3, 5, 7], (64, 301, 32), id="multi-block"),
 ])
-def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, rows):
+def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, rows, dims):
     # rows whose taps tile 0..R*k-1 run on exactly that many steps
     tiled = dilation == 1 and rows == list(range(kernel // 2, len(rows) * kernel, kernel))
     steps = len(rows) * kernel if tiled else 11
-    x = RNG.normal(size=(4, steps, 3)).astype(dtype)
-    w = RNG.normal(size=(kernel, 3, 5)).astype(dtype)
-    b = RNG.normal(size=(5,)).astype(dtype)
-    g = RNG.normal(size=(4, len(rows), 5)).astype(dtype)
+    batch, c_in, c_out = dims
+    x = RNG.normal(size=(batch, steps, c_in)).astype(dtype)
+    w = RNG.normal(size=(kernel, c_in, c_out)).astype(dtype)
+    b = RNG.normal(size=(c_out,)).astype(dtype)
+    g = RNG.normal(size=(batch, len(rows), c_out)).astype(dtype)
     want, grads, valid = conv_fancy_index(x, w, b, dilation, rows)
     assert valid.all() == (rows in ([3, 5, 7], [5], [1, 4, 7], [2]))  # every gather is covered
     xt, wt, bt = (Tensor(a, requires_grad=True) for a in (x, w, b))
@@ -247,6 +255,27 @@ def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, ro
     assert out.data.dtype == want.dtype and np.array_equal(out.data, want)
     for got, ref in zip((xt.grad, wt.grad, bt.grad), grads(g)):
         assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [7, 64, 65])
+@pytest.mark.parametrize("kernel,c_in,c_out,frames", [
+    (3, 301, 32, 11),       # criterion 7's text conv0
+    (3, 5, 32, 694),        # its audio conv0
+    (5, 301, 128, 1),       # SEARCH_SPACE's widest first layer
+], ids=["text-conv0", "audio-conv0", "widest"])
+def test_conv_blocks_of_frames_equal_the_per_frame_product(dtype, batch, kernel, c_in,
+                                                           c_out, frames):
+    # a first layer's three rows, whose taps tile the window: each product
+    # holds `frames` frames, so a batch spans several and ends in a partial one
+    assert max(T.SMALL_GEMM // (3 * kernel * c_in * c_out), 1) == frames
+    x = RNG.normal(size=(batch, 3 * kernel, c_in)).astype(dtype)
+    w = RNG.normal(size=(kernel, c_in, c_out)).astype(dtype)
+    b = RNG.normal(size=(c_out,)).astype(dtype)
+    out = T.conv1d_dilated(Tensor(x), Tensor(w), Tensor(b),
+                           rows=[kernel // 2 + kernel * i for i in range(3)])
+    per_frame = x.reshape(batch, 3, kernel * c_in) @ w.reshape(kernel * c_in, c_out) + b
+    assert out.data.dtype == per_frame.dtype and np.array_equal(out.data, per_frame)
 
 
 def test_conv_validation():

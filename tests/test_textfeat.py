@@ -57,6 +57,23 @@ def test_load_malformed(tmp_path):
         load_embeddings(p, ["foo"])
 
 
+def test_the_header_sets_the_width(tmp_path):
+    # a short first vector line used to set the width and blame the next line
+    p = tmp_path / "v.txt"
+    p.write_text("3 3\nfoo 1 2\nbar 4 5 6\nbaz 7 8 9\n")
+    with pytest.raises(ValueError, match=r"v\.txt: line 2: expected 3 values, got 2"):
+        load_embeddings(p, ["foo", "bar"])
+
+
+@pytest.mark.parametrize("count", [3, 1])
+def test_the_header_count_is_checked(tmp_path, count):
+    p = tmp_path / "v.txt"
+    p.write_text(f"{count} 3\nfoo 1 2 3\nbar 4 5 6\n")
+    with pytest.raises(ValueError,
+                       match=f"v\\.txt: the header gives {count} vectors, the file has 2"):
+        load_embeddings(p, ["foo", "bar"])
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_load_rejects_non_finite_values(tmp_path, value):
     p = tmp_path / "v.txt"
