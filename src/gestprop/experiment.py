@@ -14,12 +14,13 @@ A cross-validation (eval, and each search run) splits its folds into
 contiguous ranges of one length, on the fewest workers that are at least
 one per CPU this process may use and at most one per fold (5 folds on 2
 CPUs train on 5, 20 on 2): an uneven split idles a CPU while the longest
-range trains, and a worker costs a fork. The first range trains here, each
-other in a child forked after the corpus loads (forked.run_ranges), which
-sends back each fold's weights, run record and normalization. Every fold
-has its own seed, pool, normalization and scorer, and this process writes
-every file in fold order, so the output is byte-identical at any worker
-count. Without a BLAS thread control the folds train here.
+range trains. Each worker costs a fork, so where an even split would take
+more than three workers per CPU (7 or 19 folds on 2 CPUs), the folds train
+on one worker per CPU. The first range trains here, each other in a child
+forked after the corpus loads (forked.run_ranges), which sends back each
+fold's weights, run record and normalization. Every fold has its own seed,
+pool, normalization and scorer, and this process writes every file in fold
+order, so the output is byte-identical at any worker count. Without a BLAS thread control the folds train here.
 
 The search is plain random search over SEARCH_SPACE: each run draws every
 setting once and cross-validates the drawn model, batch size and learning
@@ -333,8 +334,10 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
         return done
 
     n, workers = plan.n_folds, 1
-    if forked.blas_threads() is not None:       # the fewest that split the folds evenly
-        workers = next(w for w in range(min(forked.usable_cpus(), n), n + 1) if n % w == 0)
+    if forked.blas_threads() is not None:
+        cpus = min(forked.usable_cpus(), n)
+        even = next(w for w in range(cpus, n + 1) if n % w == 0)    # the fewest that split evenly
+        workers = even if even <= 3 * cpus else cpus                # forks past that cost more
     trained = [done for part in forked.run_ranges(train_folds, n, workers,
                                                    "fold worker for folds")
                for done in part]

@@ -2,10 +2,11 @@
 
 The F0 tracker asks for at most one range per CPU this process may use;
 cross-validation for the fewest, at least one per CPU, whose fold ranges
-are all as long. run_ranges runs the first range in this process and each
-other one in a child forked for it (fork is POSIX only). The work reaches a
-child through the fork, never pickled, and the child sends its result back
-through a pipe. Threads did not overlap on this work: numpy's cumsum in the
+are all as long, and one per CPU where that would be over three per CPU.
+run_ranges runs the first range in this process and each other one in a
+child forked for it (fork is POSIX only). The work reaches a child through
+the fork, never pickled, and the child sends its result back through a
+pipe. Threads did not overlap on this work: numpy's cumsum in the
 F0 tracker and a training step's per-node Python hold the interpreter lock.
 While children run, numpy's OpenBLAS runs on one thread in every process:
 two processes' helper threads spinning on 2 CPUs made fold training 1.8x

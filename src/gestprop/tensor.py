@@ -15,16 +15,20 @@ inputs default to requires_grad=False, parameters to True.
 
 A conv layer that computes R > 1 rows per frame multiplies its forward in
 blocks of whole frames, each one 2-D product of at most SMALL_GEMM (10^6)
-multiply-adds. That bound is OpenBLAS's: below it every output is one
-sequential dot, so a block gives each frame the floats its own (R, k*C_in)
-product would; above it the blocked kernel sums in another order.
+multiply-adds. The bound is where OpenBLAS switches kernels, as measured
+with scipy-openblas 0.3.31 (numpy 2.4.6's wheel) on its SkylakeX kernel, at
+K x N of 903x32, 15x32, 903x8, 903x64, 1505x16, 1505x128 and 96x32: below
+it every output was one sequential dot, so a block gave each frame the
+floats its own (R, k*C_in) product would; above it the blocked kernel
+summed in another order. Another BLAS, or another OpenBLAS kernel for
+another CPU, may switch elsewhere; tests/test_tensor.py checks the bound.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SMALL_GEMM = 10**6         # largest M*K*N OpenBLAS multiplies in its small-matrix kernel
+SMALL_GEMM = 10**6         # largest M*K*N OpenBLAS 0.3.31 (SkylakeX) ran in its small kernel
 
 
 class Tensor:
@@ -190,10 +194,11 @@ def conv1d_dilated(x: Tensor, w: Tensor, b: Tensor, dilation: int = 1,
     compute, in order; the default, all T of them, keeps the length.
 
     At R > 1 rows the forward multiplies blocks of as many frames as keep
-    rows * (k * C_in) * C_out <= SMALL_GEMM (OpenBLAS's small-matrix bound),
-    one frame where a single one is over it: bit-equal to one product per
-    frame, in fewer calls. At one row it keeps that per-frame product, which
-    numpy runs as a matrix-vector product and sums in another order.
+    rows * (k * C_in) * C_out <= SMALL_GEMM (the small-matrix bound measured
+    for OpenBLAS, see the module docstring), one frame where a single one is
+    over it: bit-equal to one product per frame, in fewer calls. At one row
+    it keeps that per-frame product, which numpy runs as a matrix-vector
+    product and sums in another order.
     """
     xd = x.data
     if xd.ndim != 3:

@@ -603,6 +603,36 @@ def test_fold_errors_are_raised_in_fold_order(corpus_dir, featured, tmp_path,
     assert multiprocessing.active_children() == []
 
 
+@pytest.mark.parametrize("failing,first", [((2, 3), 2), ((3,), 3)],
+                         ids=["first-of-its-range", "partway-through-its-range"])
+def test_a_child_training_several_folds_raises_its_first_error(corpus_dir, featured,
+                                                               tmp_path, monkeypatch,
+                                                               failing, first):
+    # 4 folds on 2 CPUs: folds 0-1 train here and 2-3 in one child, which
+    # stops at its first failing fold, whether or not a fold before it trained
+    config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
+                         folds=4)
+    fold = {experiment._fold_seed(config.seed, f): f for f in range(4)}.get    # by seed
+    log, train = tmp_path / "folds.log", experiment.train
+
+    def failing_in(spec, provider, pool, cfg, seed, score):
+        with open(log, "a") as fh:
+            fh.write(f"{fold(seed)} {os.getpid()}\n")
+        if fold(seed) in failing:
+            raise ValueError(f"fold {fold(seed)} failed")
+        return train(spec, provider, pool, cfg, seed, score)
+
+    monkeypatch.setattr(experiment, "train", failing_in)
+    monkeypatch.setattr(forked, "usable_cpus", lambda: 2)
+    with pytest.raises(ValueError, match=f"fold {first} failed"):
+        run_cv(config)
+    pids = dict(line.split() for line in log.read_text().splitlines())
+    assert sorted(pids) == [str(f) for f in range(first + 1)]
+    if forked.blas_threads() is not None:
+        assert pids["0"] == pids["1"] == str(os.getpid()) != pids["2"] == pids[str(first)]
+    assert multiprocessing.active_children() == []
+
+
 def test_a_fold_frees_its_model_before_the_next_fold_trains(corpus_dir, featured, tmp_path,
                                                             monkeypatch):
     # a fold keeps only its .flat: a finished fold's ModelParams, and with it
@@ -641,11 +671,13 @@ def test_a_fold_worker_that_dies_is_named(corpus_dir, featured, tmp_path, monkey
     assert not (tmp_path / "report.json").exists()
 
 
-@pytest.mark.parametrize("folds,processes", [(5, 5), (4, 2)])
+@pytest.mark.parametrize("folds,processes", [(5, 5), (4, 2), (7, 2)])
 def test_fold_workers_split_the_folds_evenly(corpus_dir, featured, tmp_path, monkeypatch,
                                              folds, processes):
     # the fewest workers, at least one per usable CPU, whose fold ranges are
-    # all as long: 5 folds on 2 CPUs would otherwise split 2 + 3
+    # all as long: 5 folds on 2 CPUs would otherwise split 2 + 3. 7 folds
+    # would take 7, over three per CPU, whose forks cost more than the split
+    # saves, so they split 4 + 3 on 2
     config = fast_config(corpus_dir, tmp_path, features_dir=str(featured / "features"),
                          folds=folds)
     log, train = tmp_path / "pids.log", experiment.train

@@ -267,7 +267,9 @@ def test_conv_is_bit_equal_to_the_fancy_index_gather(dtype, kernel, dilation, ro
 def test_conv_blocks_of_frames_equal_the_per_frame_product(dtype, batch, kernel, c_in,
                                                            c_out, frames):
     # a first layer's three rows, whose taps tile the window: each product
-    # holds `frames` frames, so a batch spans several and ends in a partial one
+    # holds `frames` frames, so a batch spans several and ends in a partial one.
+    # SMALL_GEMM was measured with scipy-openblas 0.3.31 on its SkylakeX
+    # kernel; a BLAS or kernel that switches elsewhere fails here
     assert max(T.SMALL_GEMM // (3 * kernel * c_in * c_out), 1) == frames
     x = RNG.normal(size=(batch, 3 * kernel, c_in)).astype(dtype)
     w = RNG.normal(size=(kernel, c_in, c_out)).astype(dtype)
