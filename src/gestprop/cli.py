@@ -16,6 +16,7 @@ import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
+from .corpus import read_json
 from .experiment import (CV_MODES, PROPERTIES, ExperimentConfig, run_baselines,
                          run_cv, run_features, run_gradcheck, run_hpsearch,
                          run_predict)
@@ -72,10 +73,7 @@ def _config_from_args(args, defaults: dict | None = None) -> ExperimentConfig:
     """Settings from defaults, then the --config file, then explicit flags."""
     settings = dict(defaults or {})
     if args.config:
-        try:
-            file = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{args.config}: not valid JSON: {exc}") from None
+        file = read_json(args.config)
         settings = {**settings, **file} if isinstance(file, dict) else file
     for path, value in vars(args).items():
         if value is not None and path.split(".")[0] in SETTINGS:

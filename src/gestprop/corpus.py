@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .textfeat import WordToken, read_rows, read_transcript
+from .textfeat import WordToken, read_lines, read_rows, read_transcript
 
 if TYPE_CHECKING:
     from .features import FrameDataset
@@ -272,6 +272,15 @@ def write_interlocutor(intervals: list[tuple[float, float]], path: str | Path) -
 
 # ------------------------------------------------------------------ manifest
 
+def read_json(path: str | Path):
+    """The JSON value of a UTF-8 file (see read_lines); text that is not
+    JSON is a ValueError naming the file."""
+    try:
+        return json.loads("\n".join(line for _, line in read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not valid JSON: {exc}") from None
+
+
 def load_manifest(path: str | Path) -> list[Recording]:
     """Load a corpus manifest (JSON array of per-recording objects).
 
@@ -285,7 +294,7 @@ def load_manifest(path: str | Path) -> list[Recording]:
     """
     path = Path(path)
     base = path.parent
-    entries = json.loads(path.read_text())
+    entries = read_json(path)
     if not isinstance(entries, list):
         raise ValueError(f"{path}: manifest must be a JSON array")
     recs, first = [], {}         # first: rec id -> index of the entry that has it
@@ -334,10 +343,6 @@ class FoldPlan:
 
     val: list[np.ndarray]
     train: list[np.ndarray]
-
-    @property
-    def n_folds(self) -> int:
-        return len(self.val)
 
 
 def _train_mask_for_fold(dataset: FrameDataset, val: np.ndarray) -> np.ndarray:

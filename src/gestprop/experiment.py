@@ -10,21 +10,21 @@ master seed fans out to per-fold training seeds, per-baseline sampling
 streams and per-run search draws, so rerunning a command with the same config
 and seed reproduces every file byte for byte.
 
-A cross-validation (eval, and each search run) splits its folds into
-contiguous ranges of one length, on the fewest workers that are at least
-one per CPU this process may use and at most one per fold (5 folds on 2
-CPUs train on 5, 20 on 2): an uneven split idles a CPU while the longest
-range trains. Each worker costs a fork, so where an even split would take
-more than three workers per CPU (7 or 19 folds on 2 CPUs), the folds train
-on one worker per CPU. The first range trains here, each other in a child
-forked after the corpus loads (forked.run_ranges), which sends back each
-fold's weights, run record and normalization. Every fold has its own seed,
-pool, normalization and scorer, and this process writes every file in fold
-order, so the output is byte-identical at any worker count. Without a BLAS thread control the folds train here.
+_folds picks every fold's frames once per command, and chance is scored once
+on them; _cross_validate (eval, and each search run) only trains and reports.
+It trains contiguous ranges of one length, on the fewest workers that are at
+least one per usable CPU and at most one per fold (5 folds on 2 CPUs train on
+5, 20 on 2), or on one per CPU where that would take more than three per CPU
+(7 or 19 folds on 2): an uneven split idles a CPU, and a fork costs time. The
+first range trains here, each other in a child forked after the corpus loads
+(forked.run_ranges), which sends back each fold's weights, run record and
+normalization; the checkpoint is written from the weights. This process
+writes every file in fold order, so the output is byte-identical at any
+worker count. Without a BLAS thread control the folds train here.
 
 The search is plain random search over SEARCH_SPACE: each run draws every
 setting once and cross-validates the drawn model, batch size and learning
-rate like eval does.
+rate like eval does, on the search's folds.
 """
 
 from __future__ import annotations
@@ -166,22 +166,6 @@ def _load_corpus(config: ExperimentConfig):
                         config.embeddings)
 
 
-def _make_plan(dataset, config: ExperimentConfig):
-    if config.cv == "between":
-        return make_folds_between(dataset)
-    return make_folds_within(dataset, k=config.folds)
-
-
-def _training_pool(dataset, prop: str, idx: np.ndarray) -> np.ndarray:
-    """Property models see only gesture frames; phase needs a phase bit too."""
-    if prop == "presence":
-        return idx
-    keep = dataset.has_gesture[idx].astype(bool)
-    if prop == "phase":
-        keep &= dataset.phase[idx].any(axis=1)
-    return idx[keep]
-
-
 def _model_parts(model: dict) -> tuple[EncoderSpec, DecoderSpec]:
     """The encoder and decoder that config.model's entries set; an unknown
     entry, or one without its spec field's type, is a ValueError naming it."""
@@ -210,20 +194,33 @@ def _model_spec(config: ExperimentConfig, provider: WindowProvider,
     )
 
 
-def _eval_pool(dataset, config, idx: np.ndarray) -> np.ndarray:
-    """The one rule for which frames of a fold are scored: gesture frames,
-    or every frame for presence and with eval_on_all_frames. The validation
-    curve, the fold report and the baselines all use it."""
-    if config.prop == "presence" or config.eval_on_all_frames:
-        return idx
-    return idx[dataset.has_gesture[idx].astype(bool)]
+def _folds(dataset, config: ExperimentConfig) -> list[tuple]:
+    """Per fold of the config's plan, (training frames, training pool,
+    validation frames, scored frames). A property model trains on gesture
+    frames only, phase on those with a phase bit; the validation curve, the
+    fold report and the chance systems score gesture frames, or every frame
+    for presence and with eval_on_all_frames. A fold whose pool is empty is a
+    ValueError naming it."""
+    plan = (make_folds_between(dataset) if config.cv == "between"
+            else make_folds_within(dataset, k=config.folds))
+    gesture = dataset.has_gesture.astype(bool)
+    trainable = gesture & dataset.phase.any(axis=1) if config.prop == "phase" else gesture
+    folds = []
+    for fold, (train, val) in enumerate(zip(plan.train, plan.val)):
+        pool = train if config.prop == "presence" else train[trainable[train]]
+        if not len(pool):
+            raise ValueError(f"fold {fold}: no training frames for property "
+                             f"{config.prop!r} in the annotations")
+        scored = val if config.prop == "presence" or config.eval_on_all_frames \
+            else val[gesture[val]]
+        folds.append((train, pool, val, scored))
+    return folds
 
 
-def _score_chance(dataset, config: ExperimentConfig, plan) -> dict:
-    """Per-kind aggregates of the chance systems on the plan's folds: each
+def _score_chance(dataset, config: ExperimentConfig, folds: list[tuple]) -> dict:
+    """Per-kind aggregates of the chance systems on _folds' folds: each
     fold's informed_random takes its priors from the fold's training pool,
-    and every system is scored on the fold's eval pool. A fold whose
-    training pool is empty is a ValueError naming it."""
+    and every system is scored on the fold's scored frames."""
     exclusive = SCHEMAS[config.prop].exclusive
     labels_all = dataset.labels_for(config.prop)
     names = SCHEMAS[config.prop].labels
@@ -231,18 +228,13 @@ def _score_chance(dataset, config: ExperimentConfig, plan) -> dict:
              if not (exclusive and k in ("always_zero", "always_one"))]
 
     per_kind: dict[str, list] = {k: [] for k in kinds}
-    for fold in range(plan.n_folds):
-        pool = _training_pool(dataset, config.prop, plan.train[fold])
-        if not len(pool):
-            raise ValueError(f"fold {fold}: no training frames for property "
-                             f"{config.prop!r} in the annotations")
-        val_eval = _eval_pool(dataset, config, plan.val[fold])
-        truth = labels_all[val_eval].astype(np.int64)
+    for fold, (_, pool, _, scored) in enumerate(folds):
+        truth = labels_all[scored].astype(np.int64)
         priors = compute_priors(labels_all[pool])
         for k_i, kind in enumerate(kinds):
             rng = np.random.default_rng(
                 np.random.SeedSequence([int(config.seed), 11, fold, k_i]))
-            pred = baseline_predict(kind, len(val_eval), len(names), exclusive,
+            pred = baseline_predict(kind, len(scored), len(names), exclusive,
                                     priors=priors, rng=rng)
             per_kind[kind].append(evaluate_property(pred, truth, names, exclusive))
     return {kind: aggregate_folds(reports) for kind, reports in per_kind.items()}
@@ -301,19 +293,19 @@ def run_cv(config: ExperimentConfig, write_checkpoints: bool = True) -> dict:
     with scores.csv (and one checkpoint per fold when requested).
     """
     config.validate()
-    return _cross_validate(config, _load_corpus(config), write_checkpoints)
+    dataset = _load_corpus(config)
+    folds = _folds(dataset, config)
+    return _cross_validate(config, dataset, folds, _score_chance(dataset, config, folds),
+                           write_checkpoints)
 
 
-def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
-                    baselines: dict | None = None) -> dict:
-    """run_cv on a loaded dataset. The chance systems are scored on the same
-    folds first, unless given, and a label is predictable when the model's
-    mean macro-F1 clears every one of theirs by PREDICTABLE_MARGIN."""
+def _cross_validate(config: ExperimentConfig, dataset, folds: list[tuple],
+                    baselines: dict, write_checkpoints: bool) -> dict:
+    """Train and report each fold of _folds; a label is predictable when the
+    model's mean macro-F1 clears every chance system's by PREDICTABLE_MARGIN."""
     out = _out_dir(config.out_dir)
     if write_checkpoints:
         (out / CHECKPOINT_SUBDIR).mkdir(exist_ok=True)
-    plan = _make_plan(dataset, config)
-    baselines = _score_chance(dataset, config, plan) if baselines is None else baselines
     provider = WindowProvider(dataset, config.prop, config.modality,
                               speakers=dataset.speaker_list
                               if config.cv == "within_id" else None)
@@ -323,17 +315,16 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
         """(n_train, params.flat, RunRecord, norm state) of folds lo..hi-1."""
         done = []
         for fold in range(lo, hi):
-            pool = _training_pool(dataset, config.prop, plan.train[fold])
-            provider.fit_norm(plan.train[fold])
-            score = _scorer(spec, provider, _eval_pool(dataset, config, plan.val[fold]),
-                            config)
+            train_frames, pool, _, scored = folds[fold]
+            provider.fit_norm(train_frames)
+            score = _scorer(spec, provider, scored, config)
             params, record = train(spec, provider, pool, config.train,
                                    _fold_seed(config.seed, fold), score)
             done.append((len(pool), params.flat, record, provider.norm_state()))
             del params          # its gradient vector dies before the next fold trains
         return done
 
-    n, workers = plan.n_folds, 1
+    n, workers = len(folds), 1
     if forked.blas_threads() is not None:
         cpus = min(forked.usable_cpus(), n)
         even = next(w for w in range(cpus, n + 1) if n % w == 0)    # the fewest that split evenly
@@ -341,7 +332,7 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
     trained = [done for part in forked.run_ranges(train_folds, n, workers,
                                                    "fold worker for folds")
                for done in part]
-    folds, reports, files = [], [], []
+    entries, reports, files = [], [], []
     for fold, (n_train, flat, record, norm) in enumerate(trained):
         seed = _fold_seed(config.seed, fold)
         report = record.report
@@ -351,7 +342,7 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
             "fold": fold,
             "seed": seed,
             "n_train": n_train,
-            "n_val": int(len(plan.val[fold])),
+            "n_val": int(len(folds[fold][2])),
             "curve": [[int(s), float(v)] for s, v in record.curve],
             "loss_curve": [float(v) for v in record.loss_curve],
             "final_score": record.final_score,
@@ -360,15 +351,15 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
         }
         if write_checkpoints:
             name = f"{CHECKPOINT_SUBDIR}/fold_{fold:02d}.ckpt"
-            save_checkpoint(out / name, spec, ModelParams(spec, flat), meta={
+            save_checkpoint(out / name, spec, flat, meta={
                 "fold": fold, "seed": seed, "property": config.prop,
                 "modality": config.modality, "norm": norm,
                 "speakers": provider.speakers, "config": config.to_dict(),
             })
             entry["checkpoint"] = name
             files.append(name)
-        folds.append(entry)
-        log.info("fold %d/%d: headline %.3f", fold + 1, plan.n_folds,
+        entries.append(entry)
+        log.info("fold %d/%d: headline %.3f", fold + 1, n,
                  report.headline())
 
     aggregate = aggregate_folds(reports)
@@ -378,8 +369,8 @@ def _cross_validate(config: ExperimentConfig, dataset, write_checkpoints: bool,
         "seed": config.seed,
         "model_spec": spec.to_dict(),
         "receptive_field": receptive_field(spec),
-        "n_folds": plan.n_folds,
-        "folds": folds,
+        "n_folds": n,
+        "folds": entries,
         "aggregate": aggregate,
         "baselines": baselines,
         "predictable": {
@@ -403,7 +394,7 @@ def run_baselines(config: ExperimentConfig) -> dict:
         "kind": "baselines",
         "config": config.to_dict(),
         "seed": config.seed,
-        "baselines": _score_chance(dataset, config, _make_plan(dataset, config)),
+        "baselines": _score_chance(dataset, config, _folds(dataset, config)),
     }
     write_json(str(out / "baselines.json"), result)
     _register(out, "baselines", ["baselines.json"])
@@ -414,8 +405,8 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
     """Random search over SEARCH_SPACE; the best run is the first with the
     highest mean headline.
 
-    The corpus loads once, and chance is scored once, with the search's seed,
-    on the folds every run uses. Run i draws from its own generator, seeded
+    The corpus loads and the folds are picked once, and chance is scored
+    once on them, with the search's seed; every run trains on those folds. Run i draws from its own generator, seeded
     by (seed, i), and retrains the full CV grid under runs/NN/; one row per
     (run, fold, eval step) lands in runrecord.csv.
     """
@@ -424,7 +415,8 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
         raise ValueError(f"need at least 1 run, got {n_runs}")
     out = _out_dir(config.out_dir)
     dataset = _load_corpus(config)
-    baselines = _score_chance(dataset, config, _make_plan(dataset, config))
+    folds = _folds(dataset, config)
+    baselines = _score_chance(dataset, config, folds)
     runs, rows = [], ["run,fold,step,score,loss"]
     for i in range(n_runs):
         rng = np.random.default_rng(np.random.SeedSequence([int(config.seed), i]))
@@ -434,8 +426,8 @@ def run_hpsearch(config: ExperimentConfig, n_runs: int) -> dict:
             train=replace(config.train, batch=sample["batch"], lr=sample["lr"]),
             out_dir=str(out / "runs" / f"{i:02d}"),
             features_dir=str(config.features_path()),
-            seed=_fold_seed(config.seed, 100_000 + i)), dataset, write_checkpoints=False,
-            baselines=baselines)
+            seed=_fold_seed(config.seed, 100_000 + i)), dataset, folds, baselines,
+            write_checkpoints=False)
         runs.append({"run": i, "sample": sample,
                      "score": float(report["aggregate"]["headline"]["mean"])})
         for f in report["folds"]:

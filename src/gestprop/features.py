@@ -209,7 +209,6 @@ class WindowProvider:
         if prop not in SCHEMAS:
             raise ValueError(f"unknown property {prop!r}")
         self.dataset = dataset
-        self.prop = prop
         self.modality = modality
         self.uses_audio = modality in ("audio", "both")
         self.uses_text = modality in ("text", "text_no_timing", "both")

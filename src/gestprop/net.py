@@ -174,12 +174,12 @@ def _n_params(spec: ModelSpec) -> int:
 
 
 class ModelParams:
-    """A model's parameters and the layout forward runs on, built once:
-    .flat, every parameter in one vector in _layer_dims order; .grad, one
-    vector laid out like .flat, zero at first; .leaves, the graph's parameter
-    tensors, each on its view of .flat with its .grad bound to its view of
-    .grad, so an update of .flat updates them all and backward() adds every
-    gradient into .grad; .taps, input_taps(spec), read-only."""
+    """What training and scoring run on, built once (a checkpoint needs only
+    .flat): .flat, every parameter in one vector in _layer_dims order; .grad,
+    one vector laid out like .flat, zero at first; .leaves, the graph's
+    parameter tensors by name, each on its view of .flat with its .grad bound
+    to its view of .grad, so an update of .flat updates them all and
+    backward() adds every gradient into .grad; .taps, input_taps(spec), read-only."""
 
     def __init__(self, spec: ModelSpec, flat: np.ndarray):
         if flat.shape != (_n_params(spec),):
@@ -194,11 +194,6 @@ class ModelParams:
         self.taps = input_taps(spec)
         for arr in self.taps.values():
             arr.setflags(write=False)
-
-    @property
-    def tensors(self) -> dict[str, np.ndarray]:
-        """Each parameter by name: its leaf's view of .flat."""
-        return {name: leaf.data for name, leaf in self.leaves.items()}
 
 
 def init_params(spec: ModelSpec, seed: int, dtype=np.float32) -> ModelParams:
@@ -327,21 +322,15 @@ def predict_probs(spec: ModelSpec, params: ModelParams,
 
 # ------------------------------------------------------------------ checkpoints
 
-def save_checkpoint(path: str | Path, spec: ModelSpec, params: ModelParams,
+def save_checkpoint(path: str | Path, spec: ModelSpec, flat: np.ndarray,
                     meta: dict | None = None) -> None:
     """Versioned binary checkpoint: a JSON header listing each parameter's
-    name, shape and dtype, then params.flat as one little-endian buffer."""
-    entries = [
-        {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
-        for name, arr in params.tensors.items()
-    ]
-    header = {
-        "spec": spec.to_dict(),
-        "meta": meta or {},
-        "params": entries,
-    }
+    name, shape and dtype in _layer_dims order, then flat (every parameter
+    in that order, as ModelParams.flat) as one little-endian buffer."""
+    entries = [{"name": name, "shape": list(shape), "dtype": str(flat.dtype)}
+               for name, shape, _ in _layer_dims(spec)]
+    header = {"spec": spec.to_dict(), "meta": meta or {}, "params": entries}
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    flat = params.flat
     data = (CHECKPOINT_MAGIC + struct.pack("<Q", len(blob)) + blob
             + flat.astype(flat.dtype.newbyteorder("<")).tobytes())
     write_atomic(path, lambda tmp: Path(tmp).write_bytes(data))

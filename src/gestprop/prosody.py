@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -568,8 +569,8 @@ def write_prosody_csv(track: ProsodyTrack, path: str | Path) -> None:
 
 def read_prosody_csv(path: str | Path) -> ProsodyTrack:
     """Read a file write_prosody_csv wrote. A header other than
-    write_prosody_csv's, a row without 6 cells or a non-finite cell is a
-    ValueError naming the file and the data row."""
+    write_prosody_csv's, a row without 6 cells, or a cell that is not a
+    finite number is a ValueError naming the file and the data row."""
     cells = len(PROSODY_COLUMNS) + 1
 
     def rows(fh):
@@ -583,7 +584,14 @@ def read_prosody_csv(path: str | Path) -> ProsodyTrack:
         first = fh.readline().rstrip("\n")
         if first != CSV_HEADER:
             raise ValueError(f"{path}: header {first!r}, want {CSV_HEADER!r}")
-        data = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
+        try:
+            data = np.loadtxt(rows(fh), delimiter=",", ndmin=2)
+        except ValueError as exc:       # numpy counts the rows from 0; rows() names its own
+            at = re.fullmatch(r"(.*) at row (\d+), column (\d+)\.", str(exc))
+            if at is None:
+                raise
+            raise ValueError(f"{path}: data row {int(at[2]) + 1}, column {at[3]}: "
+                             f"{at[1]}") from None
     if data.size == 0:
         return ProsodyTrack(fps=OUT_FPS, rows=np.zeros((0, 5)))
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

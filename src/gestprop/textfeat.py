@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -72,39 +73,35 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
     seen: set[str] = set()
     dim = count = None
     n_vectors = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(" ")
-            if lineno == 1 and len(parts) == 2:
-                try:
-                    count, dim = int(parts[0]), int(parts[1])
-                    continue                      # header line
-                except ValueError:
-                    pass
-            word, values = parts[0], parts[1:]
-            if not values:
-                raise ValueError(f"{path}: line {lineno}: no vector values")
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split(" ")
+        if lineno == 1 and len(parts) == 2:
             try:
-                vec = np.array([float(v) for v in values], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
-            if not np.isfinite(vec).all():
-                raise ValueError(f"{path}: line {lineno}: non-finite vector value")
-            if dim is None:
-                dim = len(vec)
-            elif len(vec) != dim:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected {dim} values, got {len(vec)}"
-                )
-            n_vectors += 1
-            if word in seen:
-                log.warning("duplicate vector for %r (line %d); keeping the last", word, lineno)
-            seen.add(word)
-            if word in wanted:
-                kept[word] = vec.astype(np.float32)
+                count, dim = int(parts[0]), int(parts[1])
+                continue                      # header line
+            except ValueError:
+                pass
+        word, values = parts[0], parts[1:]
+        if not values:
+            raise ValueError(f"{path}: line {lineno}: no vector values")
+        try:
+            vec = np.array([float(v) for v in values], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        if not np.isfinite(vec).all():
+            raise ValueError(f"{path}: line {lineno}: non-finite vector value")
+        if dim is None:
+            dim = len(vec)
+        elif len(vec) != dim:
+            raise ValueError(f"{path}: line {lineno}: expected {dim} values, got {len(vec)}")
+        n_vectors += 1
+        if word in seen:
+            log.warning("duplicate vector for %r (line %d); keeping the last", word, lineno)
+        seen.add(word)
+        if word in wanted:
+            kept[word] = vec.astype(np.float32)
     if not n_vectors:
         raise ValueError(f"{path}: no vectors found")
     if count is not None and n_vectors != count:
@@ -113,18 +110,28 @@ def load_embeddings(path: str | Path, words) -> tuple[list[str], np.ndarray]:
     return list(kept), matrix
 
 
+def read_lines(path: str | Path):
+    """Yield (line number, line) of a UTF-8 text file, less a leading byte-order
+    mark and each newline; a byte that is not UTF-8 is a ValueError naming the line."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, 1):         # a bad byte b reads as 0xDC00 + b
+            bad = not line.isascii() and re.search("[\udc80-\udcff]", line)
+            if bad:
+                raise ValueError(f"{path}: line {lineno}: byte "
+                                 f"0x{ord(bad[0]) - 0xDC00:02x} is not UTF-8")
+            yield lineno, line.rstrip("\n")
+
+
 def read_rows(path: str | Path, n_fields: int):
     """Yield (line number, fields) for each non-blank line of a tab-separated
-    file; a line without n_fields fields is a ValueError naming file and line."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != n_fields:
-                raise ValueError(f"{path}: line {lineno}: expected {n_fields} tab-separated fields")
-            yield lineno, parts
+    file (read_lines); a line without n_fields fields is a ValueError naming it."""
+    for lineno, line in read_lines(path):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != n_fields:
+            raise ValueError(f"{path}: line {lineno}: expected {n_fields} tab-separated fields")
+        yield lineno, parts
 
 
 def read_transcript(path: str | Path) -> list[WordToken]:

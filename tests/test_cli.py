@@ -112,7 +112,7 @@ def test_predict_rejects_a_norm_it_cannot_apply(pipeline, tmp_path, capsys, norm
     if norm is not None:
         meta["norm"] = norm
     ckpt = tmp_path / "bad_norm.ckpt"
-    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0), meta)
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0).flat, meta)
     rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
                    "--embeddings", str(corpus / "vectors.txt"),
                    "--out", str(tmp_path), "--features-dir", str(run / "features"),
@@ -128,7 +128,7 @@ def predict_before_load(pipeline, tmp_path, monkeypatch, spec, meta) -> int:
     must not load."""
     corpus, run, _ = pipeline
     ckpt = tmp_path / "reheaded.ckpt"
-    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0), meta)
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0).flat, meta)
     loads = []
     monkeypatch.setattr(experiment, "_load_corpus", loads.append)
     rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),
@@ -172,7 +172,7 @@ def test_predict_refuses_text_rows_the_vectors_do_not_give(
     corpus, run, _ = pipeline
     spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=None, text_dim=51)
     ckpt = tmp_path / "narrow.ckpt"
-    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0),
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0).flat,
                         {"property": "presence", "modality": "text"})
     vectors = corpus / "vectors.txt"
     rc = cli.main(["predict", "--manifest", str(corpus / "manifest.json"),

@@ -434,7 +434,7 @@ def make_dataset(*recordings):
 def test_within_folds_partition():
     ds = make_dataset((1, "A", 140), (2, "B", 150))
     plan = make_folds_within(ds, k=5)
-    assert plan.n_folds == 5
+    assert len(plan.val) == len(plan.train) == 5
     all_val = np.concatenate(plan.val)
     # validation sets partition the eligible frames exactly
     assert len(all_val) == len(set(all_val.tolist()))
@@ -477,7 +477,7 @@ def test_within_requires_enough_frames():
 def test_between_folds_isolate_speaker():
     ds = make_dataset((1, "A", 140), (2, "B", 140), (3, "A", 100))
     plan = make_folds_between(ds)
-    assert plan.n_folds == 2
+    assert len(plan.val) == len(plan.train) == 2
     for v, tr in zip(plan.val, plan.train):
         assert len(set(ds.speakers[v])) == 1
         assert set(ds.speakers[v]).isdisjoint(set(ds.speakers[tr]))

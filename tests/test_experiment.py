@@ -272,13 +272,13 @@ def canned_cv(scores, n_folds, n_evals):
     folds of n_evals curve points each, and records the configs it was given."""
     seen = []
 
-    def run(config, dataset, write_checkpoints=True, baselines=None):
+    def run(config, dataset, folds, baselines, write_checkpoints):
         assert not write_checkpoints
         seen.append(config)
-        folds = [{"fold": f, "curve": [[step + 1, 0.5] for step in range(n_evals)],
-                  "loss_curve": [0.25] * n_evals} for f in range(n_folds)]
+        entries = [{"fold": f, "curve": [[step + 1, 0.5] for step in range(n_evals)],
+                    "loss_curve": [0.25] * n_evals} for f in range(n_folds)]
         return {"aggregate": {"headline": {"mean": scores[len(seen) - 1]}},
-                "folds": folds}
+                "folds": entries}
     return run, seen
 
 
@@ -347,6 +347,18 @@ def test_hpsearch_reads_the_corpus_once(corpus_dir, featured, tmp_path, monkeypa
     assert len(calls) == 1 and len(seen) == 3
 
 
+def test_hpsearch_plans_its_folds_once(corpus_dir, featured, tmp_path, monkeypatch):
+    # the search picks its folds once, and every run, through the real
+    # _cross_validate, trains on them
+    plans = []
+    monkeypatch.setattr(experiment, "make_folds_within",
+                        lambda *args, **kw: plans.append(kw) or
+                        corpus.make_folds_within(*args, **kw))
+    result = run_hpsearch(fast_config(corpus_dir, tmp_path,
+                                      features_dir=str(featured / "features")), n_runs=2)
+    assert len(result["runs"]) == 2 and plans == [{"k": 2}]
+
+
 def test_hpsearch_without_runs_writes_nothing(corpus_dir, tmp_path):
     out = tmp_path / "search"
     with pytest.raises(ValueError, match="at least 1 run, got 0"):
@@ -397,7 +409,7 @@ def test_predict_memory_is_flat_in_recording_length(tmp_path):
     spec = net.ModelSpec(head="sigmoid", n_labels=1, audio=enc, text=enc,
                          decoder=net.DecoderSpec(hidden=48))
     ckpt = tmp_path / "model.ckpt"
-    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0),
+    net.save_checkpoint(ckpt, spec, net.init_params(spec, seed=0).flat,
                         meta={"property": "presence", "modality": "both",
                               "norm": {"mean": [0.0] * 5, "std": [1.0] * 5}})
     peaks = []
@@ -501,9 +513,9 @@ def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
     # the model's speakers listed in the other order: same traces, swapped
     # rows, edited in place in the one parameter buffer
     swapped = tmp_path / "swapped.ckpt"
-    w = params.tensors["dec.fc0.w"]
+    w = params.leaves["dec.fc0.w"].data
     w[-2:] = w[-2:][::-1].copy()
-    net.save_checkpoint(swapped, spec, params,
+    net.save_checkpoint(swapped, spec, params.flat,
                         {**meta, "speakers": meta["speakers"][::-1]})
     trace = tmp_path / "predictions" / "rec_00000.csv"
     first = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=2)
@@ -512,7 +524,7 @@ def test_run_predict_maps_speakers_by_name(corpus_dir, featured, tmp_path):
                        first, atol=1e-6)
 
     unknown = tmp_path / "unknown.ckpt"
-    net.save_checkpoint(unknown, spec, params,
+    net.save_checkpoint(unknown, spec, params.flat,
                         {**meta, "speakers": [meta["speakers"][0], "zed"]})
     with pytest.raises(ValueError,
                        match=f"unknown.ckpt: unknown speakers \\['{meta['speakers'][1]}'\\]"):

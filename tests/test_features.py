@@ -275,7 +275,7 @@ def test_dataset_order_matches_fold_plan(built):
     assert np.array_equal(offsets, np.cumsum([0] + [t.n_frames for t in tables[:-1]]))
     assert np.array_equal(ds.eligible, np.concatenate([t.eligible() for t in tables]))
     plan = corpus.make_folds_within(ds, k=5)
-    for fold in range(plan.n_folds):
+    for fold in range(len(plan.val)):
         val = plan.val[fold]
         assert ds.eligible[val].all()
         # global index g addresses frame g - offset of its recording
@@ -390,7 +390,7 @@ def test_taps_are_bit_equal_to_the_windows_then_conv_gather(built, modality, lay
                "text": lambda: text_windows(pr, idx)}
     params = init_params(spec, seed=layers)
     params.flat[:] = np.random.default_rng([layers, kernel]).normal(size=params.flat.size)
-    pt = {k: Tensor(v) for k, v in params.tensors.items()}
+    pt = {k: Tensor(leaf.data) for k, leaf in params.leaves.items()}
     for name in taps:
         whole = windows[name]()
         want = first_conv_columns(whole, getattr(spec, name))
@@ -660,13 +660,13 @@ def test_speaker_edits_need_no_rebuild(tmp_path):
     assert features.build_features(recs, tmp_path / "features")[1] == []
     emb = tmp_path / "vectors.txt"
     ds = features.load_dataset(recs, tmp_path / "features", emb)
-    assert len(ds.speaker_list) == corpus.make_folds_between(ds).n_folds == 3
+    assert len(ds.speaker_list) == len(corpus.make_folds_between(ds).val) == 3
     manifest = tmp_path / "manifest.json"
     entries = json.loads(manifest.read_text())
     entries[2]["speaker"] = entries[0]["speaker"]
     manifest.write_text(json.dumps(entries))
     ds = features.load_dataset(corpus.load_manifest(manifest), tmp_path / "features", emb)
-    assert len(ds.speaker_list) == corpus.make_folds_between(ds).n_folds == 2
+    assert len(ds.speaker_list) == len(corpus.make_folds_between(ds).val) == 2
 
 
 def test_word_only_transcript_edits_need_no_rebuild(built, tmp_path):

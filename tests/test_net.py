@@ -53,20 +53,21 @@ def test_init_deterministic_and_seed_sensitive():
     a = init_params(spec, seed=5)
     b = init_params(spec, seed=5)
     c = init_params(spec, seed=6)
-    assert set(a.tensors) == set(b.tensors)
-    for k in a.tensors:
-        assert np.array_equal(a.tensors[k], b.tensors[k])
-    assert any(not np.array_equal(a.tensors[k], c.tensors[k]) for k in a.tensors)
+    assert set(a.leaves) == set(b.leaves)
+    for k in a.leaves:
+        assert np.array_equal(a.leaves[k].data, b.leaves[k].data)
+    assert any(not np.array_equal(a.leaves[k].data, c.leaves[k].data) for k in a.leaves)
 
 
 def test_init_bounds_and_zero_biases():
     spec = small_spec()
     params = init_params(spec, seed=0)
-    w = params.tensors["audio.conv0.w"]
+    w = params.leaves["audio.conv0.w"].data
     bound = np.sqrt(6.0 / (3 * 5))       # kernel * in_channels
     assert np.abs(w).max() <= bound
     assert np.abs(w).max() > 0.8 * bound
-    for name, arr in params.tensors.items():
+    for name, leaf in params.leaves.items():
+        arr = leaf.data
         if name.endswith(".b"):
             assert np.array_equal(arr, np.zeros_like(arr))
         assert arr.dtype == np.float32
@@ -75,7 +76,7 @@ def test_init_bounds_and_zero_biases():
 def test_parameter_names_and_shapes():
     spec = small_spec(speaker_dim=3)
     params = init_params(spec, seed=0)
-    shapes = {k: v.shape for k, v in params.tensors.items()}
+    shapes = {k: leaf.data.shape for k, leaf in params.leaves.items()}
     assert shapes["audio.conv0.w"] == (3, 5, 6)
     assert shapes["audio.conv1.w"] == (3, 6, 6)
     assert shapes["audio.proj.w"] == (6, 8)
@@ -256,7 +257,7 @@ def test_center_readout_sees_only_center_window():
     # moving a frame outside the receptive field must not change the center
     # embedding; moving the field's edge frame must
     spec = small_spec()
-    pt = {k: Tensor(v) for k, v in init_params(spec, seed=4).tensors.items()}
+    pt = {k: Tensor(leaf.data) for k, leaf in init_params(spec, seed=4).leaves.items()}
     x = RNG.normal(size=(1, 41, 5))
     taps = input_taps(spec)["audio"]
 
@@ -278,7 +279,7 @@ def test_conv_stack_reads_the_same_on_the_cropped_window(layers, kernel):
                      audio=EncoderSpec(layers=layers, channels=4, kernel=kernel, out_dim=4))
     width = field_width(spec.audio, 41)
     assert width == min(2 * (kernel // 2) * (2 ** layers - 1) + 1, 41)
-    pt = {k: Tensor(v) for k, v in init_params(spec, seed=layers).tensors.items()}
+    pt = {k: Tensor(leaf.data) for k, leaf in init_params(spec, seed=layers).leaves.items()}
     full = np.random.default_rng([layers, kernel]).normal(size=(8, 41, 5)).astype(np.float32)
     lo = (41 - width) // 2
     taps = input_taps(spec)["audio"]
@@ -307,16 +308,16 @@ def test_checkpoint_roundtrip_and_byte_identity(tmp_path):
     params = init_params(spec, seed=11)
     p1 = tmp_path / "model.ckpt"
     p2 = tmp_path / "model2.ckpt"
-    save_checkpoint(p1, spec, params, meta={"fold": 3})
-    save_checkpoint(p2, spec, params, meta={"fold": 3})
+    save_checkpoint(p1, spec, params.flat, meta={"fold": 3})
+    save_checkpoint(p2, spec, params.flat, meta={"fold": 3})
     assert p1.read_bytes() == p2.read_bytes()
     spec2, params2, meta = load_checkpoint(p1)
     assert spec2 == spec
     assert meta == {"fold": 3}
-    assert set(params2.tensors) == set(params.tensors)
-    for k in params.tensors:
-        assert np.array_equal(params2.tensors[k], params.tensors[k])
-        assert params2.tensors[k].dtype == params.tensors[k].dtype
+    assert set(params2.leaves) == set(params.leaves)
+    for k in params.leaves:
+        assert np.array_equal(params2.leaves[k].data, params.leaves[k].data)
+        assert params2.leaves[k].data.dtype == params.leaves[k].data.dtype
     again = predict_probs(spec2, params2, **batch_for(spec, 4, np.random.default_rng(1)))
     ref = predict_probs(spec, params, **batch_for(spec, 4, np.random.default_rng(1)))
     assert np.array_equal(again, ref)
@@ -330,7 +331,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
     spec = small_spec()
     params = init_params(spec, seed=0)
     good = tmp_path / "good.ckpt"
-    save_checkpoint(good, spec, params)
+    save_checkpoint(good, spec, params.flat)
     blob = good.read_bytes()
     (tmp_path / "cut.ckpt").write_bytes(blob[:-40])
     with pytest.raises(ValueError, match="truncated"):
@@ -371,7 +372,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
 def test_checkpoint_rejects_trailing_bytes(tmp_path):
     spec = small_spec()
     path = tmp_path / "model.ckpt"
-    save_checkpoint(path, spec, init_params(spec, seed=0))
+    save_checkpoint(path, spec, init_params(spec, seed=0).flat)
     path.write_bytes(path.read_bytes() + b"\0")
     with pytest.raises(ValueError, match="model.ckpt.*trailing bytes"):
         load_checkpoint(path)
@@ -379,15 +380,12 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 def test_checkpoint_with_unknown_spec_keys_names_the_file(tmp_path):
     spec = small_spec()
-
-    class OldSpec:           # a spec written with a field the model no longer has
-        def to_dict(self):
-            d = spec.to_dict()
-            d["audio"]["reduce"] = "center"
-            return d
-
+    params = init_params(spec, seed=0)
+    old = spec.to_dict()        # a spec written with a field the model no longer has
+    old["audio"]["reduce"] = "center"
     path = tmp_path / "old.ckpt"
-    save_checkpoint(path, OldSpec(), init_params(spec, seed=0))
+    path.write_bytes(frame({"spec": old, "meta": {}, "params": entries_of(params)},
+                           params.flat.astype("<f4").tobytes()))
     with pytest.raises(ValueError, match=r"old.ckpt: unknown EncoderSpec keys \['reduce'\]"):
         load_checkpoint(path)
 
@@ -399,18 +397,18 @@ def frame(header: dict, body: bytes = b"") -> bytes:
 
 
 def entries_of(params, dtype="float32"):
-    return [{"name": name, "shape": list(arr.shape), "dtype": dtype}
-            for name, arr in params.tensors.items()]
+    return [{"name": name, "shape": list(leaf.data.shape), "dtype": dtype}
+            for name, leaf in params.leaves.items()]
 
 
 def test_params_are_named_views_of_one_vector():
     spec = small_spec(speaker_dim=2)
     params = init_params(spec, seed=3)
-    assert list(params.tensors) == [name for name, _, _ in _layer_dims(spec)]
-    assert np.array_equal(np.concatenate([a.ravel() for a in params.tensors.values()]),
+    assert list(params.leaves) == [name for name, _, _ in _layer_dims(spec)]
+    assert np.array_equal(np.concatenate([leaf.data.ravel() for leaf in params.leaves.values()]),
                           params.flat)
     params.flat[:] = 2.0
-    assert all(np.all(a == 2.0) for a in params.tensors.values())
+    assert all(np.all(leaf.data == 2.0) for leaf in params.leaves.values())
     with pytest.raises(ValueError, match=f"has {params.flat.size} parameters"):
         ModelParams(spec, params.flat[:-1])
 
@@ -517,11 +515,11 @@ def test_checkpoint_format_is_a_header_then_each_parameter_in_turn(tmp_path):
     path.write_bytes(data)
     spec2, params, meta = load_checkpoint(path)
     assert spec2 == spec and meta == {"fold": 1}
-    assert list(params.tensors) == list(tensors)
+    assert list(params.leaves) == list(tensors)
     for name, arr in tensors.items():
-        assert params.tensors[name].dtype == np.float32
-        assert np.array_equal(params.tensors[name], arr)
-    save_checkpoint(tmp_path / "again.ckpt", spec2, params, meta)
+        assert params.leaves[name].data.dtype == np.float32
+        assert np.array_equal(params.leaves[name].data, arr)
+    save_checkpoint(tmp_path / "again.ckpt", spec2, params.flat, meta)
     assert (tmp_path / "again.ckpt").read_bytes() == data
 
 

@@ -98,12 +98,23 @@ def test_one_loader_turns_json_into_settings():
 
 
 def test_one_function_scores_chance_and_one_gives_the_verdict():
-    # baselines and eval score chance with the same helper on their own fold
-    # plan, and only eval, which has the model's scores too, gives the verdict
+    # baselines and eval score chance with the same helper on _folds' folds,
+    # and only eval, which has the model's scores too, gives the verdict
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "baseline_predict") == ["experiment._score_chance"]
     assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
                    == "flag_predictable") == ["experiment._cross_validate"]
+
+
+def test_one_function_picks_the_folds():
+    # eval, baselines and hpsearch take every fold's frames from _folds, so
+    # the model and chance are scored on the same frames; a fold's checkpoint
+    # is written from its weight vector, with no model built for it
+    for name in ("make_folds_within", "make_folds_between"):
+        assert callers(lambda f: getattr(f, "id", getattr(f, "attr", None)) == name) \
+            == ["experiment._folds"]
+    assert sorted(callers(lambda f: getattr(f, "id", getattr(f, "attr", None))
+                          == "ModelParams")) == ["net.init_params", "net.load_checkpoint"]
 
 
 def _calls(node, name: str) -> bool:

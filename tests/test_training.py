@@ -184,10 +184,10 @@ def test_adam_updates_the_params_views():
                      text=EncoderSpec(layers=1, channels=3, out_dim=3),
                      decoder=DecoderSpec(hidden=3), text_dim=4)
     params = init_params(spec, seed=0)
-    before = {name: arr.copy() for name, arr in params.tensors.items()}
+    before = {name: leaf.data.copy() for name, leaf in params.leaves.items()}
     Adam(params.flat, lr=0.1).step(np.ones_like(params.flat))
-    for name, arr in params.tensors.items():
-        np.testing.assert_allclose(arr, before[name] - 0.1, rtol=0, atol=1e-6)
+    for name, leaf in params.leaves.items():
+        np.testing.assert_allclose(leaf.data, before[name] - 0.1, rtol=0, atol=1e-6)
 
 
 def _adam_reference(flat, m, v, t, lr, grad):
@@ -206,7 +206,7 @@ def test_adam_in_place_step_is_bit_identical_to_the_expressions(dtype):
     spec = ModelSpec(head="sigmoid", n_labels=2, audio=EncoderSpec(layers=2, channels=8),
                      text=None, decoder=DecoderSpec(hidden=16))
     params = init_params(spec, seed=0, dtype=dtype)
-    flat, head = params.flat, params.tensors["head.w"]
+    flat, head = params.flat, params.leaves["head.w"].data
     ref = [flat.copy(), np.zeros_like(flat), np.zeros_like(flat)]
     opt = Adam(flat, lr=3e-3)
     rng = np.random.default_rng(12)
@@ -402,9 +402,9 @@ def test_train_deterministic_per_seed():
     p2, r2 = train(spec, provider, idx[:320], cfg, 3, score)
     p3, r3 = train(spec, provider, idx[:320], cfg, 4, score)
     assert r1.curve == r2.curve
-    for k in p1.tensors:
-        assert np.array_equal(p1.tensors[k], p2.tensors[k])
-    assert any(not np.array_equal(p1.tensors[k], p3.tensors[k]) for k in p1.tensors)
+    for k in p1.leaves:
+        assert np.array_equal(p1.leaves[k].data, p2.leaves[k].data)
+    assert any(not np.array_equal(p1.leaves[k].data, p3.leaves[k].data) for k in p1.leaves)
 
 
 def test_train_flags_divergence():
